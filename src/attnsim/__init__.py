@@ -1,7 +1,7 @@
 """Simulator and verification suite for continuous-time self-attention
 token dynamics."""
 
-from . import analyze, cli, dynamics, integrate, params, quadspace
+from . import analyze, dynamics, integrate, params, quadspace
 from .analyze import (
     CheckResult,
     Direction,

@@ -14,6 +14,7 @@ from enum import Enum
 import numpy as np
 
 from . import quadspace
+from .dynamics import _softmax_rows
 from .errors import DomainError, HypothesisError, NoRealDominantError, SingularMatrixError
 from .integrate import Termination, Trajectory
 from .params import ModelParams, derive_W_A, interaction_matrix
@@ -87,10 +88,6 @@ class MetricSeries:
     pairs: list[tuple[int, int]]
 
 
-def _pair_diffs(X, iu):
-    return X[iu[0]] - X[iu[1]]
-
-
 def trajectory_metrics(traj: Trajectory, params: ModelParams) -> MetricSeries:
     """Per-sample mean token norm, mean pairwise Euclidean distance, and the
     per-pair q_A(x_i - x_j) series (omitted when V is singular)."""
@@ -104,14 +101,16 @@ def trajectory_metrics(traj: Trajectory, params: ModelParams) -> MetricSeries:
         A = None
     norms = np.linalg.norm(traj.states, axis=2)
     mean_norm = norms.mean(axis=1)
+    n = len(traj.times)
+    dists = np.zeros(n)
+    qa = None if A is None else np.zeros((n, len(iu[0])))
     if L > 1:
-        dists = np.array([np.linalg.norm(_pair_diffs(X, iu), axis=1).mean() for X in traj.states])
-        qa = None
-        if A is not None:
-            qa = np.array([np.einsum("pd,de,pe->p", _pair_diffs(X, iu), A, _pair_diffs(X, iu)) for X in traj.states])
-    else:
-        dists = np.zeros(len(traj.times))
-        qa = np.zeros((len(traj.times), 0)) if A is not None else None
+        # per sample: all pair differences at once would be (samples, pairs, D)
+        for k, X in enumerate(traj.states):
+            diffs = X[iu[0]] - X[iu[1]]
+            dists[k] = np.linalg.norm(diffs, axis=1).mean()
+            if qa is not None:
+                qa[k] = quadspace.quad_form(A, diffs)
     return MetricSeries(
         times=traj.times,
         mean_token_norm=mean_norm,
@@ -135,7 +134,9 @@ def check_distance_monotonicity(traj: Trajectory, A, direction: Direction, tol: 
     if L < 2:
         return CheckResult(name, True, 0.0, float(traj.times[0]), asserted)
     iu = np.triu_indices(L, 1)
-    series = np.array([np.einsum("pd,de,pe->p", _pair_diffs(X, iu), A, _pair_diffs(X, iu)) for X in traj.states])
+    series = np.empty((len(traj.times), len(iu[0])))
+    for k, X in enumerate(traj.states):
+        series[k] = quadspace.quad_form(A, X[iu[0]] - X[iu[1]])
     if quadspace.classify_definiteness(A) is quadspace.Definiteness.NEGATIVE_DEFINITE:
         series = -series
     steps = np.diff(series, axis=0)
@@ -164,15 +165,14 @@ def check_quadratic_form_bounds(
         W, A = derive_W_A(params)
     except SingularMatrixError:
         return [SkippedCheck("qa_bounds", "V is singular; A is undefined")]
-    scale = max(1.0, np.abs(A).max())
-    if np.abs(A - A.T).max() > 1e-8 * scale:
+    if not quadspace.is_symmetric(A, 1e-8):
         return [SkippedCheck("qa_bounds", "A is not symmetric; proposition hypothesis fails")]
     t = traj.times
     if len(t) < 3:
         return [SkippedCheck("qa_bounds", "need at least 3 samples for central differences")]
     L = traj.states.shape[1]
-    qA = np.array([np.einsum("ld,de,le->l", X, A, X) for X in traj.states])
-    qW = np.array([np.einsum("ld,de,le->l", X, W, X) for X in traj.states])
+    qA = quadspace.quad_form(A, traj.states)
+    qW = quadspace.quad_form(W, traj.states)
 
     if tol_differential is None:
         h = float(np.median(np.diff(t)))
@@ -272,12 +272,12 @@ def check_hull_containment(traj: Trajectory, V, lam: float, tol: float, asserted
 
 
 def stationarity_residual(params: ModelParams, X) -> float:
-    """max_l || sum_j e^{x_l^T W x_j} x_j ||; zero exactly at the all-zero
-    stationary state."""
+    """max_l || sum_j softmax_j(x_l^T W x_.) x_j ||: zero exactly at the
+    all-zero stationary state and, unlike the unnormalised weights
+    e^{x_l^T W x_j}, unable to underflow to a false zero far from it."""
     X = np.asarray(X, dtype=float)
     W = interaction_matrix(params)
-    E = np.exp(X @ W @ X.T)
-    return float(np.linalg.norm(E @ X, axis=1).max())
+    return float(np.linalg.norm(_softmax_rows(X @ W @ X.T) @ X, axis=1).max())
 
 
 def check_stationarity(traj: Trajectory, params: ModelParams, tol: float, asserted: bool = True) -> CheckResult:
@@ -343,7 +343,7 @@ def positive_eigenpair(V, tol: float = 1e-8):
     for the divergence-projection check. Symmetric V goes through the exact
     symmetric solver; otherwise the dominant pair is used if positive."""
     V = np.asarray(V, dtype=float)
-    if np.abs(V - V.T).max() <= 1e-10 * max(1.0, np.abs(V).max()):
+    if quadspace.is_symmetric(V, 1e-10):
         eig = quadspace.eig_sym(quadspace.sym(V))
         lam = float(eig.values[-1])
         if lam <= 0:

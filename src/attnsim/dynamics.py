@@ -41,10 +41,7 @@ def attention_weights(logits) -> np.ndarray:
     z = np.asarray(logits, dtype=float)
     if z.ndim != 1:
         raise ShapeError("logits must be a vector")
-    if not np.isfinite(z).all():
-        raise ContractError("non-finite logits")
-    e = np.exp(z - z.max())
-    return e / e.sum()
+    return _softmax_rows(z[None, :])[0]
 
 
 def _softmax_rows(Z):
@@ -94,13 +91,19 @@ def rhs_absolute(params: ModelParams, P, X) -> np.ndarray:
     return rhs_vanilla(params, X + P)
 
 
-def rotation_matrix(D: int, theta_base: float, m) -> np.ndarray:
-    """Block-diagonal rotary matrix: 2x2 rotations by m * theta_k with
-    theta_k = theta_base^(-2(k-1)/D), k = 1..D/2."""
+def _rope_angles(D: int, theta_base: float, m) -> np.ndarray:
+    """The angles m * theta_k of rotation_matrix, shaped m.shape + (D/2,)."""
     if D % 2 != 0:
         raise DomainError("rotary rotations require even D")
     k = np.arange(D // 2)
-    theta = float(m) * theta_base ** (-2.0 * k / D)
+    return np.multiply.outer(np.asarray(m, dtype=float), theta_base ** (-2.0 * k / D))
+
+
+def rotation_matrix(D: int, theta_base: float, m) -> np.ndarray:
+    """Block-diagonal rotary matrix: 2x2 rotations by m * theta_k with
+    theta_k = theta_base^(-2(k-1)/D), k = 1..D/2."""
+    theta = _rope_angles(D, theta_base, float(m))
+    k = np.arange(D // 2)
     c, s = np.cos(theta), np.sin(theta)
     R = np.zeros((D, D))
     R[2 * k, 2 * k] = c
@@ -116,42 +119,28 @@ def _require_rope(params):
     return params.rope
 
 
-def _rope_offset_matrix(params: ModelParams, m: int) -> np.ndarray:
-    rope = _require_rope(params)
-    R = rotation_matrix(params.D, rope.theta_base, m)
-    W = (params.Q @ params.K.T + np.asarray(rope.Qbar) @ R @ np.asarray(rope.Kbar).T) / np.sqrt(params.Dk)
-    mod = rope.lambda_mod
-    if mod is not None:
-        if mod.kind is LambdaKind.IDENTITY_SCALED:
-            W = W + mod.lam * np.eye(params.D)
-        else:
-            W = W + mod.lam * np.diag(mod.diag)
-    return W
-
-
-def rope_interaction(params: ModelParams, l: int, i: int) -> np.ndarray:
-    """Pairwise query-key interaction matrix W_li under rotary encoding;
-    depends on the positions only through the offset i - l."""
-    return _rope_offset_matrix(params, i - l)
-
-
 def rhs_rotary(params: ModelParams, X) -> np.ndarray:
     """Rotary dynamics: per-pair logits x_l^T W_{li} x_i, weights softmaxed
-    over i, summand V^T x_i. Evaluated offset-by-offset (W_li depends only
-    on i - l)."""
+    over i, summand V^T x_i.
+
+    W_li = W + Qbar R(i - l) Kbar^T / sqrt(Dk) plus the lambda regulariser.
+    Since R(i - l) = R(l)^T R(i), the rotary term factorises: rotate each
+    token's query and key by that token's own position, then take one
+    L x L product.
+    """
     X = _check_state(params, X)
-    _require_rope(params)
-    L = X.shape[0]
-    Z = np.empty((L, L))
-    for m in range(-(L - 1), L):
-        Wm = _rope_offset_matrix(params, m)
-        if m >= 0:
-            rows = np.arange(0, L - m)
-        else:
-            rows = np.arange(-m, L)
-        cols = rows + m
-        Z[rows, cols] = np.einsum("ld,de,le->l", X[rows], Wm, X[cols])
-    P = _softmax_rows(Z)
+    rope = _require_rope(params)
+    W = interaction_matrix(params)
+    mod = rope.lambda_mod
+    if mod is not None:
+        W = W + mod.lam * (np.eye(params.D) if mod.kind is LambdaKind.IDENTITY_SCALED else np.diag(mod.diag))
+    theta = _rope_angles(params.D, rope.theta_base, np.arange(X.shape[0]))
+    c, s = np.cos(theta), np.sin(theta)
+    Y = np.stack((X @ rope.Qbar, X @ rope.Kbar))  # queries and keys, (2, L, D)
+    rot = np.empty_like(Y)  # row l turned by R(l), feature pair by pair
+    rot[..., 0::2] = c * Y[..., 0::2] - s * Y[..., 1::2]
+    rot[..., 1::2] = s * Y[..., 0::2] + c * Y[..., 1::2]
+    P = _softmax_rows(X @ W @ X.T + rot[0] @ rot[1].T / np.sqrt(params.Dk))
     return (P @ X) @ params.V
 
 

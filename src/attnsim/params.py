@@ -152,7 +152,7 @@ def random_params(D: int, seed: int, scale: float = 1.0) -> ModelParams:
 
 def derive_W_A(params: ModelParams):
     """W = Q K^T / sqrt(Dk) and A = W (V^T)^{-1}; requires invertible V."""
-    W = params.Q @ params.K.T / np.sqrt(params.Dk)
+    W = interaction_matrix(params)
     A = W @ quadspace.invert(params.V.T)
     return W, A
 
@@ -270,15 +270,12 @@ def eigen_stats(Qs, Ks, Vs, eps: float = 1e-3) -> SpectrumStats:
     pw, pa, pv = [], [], []
     singular = 0
     for Q, K, V in zip(Qs, Ks, Vs):
-        Q, K, V = (np.asarray(m, dtype=float) for m in (Q, K, V))
-        D = Q.shape[0]
-        if Q.shape != (D, D) or K.shape != (D, D) or V.shape != (D, D):
-            raise ShapeError("each triple must consist of square matrices of one size")
-        W = Q @ K.T / np.sqrt(D)
+        p = ModelParams(D=len(Q), Q=Q, K=K, V=V)
+        W = interaction_matrix(p)
         pw.append(100.0 * np.mean(np.linalg.eigvalsh(quadspace.sym(W)) > 0))
-        pv.append(100.0 * np.mean(np.abs(np.linalg.eigvals(V)) <= eps))
+        pv.append(100.0 * np.mean(np.abs(np.linalg.eigvals(p.V)) <= eps))
         try:
-            A = W @ quadspace.invert(V.T)
+            _, A = derive_W_A(p)
         except SingularMatrixError:
             singular += 1
             continue

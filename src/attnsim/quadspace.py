@@ -59,13 +59,21 @@ def sym(B) -> np.ndarray:
     return 0.5 * (B + B.T)
 
 
-def quad_form(B, u) -> float:
-    """u^T B u."""
+def is_symmetric(B, rtol: float) -> bool:
+    """|B - B^T| <= rtol * max(1, |B|) entrywise, |B| the largest entry."""
+    B = _as_square(B)
+    return bool(np.abs(B - B.T).max(initial=0.0) <= rtol * max(np.abs(B).max(initial=0.0), 1.0))
+
+
+def quad_form(B, u) -> float | np.ndarray:
+    """u^T B u: a float for a vector u, or one value per row of an (..., n)
+    array u, shaped u.shape[:-1]."""
     B = _as_square(B)
     u = np.asarray(u, dtype=float)
-    if u.shape != (B.shape[0],):
+    if u.ndim < 1 or u.shape[-1] != B.shape[0]:
         raise ShapeError(f"vector shape {u.shape} does not match matrix {B.shape}")
-    return float(u @ B @ u)
+    q = np.einsum("...d,de,...e->...", u, B, u)
+    return float(q) if q.ndim == 0 else q
 
 
 def eig_sym(S) -> EigSym:
@@ -75,8 +83,7 @@ def eig_sym(S) -> EigSym:
     largest entry.
     """
     S = _as_square(S)
-    scale = np.abs(S).max() if S.size else 0.0
-    if np.abs(S - S.T).max(initial=0.0) > SYMMETRY_RTOL * max(scale, 1.0):
+    if not is_symmetric(S, SYMMETRY_RTOL):
         raise ContractError("matrix is not symmetric within tolerance")
     values, vectors = np.linalg.eigh(S)
     return EigSym(values=values, vectors=vectors)
@@ -142,8 +149,9 @@ def simplex_distance(points, p, tol: float = 1e-8, max_iter: int = HULL_MAX_ITER
 
     Minimizes ||sum_i w_i points_i - p|| over simplex weights w with
     accelerated projected gradient. Returns (distance_upper, distance_lower):
-    the achieved distance and a certified lower bound from the Frank-Wolfe
-    gap. Stops early once either bound settles the tol question.
+    the achieved distance, never above the distance to the nearest point,
+    and a certified lower bound from the Frank-Wolfe gap. Stops early once
+    either bound settles the tol question.
     """
     P = np.asarray(points, dtype=float)
     if P.ndim != 2 or P.shape[0] < 1:
@@ -153,9 +161,12 @@ def simplex_distance(points, p, tol: float = 1e-8, max_iter: int = HULL_MAX_ITER
         raise ShapeError("query point dimension mismatch")
 
     n = P.shape[0]
+    # every input point lies in the hull, so the nearest one bounds the distance
+    best_upper = float(np.linalg.norm(P - p, axis=1).min())
     if n == 1:
-        d = float(np.linalg.norm(P[0] - p))
-        return d, d
+        return best_upper, best_upper
+    if best_upper <= tol:
+        return best_upper, 0.0
 
     G = P @ P.T
     b = P @ p
@@ -165,7 +176,6 @@ def simplex_distance(points, p, tol: float = 1e-8, max_iter: int = HULL_MAX_ITER
     w = np.full(n, 1.0 / n)
     y = w.copy()
     t_acc = 1.0
-    best_upper = np.inf
     best_lower = 0.0
     for it in range(max_iter):
         grad = G @ y - b

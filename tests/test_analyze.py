@@ -183,6 +183,8 @@ def test_stationarity_residual_values():
     assert stationarity_residual(p, np.zeros((3, 2))) == 0.0
     X = np.array([[5.0, 0.0], [0.0, 0.0]])
     assert stationarity_residual(p, X) > 0.0
+    # logits near -4.4e3: every unnormalised weight underflows to zero
+    assert stationarity_residual(random_params(4, 1), 30.0 * np.ones((3, 4))) == pytest.approx(60.0)
 
 
 def test_absolute_limit_zero_positions():

@@ -1,8 +1,12 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 
+import attnsim
 from attnsim import quadspace
 from attnsim.cli import main
 from attnsim.params import generator, save_matrix
@@ -226,6 +230,26 @@ def test_sweep_small_range(tmp_path):
     assert summary[0]["pos_eigs_Wsym"] == "3"
     assert summary[0]["pos_eigs_Asym"] == "3"
     assert float(summary[0]["diverged_rate"]) == 1.0
+
+
+def test_sweep_rows_independent_of_window(tmp_path):
+    sweep = {"scenario": "convergence", "D": 2, "seed_start": 0, "seed_count": 4, "horizon": 10.0}
+    cfg = {"schema_version": 1, "mode": "sweep", "sweep": sweep}
+    code_all, out = run_cli(tmp_path, cfg, name="all.json")
+    rows_all = (out / "seeds.csv").read_text().splitlines()
+    code_tail, out = run_cli(tmp_path, {**cfg, "sweep": {**sweep, "seed_start": 2, "seed_count": 2}}, name="tail.json")
+    rows_tail = (out / "seeds.csv").read_text().splitlines()
+    assert code_all == code_tail == 0
+    assert rows_all[3:] == rows_tail[1:]
+
+
+def test_module_entry_point_warns_nothing():
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(attnsim.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "attnsim.cli", "--help"], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
 
 
 def test_sweep_empty_range_rejected(tmp_path):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from attnsim import quadspace
 from attnsim.dynamics import (
@@ -7,12 +9,11 @@ from attnsim.dynamics import (
     rhs_absolute,
     rhs_rotary,
     rhs_vanilla,
-    rope_interaction,
     rotation_matrix,
     sinusoidal_encoding,
 )
 from attnsim.errors import ContractError, DomainError, ShapeError
-from attnsim.params import LambdaKind, LambdaMod, ModelParams, RopeParams, random_params
+from attnsim.params import LambdaKind, LambdaMod, ModelParams, RopeParams, generator, random_params
 
 
 def _plain(D, Q, K, V, Dk=None):
@@ -158,6 +159,38 @@ def test_rotation_rejects_odd_dimension():
         rotation_matrix(3, 10000.0, 1)
 
 
+# Reference for the factorised rotary field: the offset matrices
+# W_m = (Q K^T + Qbar R(m) Kbar^T) / sqrt(Dk) + lambda term, built directly.
+def _rope_offset_matrix(params, m):
+    rope = params.rope
+    R = rotation_matrix(params.D, rope.theta_base, m)
+    W = (params.Q @ params.K.T + np.asarray(rope.Qbar) @ R @ np.asarray(rope.Kbar).T) / np.sqrt(params.Dk)
+    mod = rope.lambda_mod
+    if mod is not None:
+        if mod.kind is LambdaKind.IDENTITY_SCALED:
+            W = W + mod.lam * np.eye(params.D)
+        else:
+            W = W + mod.lam * np.diag(mod.diag)
+    return W
+
+
+def rope_interaction(params, l, i):
+    """W_li under rotary encoding; depends on the positions only through i - l."""
+    return _rope_offset_matrix(params, i - l)
+
+
+def _rhs_rotary_offsets(params, X):
+    # logits offset by offset, one D x D matrix per offset i - l
+    L = X.shape[0]
+    Z = np.empty((L, L))
+    for m in range(-(L - 1), L):
+        rows = np.arange(0, L - m) if m >= 0 else np.arange(-m, L)
+        cols = rows + m
+        Z[rows, cols] = np.einsum("ld,de,le->l", X[rows], _rope_offset_matrix(params, m), X[cols])
+    E = np.exp(Z - Z.max(axis=1, keepdims=True))
+    return (E / E.sum(axis=1, keepdims=True) @ X) @ params.V
+
+
 def test_rope_interaction_reduces_without_qbar():
     rng = np.random.default_rng(6)
     Q, K, V = rng.normal(size=(3, 2, 2))
@@ -222,6 +255,30 @@ def test_rhs_rotary_against_loop_oracle():
     p = _rope(2, Q, K, V, Qb, Kb)
     X = rng.normal(size=(3, 2))
     np.testing.assert_allclose(rhs_rotary(p, X), _rhs_rotary_loops(p, X), atol=1e-14)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    L=st.integers(1, 40),
+    half_D=st.integers(1, 4),
+    Dk=st.integers(1, 8),
+    theta_base=st.sampled_from([2.0, 100.0, 10000.0, 1e6]),
+    lam_kind=st.sampled_from([None, LambdaKind.IDENTITY_SCALED, LambdaKind.DIAG_SCALED]),
+)
+@settings(max_examples=100, deadline=None)
+def test_rhs_rotary_matches_offset_oracle(seed, L, half_D, Dk, theta_base, lam_kind):
+    D = 2 * half_D
+    rng = generator(seed)
+    Q, K, V, Qb, Kb = rng.standard_normal((5, D, D))
+    mod = None
+    if lam_kind is LambdaKind.IDENTITY_SCALED:
+        mod = LambdaMod(kind=lam_kind, lam=-rng.uniform(0.1, 2.0))
+    elif lam_kind is LambdaKind.DIAG_SCALED:
+        mod = LambdaMod(kind=lam_kind, lam=-rng.uniform(0.1, 2.0), diag=rng.uniform(0.1, 2.0, D))
+    p = ModelParams(D=D, Q=Q, K=K, V=V, Dk=Dk, rope=RopeParams(Qbar=Qb, Kbar=Kb, theta_base=theta_base, lambda_mod=mod))
+    X = rng.standard_normal((L, D))
+    expected = _rhs_rotary_offsets(p, X)
+    assert np.abs(rhs_rotary(p, X) - expected).max() <= 1e-12 * max(1.0, np.abs(expected).max())
 
 
 def test_rhs_rotary_requires_rope():

@@ -53,11 +53,19 @@ def test_quad_form_matches_symmetric_part():
         expected = sum(u[i] * B[i, j] * u[j] for i in range(4) for j in range(4))
         assert abs(quadspace.quad_form(B, u) - expected) < 1e-12 * max(1.0, abs(expected))
         assert abs(quadspace.quad_form(B, u) - quadspace.quad_form(quadspace.sym(B), u)) < 1e-12
+    # rows of an (..., n) array each get their own form
+    U = rng.normal(size=(3, 5, 4))
+    expected = [[quadspace.quad_form(B, u) for u in block] for block in U]
+    np.testing.assert_allclose(quadspace.quad_form(B, U), expected, rtol=1e-12, atol=1e-12)
 
 
 def test_quad_form_dim_mismatch():
     with pytest.raises(ShapeError):
         quadspace.quad_form(np.eye(2), [1.0, 2.0, 3.0])
+    with pytest.raises(ShapeError):
+        quadspace.quad_form(np.eye(2), np.ones((4, 3)))
+    with pytest.raises(ShapeError):
+        quadspace.quad_form(np.eye(1), 1.0)
 
 
 def test_eig_sym_identity():
@@ -208,6 +216,17 @@ def test_hull_monotone_under_extra_point():
     assert quadspace.in_convex_hull(pts, p, tol=1e-8)
     more = np.vstack([pts, rng.normal(size=2)])
     assert quadspace.in_convex_hull(more, p, tol=1e-8)
+
+
+def test_simplex_distance_certifies_input_point():
+    # an input point is in its own hull; the optimiser alone stalled at
+    # distance 1.29e-4 > tol here and left the query undecided
+    rng = np.random.Generator(np.random.Philox(11))
+    rng.standard_normal((2, 2))
+    X0 = rng.standard_normal((8, 2))
+    X0 -= X0.mean(axis=0)
+    upper, _ = quadspace.simplex_distance(X0, X0[5], tol=1e-4)
+    assert upper <= 1e-4
 
 
 def test_simplex_distance_matches_known_value():
