@@ -1,0 +1,8 @@
+"""python -m attnsim: the command-line interface of attnsim.cli."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

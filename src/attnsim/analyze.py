@@ -22,6 +22,7 @@ from .params import ModelParams, derive_W_A, interaction_matrix
 CONVERGED_RATIO = 1e-3
 DIVERGED_RATIO = 1e3
 EXP_CLIP = 700.0  # keeps margins finite when q_W is very negative
+HULL_BLOCK_ENTRIES = 2**18  # hull queries x hull points per simplex_distance call
 
 
 class Direction(Enum):
@@ -84,40 +85,22 @@ class MetricSeries:
     times: np.ndarray
     mean_token_norm: np.ndarray
     mean_pairwise_dist: np.ndarray
-    qa_pairwise: np.ndarray | None  # (samples, pairs), None when V is singular
-    pairs: list[tuple[int, int]]
 
 
-def trajectory_metrics(traj: Trajectory, params: ModelParams) -> MetricSeries:
-    """Per-sample mean token norm, mean pairwise Euclidean distance, and the
-    per-pair q_A(x_i - x_j) series (omitted when V is singular)."""
+def trajectory_metrics(traj: Trajectory) -> MetricSeries:
+    """Per-sample mean token norm and mean pairwise Euclidean distance."""
     if traj.states.shape[0] == 0:
         raise DomainError("empty trajectory")
     L = traj.states.shape[1]
     iu = np.triu_indices(L, 1)
-    try:
-        _, A = derive_W_A(params)
-    except SingularMatrixError:
-        A = None
     norms = np.linalg.norm(traj.states, axis=2)
     mean_norm = norms.mean(axis=1)
-    n = len(traj.times)
-    dists = np.zeros(n)
-    qa = None if A is None else np.zeros((n, len(iu[0])))
+    dists = np.zeros(len(traj.times))
     if L > 1:
         # per sample: all pair differences at once would be (samples, pairs, D)
         for k, X in enumerate(traj.states):
-            diffs = X[iu[0]] - X[iu[1]]
-            dists[k] = np.linalg.norm(diffs, axis=1).mean()
-            if qa is not None:
-                qa[k] = quadspace.quad_form(A, diffs)
-    return MetricSeries(
-        times=traj.times,
-        mean_token_norm=mean_norm,
-        mean_pairwise_dist=dists,
-        qa_pairwise=qa,
-        pairs=list(zip(*iu)),
-    )
+            dists[k] = np.linalg.norm(X[iu[0]] - X[iu[1]], axis=1).mean()
+    return MetricSeries(times=traj.times, mean_token_norm=mean_norm, mean_pairwise_dist=dists)
 
 
 def check_distance_monotonicity(traj: Trajectory, A, direction: Direction, tol: float, asserted: bool = True) -> CheckResult:
@@ -260,14 +243,17 @@ def check_hull_containment(traj: Trajectory, V, lam: float, tol: float, asserted
     if np.abs(V - lam * np.eye(D)).max() > 1e-10:
         raise HypothesisError("hull containment needs V = lam * I")
     X0 = traj.initial
+    N, L, _ = traj.states.shape
+    per_block = max(1, HULL_BLOCK_ENTRIES // (L * L))  # whole samples, L queries each against L points
     worst, loc = np.inf, float(traj.times[0])
-    for t, X in zip(traj.times, traj.states):
-        Z = np.exp(-lam * t) * X
-        for z in Z:
-            dist, _ = quadspace.simplex_distance(X0, z, tol=tol)
-            margin = tol - dist
-            if margin < worst:
-                worst, loc = float(margin), float(t)
+    for start in range(0, N, per_block):
+        block = slice(start, start + per_block)
+        Z = (np.exp(-lam * traj.times[block])[:, None, None] * traj.states[block]).reshape(-1, D)
+        dist, _ = quadspace.simplex_distance(X0, Z, tol=tol)
+        margins = tol - dist
+        k = int(np.argmin(margins))  # first worst query in (sample, token) order
+        if margins[k] < worst:
+            worst, loc = float(margins[k]), float(traj.times[start + k // L])
     return CheckResult("rescaled_hull_containment", worst >= 0.0, worst, loc, asserted)
 
 

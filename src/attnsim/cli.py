@@ -272,9 +272,9 @@ def write_metrics_csv(path, metrics):
 
 
 def run_simulate(cfg: dict, out_dir: str) -> int:
-    params, posenc, X0, icfg, rhs, _ = _prepare_run(cfg)
+    _, _, X0, icfg, rhs, _ = _prepare_run(cfg)
     traj = integrate(lambda t, X: rhs(X), X0, icfg)
-    metrics = analyze.trajectory_metrics(traj, params)
+    metrics = analyze.trajectory_metrics(traj)
     write_trajectory_csv(os.path.join(out_dir, "trajectory.csv"), traj)
     write_metrics_csv(os.path.join(out_dir, "metrics.csv"), metrics)
     summary = {

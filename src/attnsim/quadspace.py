@@ -145,99 +145,114 @@ def matexp(M) -> np.ndarray:
 
 
 def simplex_distance(points, p, tol: float = 1e-8, max_iter: int = HULL_MAX_ITER):
-    """Distance from p to the convex hull of the given points.
+    """Distance from each query to the convex hull of the given points.
 
-    Minimizes ||sum_i w_i points_i - p|| over simplex weights w with
-    accelerated projected gradient. Returns (distance_upper, distance_lower):
-    the achieved distance, never above the distance to the nearest point,
-    and a certified lower bound from the Frank-Wolfe gap. Stops early once
-    either bound settles the tol question.
+    p is one query of shape (d,) or a batch of shape (Q, d). Minimizes
+    ||sum_i w_i points_i - p|| over simplex weights w with accelerated
+    projected gradient, all queries in one (Q, n) weight matrix. Returns
+    (distance_upper, distance_lower): the achieved distance, never above the
+    distance to the nearest point, and a certified lower bound from the
+    Frank-Wolfe gap; floats for one query, (Q,) arrays for a batch. A query
+    leaves the batch once either of its bounds settles the tol question.
     """
     P = np.asarray(points, dtype=float)
     if P.ndim != 2 or P.shape[0] < 1:
         raise ShapeError("points must be a nonempty (n, d) array")
     p = np.asarray(p, dtype=float)
-    if p.shape != (P.shape[1],):
+    if p.ndim not in (1, 2) or p.shape[-1] != P.shape[1]:
         raise ShapeError("query point dimension mismatch")
+    single = p.ndim == 1
+    p = p.reshape(-1, P.shape[1])
 
     n = P.shape[0]
     # every input point lies in the hull, so the nearest one bounds the distance
-    best_upper = float(np.linalg.norm(P - p, axis=1).min())
-    if n == 1:
-        return best_upper, best_upper
-    if best_upper <= tol:
-        return best_upper, 0.0
-
+    upper = np.min([np.linalg.norm(p - x, axis=1) for x in P], axis=0)
+    lower = upper.copy() if n == 1 else np.zeros_like(upper)
+    # state rows follow the still undecided queries listed in act
+    act = np.nonzero(upper > tol)[0] if n > 1 else np.zeros(0, dtype=int)
+    q = p[act]
     G = P @ P.T
-    b = P @ p
+    B = q @ P.T
     lam_max = float(np.linalg.eigvalsh(G).max())
     step = 1.0 / max(lam_max, 1e-300)
 
-    w = np.full(n, 1.0 / n)
+    w = np.full((act.size, n), 1.0 / n)
     y = w.copy()
-    t_acc = 1.0
-    best_lower = 0.0
+    t_acc = np.ones(act.size)
     for it in range(max_iter):
-        grad = G @ y - b
+        if act.size == 0:
+            break
+        grad = y @ G - B
         w_new = _project_simplex(y - step * grad)
-        if (y - w_new) @ (w_new - w) > 0.0:  # adaptive restart
-            t_next = 1.0
-            y = w_new
-        else:
-            t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_acc * t_acc))
-            y = w_new + ((t_acc - 1.0) / t_next) * (w_new - w)
+        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_acc * t_acc))
+        restart = np.einsum("qi,qi->q", y - w_new, w_new - w) > 0.0  # adaptive restart
+        t_next[restart] = 1.0
+        y = w_new + ((t_acc - 1.0) / t_next)[:, None] * (w_new - w)
+        y[restart] = w_new[restart]
         w, t_acc = w_new, t_next
 
         if it % 10 == 0 or it == max_iter - 1:
+            best_upper = upper[act]
             if it % 50 == 0 or it == max_iter - 1:
-                w_ref = _refine_on_support(G, b, w)
-                if w_ref is not None:
-                    d_ref = float(np.linalg.norm(P.T @ w_ref - p))
-                    if d_ref < best_upper:
-                        best_upper = d_ref
-                        w = w_ref
-            r = P.T @ w - p
-            g_val = 0.5 * float(r @ r)
-            best_upper = min(best_upper, np.sqrt(2.0 * g_val))
-            grad = G @ w - b
-            gap = float(grad @ w - grad.min())  # FW gap bounds g(w) - g*
-            best_lower = max(best_lower, np.sqrt(max(0.0, 2.0 * (g_val - gap))))
-            if best_upper <= tol or best_lower > tol:
-                return best_upper, best_lower
-    return best_upper, best_lower
+                w_ref, ok = _refine_on_support(G, B, w)
+                d_ref = np.linalg.norm(w_ref @ P - q, axis=1)
+                better = ok & (d_ref < best_upper)
+                best_upper[better] = d_ref[better]
+                w[better] = w_ref[better]
+            r = w @ P - q
+            g_val = 0.5 * np.einsum("qd,qd->q", r, r)
+            best_upper = np.minimum(best_upper, np.sqrt(2.0 * g_val))
+            grad = w @ G - B
+            gap = np.einsum("qi,qi->q", grad, w) - grad.min(axis=1)  # FW gap bounds g(w) - g*
+            best_lower = np.maximum(lower[act], np.sqrt(np.maximum(0.0, 2.0 * (g_val - gap))))
+            upper[act], lower[act] = best_upper, best_lower
+            keep = (best_upper > tol) & (best_lower <= tol)
+            if not keep.all():
+                act, q, B, w, y, t_acc = act[keep], q[keep], B[keep], w[keep], y[keep], t_acc[keep]
+    if single:
+        return float(upper[0]), float(lower[0])
+    return upper, lower
 
 
-def _refine_on_support(G, b, w, floor=1e-12):
-    # exact equality-constrained least squares on the current active set;
-    # returns a feasible refined weight vector or None
-    S = np.nonzero(w > floor)[0]
-    if S.size == 0:
-        return None
-    k = S.size
-    KKT = np.zeros((k + 1, k + 1))
-    KKT[:k, :k] = G[np.ix_(S, S)]
-    KKT[:k, k] = 1.0
-    KKT[k, :k] = 1.0
-    rhs = np.append(b[S], 1.0)
-    try:
-        sol = np.linalg.lstsq(KKT, rhs, rcond=None)[0]
-    except np.linalg.LinAlgError:
-        return None
-    w_S = sol[:k]
-    if w_S.min() < 0.0:
-        return None
+def _refine_on_support(G, B, w, floor=1e-12):
+    # exact equality-constrained least squares on each query's active set,
+    # one solve per distinct set with its queries as right-hand sides;
+    # returns refined weights and the mask of rows whose refinement is feasible
     out = np.zeros_like(w)
-    out[S] = w_S / w_S.sum()
-    return out
+    ok = np.zeros(w.shape[0], dtype=bool)
+    supports, which, counts = np.unique(w > floor, axis=0, return_inverse=True, return_counts=True)
+    groups = np.split(np.argsort(which.ravel(), kind="stable"), np.cumsum(counts)[:-1])
+    for support, rows in zip(supports, groups):
+        S = np.nonzero(support)[0]
+        if S.size == 0:
+            continue
+        k = S.size
+        KKT = np.zeros((k + 1, k + 1))
+        KKT[:k, :k] = G[np.ix_(S, S)]
+        KKT[:k, k] = 1.0
+        KKT[k, :k] = 1.0
+        rhs = np.ones((k + 1, rows.size))
+        rhs[:k] = B[np.ix_(rows, S)].T
+        try:
+            sol = np.linalg.lstsq(KKT, rhs, rcond=None)[0]
+        except np.linalg.LinAlgError:
+            continue
+        w_S = sol[:k].T
+        feasible = w_S.min(axis=1) >= 0.0
+        rows, w_S = rows[feasible], w_S[feasible]
+        out[np.ix_(rows, S)] = w_S / w_S.sum(axis=1, keepdims=True)
+        ok[rows] = True
+    return out, ok
 
 
 def _project_simplex(z):
-    # Euclidean projection onto the probability simplex (sort-based).
-    u = np.sort(z)[::-1]
-    css = np.cumsum(u) - 1.0
-    idx = np.arange(1, z.size + 1)
-    rho = np.nonzero(u > css / idx)[0][-1]
-    return np.maximum(z - css[rho] / (rho + 1.0), 0.0)
+    # Euclidean projection of each row of z onto the probability simplex (sort-based).
+    u = np.sort(z, axis=1)[:, ::-1]
+    css = np.cumsum(u, axis=1) - 1.0
+    idx = np.arange(1, z.shape[1] + 1)
+    rho = z.shape[1] - 1 - np.argmax((u > css / idx)[:, ::-1], axis=1)  # last index where u > css / idx
+    theta = css[np.arange(z.shape[0]), rho] / (rho + 1.0)
+    return np.maximum(z - theta[:, None], 0.0)
 
 
 def in_convex_hull(points, p, tol: float = 1e-8) -> bool:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from attnsim import quadspace
+from attnsim import analyze, quadspace
 from attnsim.analyze import (
     CheckResult,
     Direction,
@@ -25,7 +25,9 @@ from attnsim.analyze import (
 from attnsim.dynamics import rhs_vanilla
 from attnsim.errors import HypothesisError, NoRealDominantError
 from attnsim.integrate import IntegratorConfig, Termination, Trajectory, integrate
-from attnsim.params import ModelParams, params_from_w_and_a, params_from_w_and_v, random_params
+from attnsim.params import ModelParams, generator, params_from_w_and_a, params_from_w_and_v, random_params
+
+from hull_oracle import hull_containment_loop
 
 
 def make_traj(times, states, terminated=Termination.HORIZON_REACHED, blowup_time=None, h=1e-2):
@@ -42,15 +44,15 @@ def _identity_params(D, v_scale=1.0):
 def test_metrics_all_tokens_equal():
     X = np.tile([1.0, 2.0], (4, 1))
     traj = make_traj([0.0, 1.0], [X, X])
-    m = trajectory_metrics(traj, _identity_params(2))
+    m = trajectory_metrics(traj)
     np.testing.assert_array_equal(m.mean_pairwise_dist, [0.0, 0.0])
 
 
 def test_metrics_symmetric_pair():
     X = np.array([[1.0, 0.0], [-1.0, 0.0]])
     traj = make_traj([0.0], [X])
-    m = trajectory_metrics(traj, _identity_params(2))
-    assert m.qa_pairwise[0, 0] == pytest.approx(4.0)
+    m = trajectory_metrics(traj)
+    assert quadspace.quad_form(np.eye(2), X[0] - X[1]) == pytest.approx(4.0)
     assert m.mean_pairwise_dist[0] == pytest.approx(2.0)
 
 
@@ -62,16 +64,15 @@ def test_metrics_match_naive_recomputation():
     _, A = derive_W_A(p)
     states = rng.normal(size=(4, 5, 3))
     traj = make_traj(np.arange(4.0), states)
-    m = trajectory_metrics(traj, p)
+    m = trajectory_metrics(traj)
     for k, X in enumerate(states):
-        dists, qas = [], []
+        dists = []
         for i in range(5):
             for j in range(i + 1, 5):
                 d = X[i] - X[j]
                 dists.append(np.linalg.norm(d))
-                qas.append(d @ A @ d)
+                assert quadspace.quad_form(A, d) == pytest.approx(d @ A @ d, abs=1e-12)
         assert m.mean_pairwise_dist[k] == pytest.approx(np.mean(dists), abs=1e-12)
-        np.testing.assert_allclose(m.qa_pairwise[k], qas, atol=1e-12)
         assert m.mean_token_norm[k] == pytest.approx(np.linalg.norm(X, axis=1).mean(), abs=1e-12)
 
 
@@ -170,6 +171,23 @@ def test_hull_containment_averaging_flow():
     X0 = rng.normal(size=(5, 2))
     traj = integrate(lambda t, X: rhs_vanilla(p, X), X0, IntegratorConfig(h=1e-2, T=3.0))
     assert check_hull_containment(traj, p.V, 1.0, tol=1e-4).passed
+
+
+def test_hull_containment_matches_per_query_loop(monkeypatch):
+    # a criterion-05 run: V = lam I, 5 tokens in 2-D, 501 samples
+    lam, tol = 1.0, 1e-4
+    rng = generator(2001)
+    p = params_from_w_and_v(rng.standard_normal((2, 2)), lam * np.eye(2))
+    traj = integrate(lambda t, X: rhs_vanilla(p, X), rng.standard_normal((5, 2)), IntegratorConfig(h=1e-2, T=5.0))
+    ref = hull_containment_loop(traj, lam, tol)
+    results = [check_hull_containment(traj, p.V, lam, tol)]
+    for entries in (50, 1):  # blocks of two samples (10 queries), then of one
+        monkeypatch.setattr(analyze, "HULL_BLOCK_ENTRIES", entries)
+        results.append(check_hull_containment(traj, p.V, lam, tol))
+    for res in results:
+        for want in (ref, results[0]):
+            assert (res.passed, res.location) == (want.passed, want.location)
+            assert abs(res.worst_margin - want.worst_margin) <= 1e-9 * tol
 
 
 def test_hull_containment_hypothesis_error():

@@ -252,6 +252,16 @@ def test_module_entry_point_warns_nothing():
     assert proc.stderr == ""
 
 
+def test_package_entry_point_runs_cli():
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(attnsim.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "attnsim", "--help"], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert proc.stdout.startswith("usage: attnsim")
+
+
 def test_sweep_empty_range_rejected(tmp_path):
     cfg = {"schema_version": 1, "mode": "sweep", "sweep": {"D": 3, "seed_count": 0}}
     code, _ = run_cli(tmp_path, cfg)

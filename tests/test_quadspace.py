@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from attnsim import quadspace
 from attnsim.errors import ContractError, DomainError, ShapeError, SingularMatrixError
+from attnsim.params import generator
 from attnsim.quadspace import Definiteness
 
 from cases import COLLAPSE_W, GROW_A
+import hull_oracle
+from hull_oracle import simplex_distance_one
 
 
 def test_sym_antisymmetric_split():
@@ -234,3 +239,126 @@ def test_simplex_distance_matches_known_value():
     upper, lower = quadspace.simplex_distance(pts, np.array([0.5, 1.0]), tol=1e-9)
     assert upper == pytest.approx(1.0, abs=1e-6)
     assert lower <= upper
+
+
+def _hull_queries(rng, P, Q, tol):
+    # a mix of queries inside the hull, at input points, on edges (boundary
+    # or inside), within a few tol of an input point, and far outside
+    n, d = P.shape
+    Z = np.empty((Q, d))
+    for j in range(Q):
+        kind = rng.integers(5)
+        if kind == 0:
+            Z[j] = rng.dirichlet(np.ones(n)) @ P
+        elif kind == 1:
+            Z[j] = P[rng.integers(n)]
+        elif kind == 2:
+            Z[j] = 0.5 * (P[rng.integers(n)] + P[rng.integers(n)])
+        elif kind == 3:
+            Z[j] = P[rng.integers(n)] + rng.uniform(0.0, 3.0) * tol * rng.standard_normal(d) / np.sqrt(d)
+        else:
+            Z[j] = P.mean(axis=0) + rng.uniform(0.5, 4.0) * rng.standard_normal(d)
+    return Z
+
+
+def _decision(upper, lower, tol):
+    return "in" if upper <= tol else "out" if lower > tol else "undecided"
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 12),
+    d=st.integers(1, 4),
+    Q=st.integers(1, 30),
+    duplicates=st.integers(0, 11),
+    tol=st.sampled_from([1e-8, 1e-4, 1e-2]),
+    max_iter=st.sampled_from([37, quadspace.HULL_MAX_ITER]),
+)
+@settings(max_examples=100, deadline=None)
+def test_simplex_distance_batch_matches_per_query_oracle(seed, n, d, Q, duplicates, tol, max_iter):
+    rng = generator(seed)
+    P = rng.standard_normal((n, d))
+    for _ in range(min(duplicates, n - 1)):
+        P[rng.integers(n)] = P[rng.integers(n)]
+    Z = _hull_queries(rng, P, Q, tol)
+    upper, lower = quadspace.simplex_distance(P, Z, tol=tol, max_iter=max_iter)
+    assert upper.shape == lower.shape == (Q,)
+    one = quadspace.simplex_distance(P, Z[0], tol=tol, max_iter=max_iter)
+    assert all(isinstance(v, float) for v in one)
+    # both bounds come from squared distances (the lower one from g - gap),
+    # which carry rounding of order eps * scale^2, so compare them squared
+    slack = 1e-13 * max(1.0, np.abs(P).max(), np.abs(Z).max()) ** 2
+    near_tol = lambda *bounds: min(abs(b * b - tol * tol) for b in bounds) <= slack  # noqa: E731
+    # A query still open at a small cap may be settled on one side only:
+    # the refinement is accepted or not on rounding (the sign of a weight
+    # the optimum puts at zero, a tie with the nearest-point bound), which
+    # moves the certificate from one check to a later one. At the default
+    # cap the decisions must agree.
+    decide = max_iter == quadspace.HULL_MAX_ITER
+    for j, z in enumerate(Z):
+        up_ref, lo_ref = simplex_distance_one(P, z, tol=tol, max_iter=max_iter)
+        assert max(lower[j], lo_ref) ** 2 <= min(upper[j], up_ref) ** 2 + slack, (j, upper[j], lower[j], up_ref, lo_ref)
+        if decide and not near_tol(upper[j], lower[j], up_ref, lo_ref):
+            assert _decision(upper[j], lower[j], tol) == _decision(up_ref, lo_ref, tol), (j, upper[j], lower[j], up_ref, lo_ref)
+    if decide and not near_tol(*one, upper[0], lower[0]):
+        assert _decision(*one, tol) == _decision(upper[0], lower[0], tol)
+
+
+def test_refine_on_support_solves_each_query():
+    # queries sharing a support are solved together; each row must still
+    # get its own solution (or rejection) from the per-query refinement
+    rng = generator(5)
+    P = rng.standard_normal((6, 3))
+    G = P @ P.T
+    Z = rng.standard_normal((24, 3))
+    B = Z @ P.T
+    patterns = np.array([[1, 1, 1, 1, 1, 1], [1, 0, 1, 1, 0, 0], [0, 1, 0, 1, 1, 0]], dtype=bool)
+    w = rng.uniform(0.1, 1.0, (24, 6)) * patterns[np.arange(24) % 3]
+    w /= w.sum(axis=1, keepdims=True)
+    w_ref, ok = quadspace._refine_on_support(G, B, w)
+    for j in range(24):
+        want = hull_oracle._refine_on_support(G, P @ Z[j], w[j])
+        assert ok[j] == (want is not None)
+        if want is not None:
+            np.testing.assert_allclose(w_ref[j], want, rtol=0, atol=1e-12)
+    assert ok.any() and not ok.all()
+
+
+def test_simplex_distance_query_leaves_batch_when_decided(monkeypatch):
+    # the batch takes as many iterations as its slowest query, and each
+    # query is iterated exactly as often as on its own
+    rng = generator(10)
+    P = rng.standard_normal((10, 3))
+    Z = 1.2 * rng.standard_normal((16, 3))  # inside and outside; 1 to 161 iterations each
+    counts = []
+    project = hull_oracle._project_simplex
+
+    def counted(z):
+        counts[-1] += 1
+        return project(z)
+
+    monkeypatch.setattr(hull_oracle, "_project_simplex", counted)
+    for z in Z:
+        counts.append(0)
+        simplex_distance_one(P, z, tol=1e-9)
+    rows = []
+    batched = quadspace._project_simplex
+
+    def recorded(z):
+        rows.append(z.shape[0])
+        return batched(z)
+
+    monkeypatch.setattr(quadspace, "_project_simplex", recorded)
+    quadspace.simplex_distance(P, Z, tol=1e-9)
+    assert len(rows) == max(counts) > min(counts)
+    assert sum(rows) == sum(counts)
+
+
+def test_simplex_distance_query_shape_errors():
+    pts = np.array([[0.0, 0.0], [1.0, 0.0]])
+    with pytest.raises(ShapeError):
+        quadspace.simplex_distance(pts, np.zeros(3))
+    with pytest.raises(ShapeError):
+        quadspace.simplex_distance(pts, np.zeros((4, 3)))
+    with pytest.raises(ShapeError):
+        quadspace.simplex_distance(pts, np.zeros((1, 4, 2)))
