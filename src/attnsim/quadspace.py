@@ -1,17 +1,16 @@
 """Dense quadratic-space primitives.
 
-Everything operates on plain float64 numpy arrays: matrices are (n, n),
-vectors are (n,). All functions are pure; nothing mutates its inputs.
+Everything operates on plain float64 numpy arrays: matrices are (n, n)
+(matexp also takes stacks), vectors are (n,). All functions are pure;
+nothing mutates its inputs.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     ContractError,
@@ -26,6 +25,15 @@ SYMMETRY_RTOL = 1e-12       # eig_sym admission threshold
 DEFINITENESS_RTOL = 1e-9    # default definiteness tolerance vs spectral radius
 DEFINITENESS_FLOOR = 1e-12
 HULL_MAX_ITER = 10_000
+
+# Pade-13 numerator coefficients b_0..b_13 and the largest 1-norm at which
+# the degree-13 approximant meets double precision (Higham 2005)
+PADE13 = (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
+    129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0,
+    1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+)
+THETA13 = 5.371920351148152
 
 
 class Definiteness(Enum):
@@ -125,23 +133,64 @@ def a_norm(B, u) -> float:
 
 
 def invert(M) -> np.ndarray:
-    """Inverse via pivoted LU. Raises SingularMatrixError when the smallest
-    pivot falls below PIVOT_RTOL times the largest entry of M."""
+    """Inverse of M. Raises SingularMatrixError when a partial-pivoting LU
+    pivot falls to PIVOT_RTOL times the largest entry of M or below, and
+    ValueError when M is not finite."""
     M = _as_square(M)
-    scale = np.abs(M).max() if M.size else 0.0
-    with warnings.catch_warnings():
-        # singularity is detected below via the pivot check
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(M, check_finite=True)
-    if np.abs(np.diag(lu)).min() <= PIVOT_RTOL * max(scale, 1e-300):
-        raise SingularMatrixError("pivot below threshold; matrix is singular")
-    return scipy.linalg.lu_solve((lu, piv), np.eye(M.shape[0]))
+    if not np.isfinite(M).all():
+        raise ValueError("matrix must not contain infs or NaNs")
+    threshold = PIVOT_RTOL * max(np.abs(M).max(initial=0.0), 1e-300)
+    U = M.copy()
+    for k in range(M.shape[0]):
+        p = k + int(np.argmax(np.abs(U[k:, k])))
+        if p != k:
+            U[[k, p]] = U[[p, k]]
+        if abs(U[k, k]) <= threshold:
+            raise SingularMatrixError("pivot below threshold; matrix is singular")
+        U[k + 1:, k + 1:] -= np.outer(U[k + 1:, k] / U[k, k], U[k, k + 1:])
+    return np.linalg.inv(M)
 
 
 def matexp(M) -> np.ndarray:
-    """Matrix exponential (scaling-and-squaring, via scipy)."""
-    M = _as_square(M)
-    return scipy.linalg.expm(M)
+    """e^M for one (n, n) matrix or for each matrix of an (..., n, n) stack.
+
+    Pade-13 scaling and squaring (Higham 2005), each matrix scaled by its
+    own power of two; a diagonal matrix gets exp of its diagonal exactly.
+    Raises ValueError when a non-diagonal matrix is not finite.
+    """
+    M = np.asarray(M, dtype=float)
+    if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
+        raise ShapeError(f"matrix must be square, got shape {M.shape}")
+    n = M.shape[-1]
+    A = M.reshape((int(np.prod(M.shape[:-2])), n, n))
+    E = np.zeros_like(A)
+    diagonal = ~A[:, ~np.eye(n, dtype=bool)].any(axis=1)
+    # fill the diagonal: exp(d) * I would turn an infinite exp into nan off it
+    np.einsum("kii->ki", E)[diagonal] = np.exp(np.einsum("kii->ki", A[diagonal]))
+    if not diagonal.all():
+        E[~diagonal] = _pade13_scaling_squaring(A[~diagonal])
+    return E.reshape(M.shape)
+
+
+def _pade13_scaling_squaring(A):
+    # e^A for a (k, n, n) stack of finite matrices
+    if not np.isfinite(A).all():
+        raise ValueError("matrix must not contain infs or NaNs")
+    norm1 = np.abs(A).sum(axis=1).max(axis=1)
+    s = np.maximum(0, np.ceil(np.log2(norm1 / THETA13))).astype(int)
+    A = np.ldexp(A, -s[:, None, None])
+    b = PADE13
+    I = np.eye(A.shape[-1])
+    A2 = A @ A
+    A4 = A2 @ A2
+    A6 = A4 @ A2
+    U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2) + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * I)
+    V = A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2) + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * I
+    E = np.linalg.solve(V - U, V + U)
+    for i in range(int(s.max(initial=0))):
+        square = s > i
+        E[square] = E[square] @ E[square]
+    return E
 
 
 def simplex_distance(points, p, tol: float = 1e-8, max_iter: int = HULL_MAX_ITER):
@@ -258,13 +307,20 @@ def _project_simplex(z):
 def in_convex_hull(points, p, tol: float = 1e-8) -> bool:
     """True iff p lies within tol of the convex hull of points.
 
-    Raises HullUndecidedError when the optimizer cannot certify either
-    answer within the iteration cap.
+    False needs the certified lower bound to exceed tol by more than its
+    rounding resolution, about sqrt(eps) times the largest norm among the
+    points and p. Raises HullUndecidedError when neither answer is
+    certified within the iteration cap.
     """
-    upper, lower = simplex_distance(points, p, tol=tol)
+    P = np.asarray(points, dtype=float)
+    upper, lower = simplex_distance(P, p, tol=tol)
+    margin = tol + np.sqrt(np.finfo(float).eps) * max(np.linalg.norm(P, axis=1).max(), np.linalg.norm(p))
+    if tol < lower <= margin:
+        # the query left the solver on a lower bound within its resolution
+        upper, lower = simplex_distance(P, p, tol=margin)
     if upper <= tol:
         return True
-    if lower > tol:
+    if lower > margin:
         return False
     raise HullUndecidedError(
         f"hull membership undecided: distance in [{lower:.3e}, {upper:.3e}], tol {tol:.3e}"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from attnsim import analyze, quadspace
 from attnsim.analyze import (
@@ -28,6 +30,7 @@ from attnsim.integrate import IntegratorConfig, Termination, Trajectory, integra
 from attnsim.params import ModelParams, generator, params_from_w_and_a, params_from_w_and_v, random_params
 
 from hull_oracle import hull_containment_loop
+from scipy_oracle import projection_band_loop
 
 
 def make_traj(times, states, terminated=Termination.HORIZON_REACHED, blowup_time=None, h=1e-2):
@@ -155,6 +158,57 @@ def test_projection_hypothesis_error():
     traj = make_traj([0.0], np.zeros((1, 2, 2)))
     with pytest.raises(HypothesisError):
         check_divergence_projection(traj, np.diag([2.0, 1.0]), np.array([1.0, 1.0]), 2.0, tol=1e-6)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(2, 6), st.integers(1, 5), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_projection_band_matches_per_sample_oracle(seed, D, L, scaled_identity):
+    # V = lam I, or a general V = S diag(lam, mu) S^-1 with a well-conditioned
+    # eigenbasis S and |mu| < lam; the states e^{lam t}(X0 + noise) leave the
+    # band at a unique worst sample
+    rng = generator(seed)
+    lam = rng.uniform(0.5, 1.5)
+    if scaled_identity:
+        V = lam * np.eye(D)
+    else:
+        S = np.eye(D) + 0.3 / np.sqrt(D) * rng.standard_normal((D, D))
+        V = S @ np.diag(np.concatenate([[lam], lam * rng.uniform(-0.9, 0.9, D - 1)])) @ np.linalg.inv(S)
+    lam, n = positive_eigenpair(V)
+    times = np.linspace(0.0, 1.0, 101)
+    noise = 0.3 * np.sqrt(times)[:, None, None] * rng.standard_normal((101, L, D))
+    traj = make_traj(times, np.exp(lam * times)[:, None, None] * (rng.standard_normal((L, D)) + noise))
+    want = projection_band_loop(traj, V, n, tol=1e-6)
+    got = check_divergence_projection(traj, V, n, lam, tol=1e-6)[0]
+    assert (got.passed, got.location) == (want.passed, want.location)
+    if scaled_identity:  # a diagonal e^{-tV} is exp of its diagonal in both
+        assert got.worst_margin == want.worst_margin
+    else:
+        assert abs(got.worst_margin - want.worst_margin) <= 1e-12 * abs(want.worst_margin)
+
+
+def test_projection_band_blocks_match_one_call(monkeypatch):
+    rng = generator(77)
+    S = np.eye(3) + 0.2 * rng.standard_normal((3, 3))
+    V = S @ np.diag([1.2, 0.4, -0.7]) @ np.linalg.inv(S)
+    lam, n = positive_eigenpair(V)
+    times = np.linspace(0.0, 1.0, 51)
+    traj = make_traj(times, np.exp(lam * times)[:, None, None] * rng.standard_normal((51, 4, 3)))
+    whole = check_divergence_projection(traj, V, n, lam, tol=1e-6)
+    for entries in (27, 1):  # blocks of three samples, then of one
+        monkeypatch.setattr(analyze, "MATEXP_BLOCK_ENTRIES", entries)
+        assert check_divergence_projection(traj, V, n, lam, tol=1e-6) == whole
+
+
+def test_projection_band_fails_on_nan_sample():
+    # x_l(t) = e^{2t} x_l(0) keeps every projection on its initial value,
+    # except at the sample whose projection is nan
+    times = np.array([0.0, 0.5, 1.0])
+    states = np.exp(2.0 * times)[:, None, None] * np.array([[1.0, 0.5], [2.0, -1.0]])
+    states[1, 0, 0] = np.nan
+    res = check_divergence_projection(make_traj(times, states), 2.0 * np.eye(2), np.array([1.0, 0.0]), 2.0, tol=1e-6)[0]
+    assert not res.passed and res.location == 0.5
+    states[1, 0, 0] = np.exp(1.0)
+    assert check_divergence_projection(make_traj(times, states), 2.0 * np.eye(2), np.array([1.0, 0.0]), 2.0, tol=1e-6)[0].passed
 
 
 def test_hull_containment_single_token():

@@ -262,6 +262,44 @@ def test_package_entry_point_runs_cli():
     assert proc.stdout.startswith("usage: attnsim")
 
 
+# Import the package and run the CLI in-process on the shipped configs,
+# printing the scipy modules loaded after the import and after each run.
+NUMPY_ONLY_CHILD = r"""
+import contextlib, io, json, os, sys
+import attnsim, attnsim.cli
+scipy_loaded = lambda: sorted(m for m in sys.modules if m.startswith("scipy"))
+seen = {"import": scipy_loaded()}
+out = sys.argv[1]
+for path in sys.argv[2:]:
+    with open(path) as fh:
+        cfg = json.load(fh)
+    if cfg["mode"] == "sweep":
+        cfg["sweep"]["seed_count"] = 2  # runs the code all 100 seeds run, in seconds
+    run = os.path.join(out, os.path.basename(path))
+    with open(run, "w") as fh:
+        json.dump(cfg, fh)
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = attnsim.cli.main(["--config", run, "--out", run + ".out", "--jobs", "1"])
+    seen[os.path.basename(path)] = [code, scipy_loaded()]
+print(json.dumps(seen))
+"""
+
+
+def test_runtime_loads_no_scipy(tmp_path):
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(attnsim.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    configs = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
+    names = ("verify_divergence.json", "simulate_collapse.json", "sweep_convergence.json")
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_ONLY_CHILD, str(tmp_path), *(os.path.join(configs, n) for n in names)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    assert seen == {"import": [], **{n: [0, []] for n in names}}
+
+
 def test_sweep_empty_range_rejected(tmp_path):
     cfg = {"schema_version": 1, "mode": "sweep", "sweep": {"D": 3, "seed_count": 0}}
     code, _ = run_cli(tmp_path, cfg)

@@ -1,16 +1,20 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from attnsim import quadspace
-from attnsim.errors import ContractError, DomainError, ShapeError, SingularMatrixError
+from attnsim.errors import ContractError, DomainError, HullUndecidedError, ShapeError, SingularMatrixError
 from attnsim.params import generator
-from attnsim.quadspace import Definiteness
+from attnsim.quadspace import PIVOT_RTOL, Definiteness
 
 from cases import COLLAPSE_W, GROW_A
 import hull_oracle
+import scipy_oracle
 from hull_oracle import simplex_distance_one
+
+EPS = np.finfo(float).eps
 
 
 def test_sym_antisymmetric_split():
@@ -163,6 +167,63 @@ def test_invert_residual():
         assert np.linalg.norm(M @ quadspace.invert(M) - np.eye(6)) <= 1e-9
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_invert_rejects_non_finite(bad):
+    M = np.eye(3)
+    M[1, 2] = bad
+    with pytest.raises(ValueError):
+        quadspace.invert(M)
+
+
+def _invert_case(rng, kind, D):
+    # random, rank-deficient, with a duplicated row, or with one LU pivot
+    # within two decades of PIVOT_RTOL times the largest entry
+    M = rng.standard_normal((D, D))
+    if kind == "rank_deficient" and D > 1:
+        r = int(rng.integers(1, D))
+        M = rng.standard_normal((D, r)) @ rng.standard_normal((r, D))
+    elif kind == "duplicated_row" and D > 1:
+        i, j = rng.choice(D, size=2, replace=False)
+        M[i] = M[j]
+    elif kind == "near_threshold":
+        L = np.tril(rng.uniform(-0.9, 0.9, (D, D)), -1) + np.eye(D)  # L's own rows need no exchange
+        U = np.triu(rng.standard_normal((D, D)), 1) + np.diag(rng.choice([-1.0, 1.0], D) * rng.uniform(0.5, 2.0, D))
+        k = int(rng.integers(D))
+        U[k, k] = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-13.0, -11.0)
+        M = (L @ U)[rng.permutation(D)]
+    return M * 10.0 ** rng.uniform(-3.0, 3.0)
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 12),
+    st.sampled_from(["random", "rank_deficient", "duplicated_row", "near_threshold"]),
+)
+@settings(max_examples=300, deadline=None)
+def test_invert_matches_scipy_lu_oracle(seed, D, kind):
+    M = _invert_case(generator(seed), kind, D)
+    scale = np.abs(M).max()
+    # the two eliminations round the smallest pivot differently, by at most
+    # 69 eps * scale over 20,000 near-threshold draws with D <= 12; a pivot
+    # that close to the threshold may be decided either way
+    if abs(scipy_oracle.min_pivot(M) - PIVOT_RTOL * scale) <= 256 * EPS * scale:
+        return
+    try:
+        want = scipy_oracle.invert_lu(M)
+    except SingularMatrixError:
+        with pytest.raises(SingularMatrixError):
+            quadspace.invert(M)
+        return
+    got = quadspace.invert(M)
+    if D <= 5:
+        np.testing.assert_array_equal(got, want)
+    else:
+        # two backward-stable inverses: their relative difference stayed
+        # below 0.18 cond_1(M) eps in 20,000 random draws with D 6..16
+        rel = np.abs(got - want).max() / np.abs(want).max()
+        assert rel <= 1e-12 * max(1.0, np.linalg.cond(M, 1) / 1e3)
+
+
 def test_matexp_zero_and_diag():
     np.testing.assert_array_equal(quadspace.matexp(np.zeros((3, 3))), np.eye(3))
     np.testing.assert_allclose(quadspace.matexp(np.diag([1.0, -2.0])), np.diag([np.e, np.exp(-2.0)]), rtol=1e-12)
@@ -196,6 +257,44 @@ def test_matexp_inverse_property():
         assert np.linalg.norm(I - np.eye(4)) <= 1e-8
 
 
+@given(st.integers(0, 2**32 - 1), st.integers(1, 16), st.floats(-4.0, np.log10(150.0)), st.integers(1, 4))
+@settings(max_examples=200, deadline=None)
+def test_matexp_matches_scipy_expm(seed, D, log_norm, k):
+    rng = generator(seed)
+    S = rng.standard_normal((k, D, D))
+    S[rng.random(k) < 0.25] *= np.eye(D)  # some diagonal slices in the stack
+    norms = 10.0 ** (log_norm - rng.uniform(0.0, 2.0, k) * (np.arange(k) > 0))  # first slice at 10**log_norm
+    S *= (norms / np.abs(S).sum(axis=1).max(axis=1))[:, None, None]  # 1-norms of the slices
+    E = quadspace.matexp(S)
+    for M, got, norm in zip(S, E, norms):
+        np.testing.assert_array_equal(got, quadspace.matexp(M))
+        want = scipy.linalg.expm(M)
+        # worst over 20,000 random draws with 1-norm up to 150: 2.4e-11
+        # relative at 1-norm 143 (1.7e-13 per unit of norm), and there the
+        # difference is scipy's own error: against a 40-digit mpmath
+        # reference, matexp was within 5e-14 and expm 2.4e-11
+        assert np.abs(got - want).max() <= 1e-12 * max(1.0, norm) * np.abs(want).max()
+
+
+def test_matexp_diagonal_is_exact_exp():
+    d = np.array([0.0, 1.0, -2.5, 700.0, 710.0, -746.0, np.inf, -np.inf])
+    stack = np.stack([np.diag(d), np.diag(-d[::-1])])
+    with np.errstate(over="ignore"):  # exp(710) is inf, off-diagonal entries stay 0
+        np.testing.assert_array_equal(quadspace.matexp(np.diag(d)), np.diag(np.exp(d)))
+        np.testing.assert_array_equal(quadspace.matexp(stack), [np.diag(np.exp(d)), np.diag(np.exp(-d[::-1]))])
+
+
+def test_matexp_rejects_non_finite_and_non_square():
+    M = np.ones((2, 2))
+    M[0, 0] = np.nan
+    with pytest.raises(ValueError):
+        quadspace.matexp(M)
+    with pytest.raises(ShapeError):
+        quadspace.matexp(np.ones((2, 3)))
+    with pytest.raises(ShapeError):
+        quadspace.matexp(np.ones(3))
+
+
 def test_hull_vertex_and_centroid():
     rng = np.random.default_rng(9)
     pts = rng.normal(size=(5, 3))
@@ -212,6 +311,20 @@ def test_hull_single_point():
     pts = np.array([[1.0, 2.0]])
     assert quadspace.in_convex_hull(pts, np.array([1.0, 2.0]), tol=1e-10)
     assert not quadspace.in_convex_hull(pts, np.array([1.1, 2.0]), tol=1e-3)
+
+
+def test_hull_outside_needs_lower_bound_beyond_its_resolution():
+    # the Frank-Wolfe lower bound resolves distances to about sqrt(eps) times
+    # the scale, 1.5e-8 here: 1.01e-8 from an edge is outside the default
+    # tol only by rounding
+    pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(HullUndecidedError):
+        quadspace.in_convex_hull(pts, np.array([0.5, -1.01e-8]))
+    assert quadspace.in_convex_hull(pts, np.array([0.5, -2e-9]))
+    # the first solve leaves this query at a lower bound of 2.1e-8, inside
+    # the resolution; solving on to tol + resolution certifies it outside
+    assert not quadspace.in_convex_hull(pts, np.array([0.5, -3e-8]))
+    assert not quadspace.in_convex_hull(pts, np.array([0.5, -1e-6]))
 
 
 def test_hull_monotone_under_extra_point():
