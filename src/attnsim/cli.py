@@ -14,23 +14,18 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import analyze, quadspace
+from .analyze import run_checks  # by name: perfbench's `cli.run_checks` span wraps it here
 from .dynamics import PosEnc, PosEncKind, rhs_for, rhs_vanilla
-from .errors import (
-    AttnSimError,
-    ConfigError,
-    DomainError,
-    HypothesisError,
-    NoRealDominantError,
-    ShapeError,
-    SingularMatrixError,
-)
+from .errors import AttnSimError, ConfigError, DomainError, ShapeError
 from .integrate import IntegratorConfig, integrate, stable_step
 from .params import (
     LambdaKind,
@@ -43,7 +38,6 @@ from .params import (
     derive_W_A,
     eigen_stats,
     generator,
-    interaction_matrix,
     load_matrix,
     params_from_w_and_a,
     params_from_w_and_v,
@@ -65,6 +59,8 @@ def _fmt(x: float) -> str:
 
 
 def _require_keys(d: dict, allowed: set[str], required: set[str], where: str):
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where} must be an object")
     unknown = set(d) - allowed
     if unknown:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
@@ -95,7 +91,7 @@ def _build_lambda_mod(cfg: dict) -> LambdaMod:
 
 
 def build_params(cfg: dict) -> ModelParams:
-    _require_keys(cfg, {"kind"} | set(cfg), {"kind"}, "params")
+    _require_keys(cfg, set(cfg) if isinstance(cfg, dict) else set(), {"kind"}, "params")
     kind = cfg["kind"]
     try:
         if kind == "scenario":
@@ -252,7 +248,7 @@ def _prepare_run(cfg: dict):
         rhs, P = rhs_for(params, posenc, X0.shape[0])
     except (DomainError, ShapeError) as exc:
         raise ConfigError(str(exc)) from exc
-    return params, posenc, X0, icfg, rhs, P
+    return params, X0, icfg, rhs, P
 
 
 def write_trajectory_csv(path, traj):
@@ -272,7 +268,7 @@ def write_metrics_csv(path, metrics):
 
 
 def run_simulate(cfg: dict, out_dir: str) -> int:
-    _, _, X0, icfg, rhs, _ = _prepare_run(cfg)
+    _, X0, icfg, rhs, _ = _prepare_run(cfg)
     traj = integrate(lambda t, X: rhs(X), X0, icfg)
     metrics = analyze.trajectory_metrics(traj)
     write_trajectory_csv(os.path.join(out_dir, "trajectory.csv"), traj)
@@ -290,28 +286,22 @@ def run_simulate(cfg: dict, out_dir: str) -> int:
     return EXIT_OK
 
 
-DEFAULT_VERIFY = {
-    "monotonicity_tol": None,  # 1e-6 + 100 h^4 when unset
-    "qa_rate_tol": None,  # 10 h^3 when unset
-    "qa_envelope_tol": 1e-4,
-    "convergence_rel_threshold": 1e-2,
-    "projection_tol": 1e-4,
-    "hull_tol": 1e-4,
-    "stationarity_tol": 1e-3,
-    "derivative_decay_tol": 1e-3,
-    "absolute_limit_tol": 5e-2,
-}
+def _verify_tolerances(cfg: dict) -> dict:
+    tolerances = cfg.get("verify") or {}
+    _require_keys(tolerances, set(analyze.VERIFY_TOLERANCES), set(), "verify")
+    for key, value in tolerances.items():
+        if value is None and analyze.VERIFY_TOLERANCES[key] is None:
+            continue  # the formula default
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 <= value < math.inf:
+            raise ConfigError(f"verify.{key} must be a finite non-negative number, got {value!r}")
+    return tolerances
 
 
 def run_verify(cfg: dict, out_dir: str) -> int:
-    vcfg = dict(DEFAULT_VERIFY)
-    extra = cfg.get("verify") or {}
-    _require_keys(extra, set(DEFAULT_VERIFY), set(), "verify")
-    vcfg.update(extra)
-
-    params, posenc, X0, icfg, rhs, P = _prepare_run(cfg)
+    tolerances = _verify_tolerances(cfg)
+    params, X0, icfg, rhs, P = _prepare_run(cfg)
     traj = integrate(lambda t, X: rhs(X), X0, icfg)
-    report = run_checks(traj, params, posenc, P, vcfg)
+    report = run_checks(traj, params, P, tolerances)
 
     text = report.to_text()
     print(text)
@@ -325,103 +315,42 @@ def run_verify(cfg: dict, out_dir: str) -> int:
     return EXIT_OK if report.all_passed else EXIT_CHECK_FAILED
 
 
-def run_checks(traj, params, posenc, P, vcfg) -> analyze.VerificationReport:
-    """Run every checker whose hypothesis the configuration satisfies.
-
-    Theorem-level checks are asserted; empirical extensions (non-symmetric
-    A with definite symmetric part) are reported without gating the exit
-    status. Skipped checks carry the reason.
-    """
-    checks: list[analyze.CheckResult] = []
-    skipped: list[analyze.SkippedCheck] = []
-    h = traj.config.h
-    mono_tol = vcfg["monotonicity_tol"] if vcfg["monotonicity_tol"] is not None else 1e-6 + 100.0 * h**4
-
-    try:
-        W, A = derive_W_A(params)
-    except SingularMatrixError:
-        W, A = interaction_matrix(params), None
-
-    absolute = posenc.kind in (PosEncKind.ABSOLUTE_SINUSOIDAL, PosEncKind.ABSOLUTE_GIVEN)
-
-    if A is None:
-        skipped.append(analyze.SkippedCheck("distance_monotonicity", "V singular; A undefined"))
-        skipped.append(analyze.SkippedCheck("qa_bounds", "V singular; A undefined"))
-    else:
-        a_sym_kind = quadspace.classify_definiteness(A)
-        a_symmetric = quadspace.is_symmetric(A, 1e-8)
-        if a_sym_kind is quadspace.Definiteness.POSITIVE_DEFINITE:
-            checks.append(analyze.check_distance_monotonicity(traj, A, analyze.Direction.NON_DECREASING, mono_tol, asserted=a_symmetric))
-        elif a_sym_kind is quadspace.Definiteness.NEGATIVE_DEFINITE:
-            checks.append(analyze.check_distance_monotonicity(traj, A, analyze.Direction.NON_INCREASING, mono_tol, asserted=a_symmetric))
-        else:
-            skipped.append(analyze.SkippedCheck("distance_monotonicity", f"sym(A) is {a_sym_kind.value}; no monotone direction"))
-        for r in analyze.check_quadratic_form_bounds(traj, params, vcfg["qa_rate_tol"], vcfg["qa_envelope_tol"]):
-            (checks if isinstance(r, analyze.CheckResult) else skipped).append(r)
-
-        w_kind = quadspace.classify_definiteness(quadspace.sym(W))
-        convergent_regime = (
-            a_sym_kind is quadspace.Definiteness.NEGATIVE_DEFINITE
-            and w_kind is quadspace.Definiteness.POSITIVE_DEFINITE
-        )
-        if convergent_regime:
-            if absolute:
-                checks.append(analyze.check_absolute_limit(traj, P, vcfg["absolute_limit_tol"]))
-            else:
-                checks.append(analyze.check_convergence(traj, vcfg["convergence_rel_threshold"]))
-                checks.append(analyze.check_stationarity(traj, params, vcfg["stationarity_tol"]))
-            checks.append(analyze.check_derivative_decay(traj, vcfg["derivative_decay_tol"]))
-        else:
-            skipped.append(analyze.SkippedCheck("norm_collapse", "not in the A_sym < 0, W_sym > 0 regime"))
-
-    if absolute:
-        skipped.append(analyze.SkippedCheck("projection_band", "projection bound not checked under absolute encoding"))
-        skipped.append(analyze.SkippedCheck("rescaled_hull_containment", "hull containment not checked under absolute encoding"))
-        return analyze.VerificationReport(checks=checks, skipped=skipped)
-
-    try:
-        lam, n = analyze.positive_eigenpair(params.V)
-        checks.extend(analyze.check_divergence_projection(traj, params.V, n, lam, vcfg["projection_tol"]))
-    except (HypothesisError, NoRealDominantError) as exc:
-        skipped.append(analyze.SkippedCheck("projection_band", str(exc)))
-
-    diag = np.diag(params.V)
-    lam0 = float(diag[0]) if diag.size else 0.0
-    if lam0 > 0 and np.abs(params.V - lam0 * np.eye(params.D)).max() <= 1e-10:
-        checks.append(analyze.check_hull_containment(traj, params.V, lam0, vcfg["hull_tol"]))
-    else:
-        skipped.append(analyze.SkippedCheck("rescaled_hull_containment", "V is not a positive multiple of the identity"))
-    return analyze.VerificationReport(checks=checks, skipped=skipped)
-
-
 DEFAULT_SWEEP_TOKENS = {"kind": "cluster", "L": 4, "mean_norm": 1.0, "spread": 1e-4}
 
 
+@dataclass(frozen=True)
+class SweepPlan:
+    """The sweep section, parsed once; every seed runs from it."""
+
+    scenario: Scenario | None  # None draws random_params
+    D: int
+    scale: float
+    symmetric: bool
+    tokens: dict
+    horizon: float | None  # None: from the slowest mean-mode rate of V
+    h_cap: float
+    t_max: float
+    blowup_norm: float
+
+
 def _sweep_one(args):
-    scfg, seed, token_seed = args
-    scenario = scfg.get("scenario", "random")
-    D = int(scfg["D"])
-    if scenario == "random":
-        params = random_params(D, seed, float(scfg.get("scale", 1.0)))
+    plan, seed, token_seed = args
+    if plan.scenario is None:
+        params = random_params(plan.D, seed, plan.scale)
     else:
-        params = build_scenario(ScenarioSpec(scenario=Scenario(scenario), D=D, seed=seed, symmetric=bool(scfg.get("symmetric", False))))
+        params = build_scenario(ScenarioSpec(scenario=plan.scenario, D=plan.D, seed=seed, symmetric=plan.symmetric))
     W, A = derive_W_A(params)
     pos_w = int(np.sum(np.linalg.eigvalsh(quadspace.sym(W)) > 0))
     pos_a = int(np.sum(np.linalg.eigvalsh(quadspace.sym(A)) > 0))
+    X0 = build_tokens({"seed": token_seed, **plan.tokens}, plan.D)
 
-    tokens_cfg = dict(scfg.get("tokens", DEFAULT_SWEEP_TOKENS))
-    tokens_cfg.setdefault("seed", token_seed)
-    X0 = build_tokens(tokens_cfg, D)
-
-    eigs = np.linalg.eigvals(params.V.T)
-    h = min(float(scfg.get("h_cap", 5e-2)), stable_step(params.V, cap=float(scfg.get("h_cap", 5e-2))))
-    horizon = scfg.get("horizon", "auto")
-    if horizon == "auto":
-        rate = float(np.abs(eigs.real).min())
-        T = float(np.clip(9.0 / max(rate, 1e-9), 10.0, float(scfg.get("t_max", 1500.0))))
+    h = stable_step(params.V, cap=plan.h_cap)
+    if plan.horizon is None:
+        rate = float(np.abs(np.linalg.eigvals(params.V.T).real).min())
+        T = float(np.clip(9.0 / max(rate, 1e-9), 10.0, plan.t_max))
     else:
-        T = float(horizon)
-    icfg = IntegratorConfig(h=h, T=T, record_stride=max(1, int(T / h / 512)), blowup_norm=float(scfg.get("blowup_norm", 1e8)))
+        T = plan.horizon
+    icfg = IntegratorConfig(h=h, T=T, record_stride=max(1, int(T / h / 512)), blowup_norm=plan.blowup_norm)
     traj = integrate(lambda t, X: rhs_vanilla(params, X), X0, icfg)
     start = float(np.linalg.norm(traj.initial, axis=1).mean())
     end = float(np.linalg.norm(traj.final, axis=1).mean())
@@ -448,21 +377,30 @@ def run_sweep(cfg: dict, out_dir: str, jobs: int) -> int:
         "sweep",
     )
     try:
-        count = int(scfg["seed_count"])
-        start = int(scfg.get("seed_start", 0))
-        int(scfg["D"])
-        float(scfg.get("h_cap", 5e-2))
-        float(scfg.get("t_max", 1500.0))
-        float(scfg.get("blowup_norm", 1e8))
-        if scfg.get("horizon", "auto") != "auto":
-            float(scfg["horizon"])
+        scenario, horizon = scfg.get("scenario", "random"), scfg.get("horizon", "auto")
+        plan = SweepPlan(
+            scenario=None if scenario == "random" else Scenario(scenario),
+            D=int(scfg["D"]),
+            scale=float(scfg.get("scale", 1.0)),
+            symmetric=bool(scfg.get("symmetric", False)),
+            tokens=dict(scfg.get("tokens", DEFAULT_SWEEP_TOKENS)),
+            horizon=None if horizon == "auto" else float(horizon),
+            h_cap=float(scfg.get("h_cap", 5e-2)),
+            t_max=float(scfg.get("t_max", 1500.0)),
+            blowup_norm=float(scfg.get("blowup_norm", 1e8)),
+        )
+        start, count = int(scfg.get("seed_start", 0)), int(scfg["seed_count"])
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"sweep: {exc}") from exc
     if count < 1:
         raise ConfigError("sweep.seed_count must be >= 1")
+    if plan.D < 2:
+        raise ConfigError("sweep.D must be >= 2")
+    if not (all(v > 0 for v in (plan.scale, plan.h_cap, plan.t_max, plan.blowup_norm)) and (plan.horizon is None or plan.horizon > 0)):
+        raise ConfigError("sweep: scale, h_cap, t_max, blowup_norm and horizon must be positive")
     # each token seed is keyed by its own parameter seed, so a seed's row
     # does not depend on the window it was swept in
-    work = [(scfg, s, spawn_seeds(s + 7_777_777, 1)[0]) for s in range(start, start + count)]
+    work = [(plan, s, spawn_seeds(s + 7_777_777, 1)[0]) for s in range(start, start + count)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_sweep_one, work))

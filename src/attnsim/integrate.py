@@ -88,6 +88,7 @@ def integrate(rhs, X0, config: IntegratorConfig) -> Trajectory:
         raise DomainError("initial state must be an (L, D) array")
     times = [0.0]
     states = [X.copy()]
+    terminated, blowup_time = Termination.HORIZON_REACHED, None
     n = config.n_steps
     for k in range(n):
         t = k * config.h
@@ -96,37 +97,21 @@ def integrate(rhs, X0, config: IntegratorConfig) -> Trajectory:
         except BlowUpSignal:
             # degenerate path: with stabilized softmax logits the norm
             # guard below fires long before any stage overflows
-            return Trajectory(
-                times=np.array(times),
-                states=np.array(states),
-                terminated=Termination.BLOW_UP,
-                config=config,
-                blowup_time=t,
-            )
+            terminated, blowup_time = Termination.BLOW_UP, t
+            break
         except IntegrationError:
             raise
         except Exception as exc:
             raise IntegrationError(f"rhs evaluation failed at t={t:.6g}") from exc
         t_next = (k + 1) * config.h
-        if np.linalg.norm(X, axis=1).max() > config.blowup_norm:
+        blown = np.linalg.norm(X, axis=1).max() > config.blowup_norm
+        if blown or (k + 1) % config.record_stride == 0 or k == n - 1:
             times.append(t_next)
             states.append(X.copy())
-            return Trajectory(
-                times=np.array(times),
-                states=np.array(states),
-                terminated=Termination.BLOW_UP,
-                config=config,
-                blowup_time=t_next,
-            )
-        if (k + 1) % config.record_stride == 0 or k == n - 1:
-            times.append(t_next)
-            states.append(X.copy())
-    return Trajectory(
-        times=np.array(times),
-        states=np.array(states),
-        terminated=Termination.HORIZON_REACHED,
-        config=config,
-    )
+        if blown:
+            terminated, blowup_time = Termination.BLOW_UP, t_next
+            break
+    return Trajectory(np.array(times), np.array(states), terminated, config, blowup_time)
 
 
 def stable_step(V, cap: float = 1e-2, margin: float = 0.5) -> float:

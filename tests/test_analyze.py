@@ -25,7 +25,7 @@ from attnsim.analyze import (
     trajectory_metrics,
 )
 from attnsim.dynamics import rhs_vanilla
-from attnsim.errors import HypothesisError, NoRealDominantError
+from attnsim.errors import HypothesisError, NoRealDominantError, SingularMatrixError
 from attnsim.integrate import IntegratorConfig, Termination, Trajectory, integrate
 from attnsim.params import ModelParams, generator, params_from_w_and_a, params_from_w_and_v, random_params
 
@@ -116,6 +116,14 @@ def test_quadratic_bounds_single_token_closed_form():
     assert all(isinstance(r, CheckResult) and r.passed for r in results)
     names = {r.name for r in results}
     assert names == {"qa_rate_lower_bound", "qa_decay_envelope"}
+
+
+def test_quadratic_bounds_singular_value_matrix_raises():
+    # A = W (V^T)^{-1} is undefined; run_checks reports the skip
+    p = ModelParams(D=2, Q=np.eye(2), K=np.eye(2), V=np.diag([1.0, 0.0]), Dk=1)
+    traj = integrate(lambda t, X: rhs_vanilla(p, X), np.eye(2), IntegratorConfig(h=1e-2, T=0.1))
+    with pytest.raises(SingularMatrixError):
+        check_quadratic_form_bounds(traj, p)
 
 
 def test_quadratic_bounds_skip_asymmetric():

@@ -5,13 +5,17 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 import attnsim
-from attnsim import quadspace
-from attnsim.cli import main
+from attnsim import analyze, quadspace
+from attnsim.cli import _prepare_run, load_config, main
+from attnsim.integrate import integrate
 from attnsim.params import generator, save_matrix
 
-from cases import GROW_A, GROW_W, GROW_X0
+from cases import GROW_A, GROW_W, GROW_X0, ROPE_K, ROPE_KBAR, ROPE_Q, ROPE_QBAR
+
+CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
 
 
 def run_cli(tmp_path, cfg, name="run.json", jobs=1):
@@ -42,6 +46,12 @@ def test_unknown_nested_key_rejected(tmp_path):
     cfg = simulate_cfg()
     cfg["integrator"]["step"] = 0.1
     code, _ = run_cli(tmp_path, cfg)
+    assert code == 2
+
+
+@pytest.mark.parametrize("section", ["params", "posenc", "tokens", "integrator"])
+def test_section_not_an_object_exits_2(tmp_path, section):
+    code, _ = run_cli(tmp_path, simulate_cfg(**{section: 5}))
     assert code == 2
 
 
@@ -213,6 +223,108 @@ def test_verify_divergence_projection_gate(tmp_path):
     assert code == 0, report
 
 
+def test_verify_absolute_encoding_checks_pair_laws_on_shifted_state(tmp_path):
+    # the absolute field is the plain field acting on y = x + P, so the
+    # pair laws hold on y; on x they fail (-1.5e-2 and -3.6 here)
+    cfg = {
+        "schema_version": 1,
+        "mode": "verify",
+        "params": {"kind": "scenario", "scenario": "convergence", "D": 4, "seed": 3, "symmetric": True},
+        "posenc": {"kind": "sinusoidal"},
+        "tokens": {"kind": "cluster", "L": 4, "seed": 2},
+        "integrator": {"h": 0.01, "T": 2.0},
+    }
+    _, out = run_cli(tmp_path, cfg)
+    report = (out / "report.txt").read_text()
+    assert "PASS distance_monotonicity_non_increasing" in report
+    assert "PASS qa_rate_lower_bound" in report
+    assert "SKIP projection_band: projection bound not checked under absolute encoding" in report
+    assert "SKIP rescaled_hull_containment: hull containment not checked under absolute encoding" in report
+
+
+def test_verify_rotary_skips_plain_field_laws(tmp_path):
+    # criterion 07's reference set: the plain run collapses, the rotary run
+    # diverges as predicted, so the plain-field W/A laws are not asserted
+    ang = 3.0 * np.pi / 8.0
+    X0 = 30.0 * np.array([np.cos(ang), np.sin(ang)]) + 3e-4 * 30.0 * generator(55).standard_normal((6, 2))
+    params = {"kind": "matrices", "Q": ROPE_Q.tolist(), "K": ROPE_K.tolist(), "V": (-1.5 * np.eye(2)).tolist(), "dk": 1}
+    cfg = {
+        "schema_version": 1,
+        "mode": "verify",
+        "params": params,
+        "tokens": {"kind": "explicit", "rows": X0.tolist()},
+        "integrator": {"h": 1e-2, "T": 25.0},
+    }
+    code, out = run_cli(tmp_path, cfg, name="plain.json")
+    report = (out / "report.txt").read_text()
+    assert code == 0 and "FAIL" not in report, report
+    assert "PASS norm_collapse" in report and "PASS distance_monotonicity_non_increasing" in report
+
+    rope = {"Qbar": ROPE_QBAR.tolist(), "Kbar": ROPE_KBAR.tolist()}
+    cfg = {**cfg, "params": {**params, "rope": rope}, "posenc": {"kind": "rotary"}}
+    code, out = run_cli(tmp_path, cfg, name="rotary.json")
+    report = (out / "report.txt").read_text()
+    assert code == 0, report
+    skipped = [line.split(",")[:2] for line in (out / "report.csv").read_text().splitlines() if "rotary encoding" in line]
+    assert skipped == [["distance_monotonicity", "skip"], ["qa_bounds", "skip"], ["norm_collapse", "skip"]], report
+
+
+def test_verify_singular_value_matrix_skip_reasons(tmp_path):
+    cfg = {
+        "schema_version": 1,
+        "mode": "verify",
+        "params": {"kind": "matrices", "Q": np.eye(2).tolist(), "K": np.eye(2).tolist(), "V": [[1.0, 0.0], [0.0, 0.0]]},
+        "tokens": {"kind": "random", "L": 3, "seed": 2},
+        "integrator": {"h": 0.01, "T": 2.0},
+    }
+    code, out = run_cli(tmp_path, cfg)
+    assert code == 0
+    assert (out / "report.csv").read_text().splitlines()[2:] == [
+        "distance_monotonicity,skip,,V singular; A undefined",
+        "qa_bounds,skip,,V singular; A undefined",
+        "rescaled_hull_containment,skip,,V is not a positive multiple of the identity",
+    ]
+
+
+def test_run_checks_matches_cli_report(tmp_path):
+    path = os.path.join(CONFIGS, "verify_divergence.json")
+    code = main(["--config", path, "--out", str(tmp_path)])
+    assert code == 0
+    params, X0, icfg, rhs, P = _prepare_run(load_config(path))
+    report = analyze.run_checks(integrate(lambda t, X: rhs(X), X0, icfg), params, P)
+    assert (tmp_path / "report.csv").read_text().splitlines()[1:] == report.to_records()
+
+
+@pytest.mark.parametrize(
+    "verify",
+    [{"hull_tol": "abc"}, {"hull_tol": -1e-4}, {"hull_tol": None}, {"hull_tol": float("inf")}, {"hull_tol": True}, 5],
+    ids=["string", "negative", "null", "infinite", "bool", "not_an_object"],
+)
+def test_verify_malformed_tolerance_exits_2(tmp_path, verify):
+    with open(os.path.join(CONFIGS, "verify_divergence.json")) as fh:
+        cfg = json.load(fh)
+    code, _ = run_cli(tmp_path, {**cfg, "verify": {"monotonicity_tol": None, "qa_rate_tol": None, "hull_tol": 1e-3}}, name="ok.json")
+    assert code == 0  # null picks the formula default where there is one
+    code, _ = run_cli(tmp_path, {**cfg, "verify": verify})
+    assert code == 2
+
+
+def test_sweep_unknown_scenario_exits_2(tmp_path):
+    cfg = {"schema_version": 1, "mode": "sweep", "sweep": {"scenario": "bogus", "D": 2, "seed_count": 1}}
+    code, _ = run_cli(tmp_path, cfg)
+    assert code == 2
+
+
+@pytest.mark.parametrize(
+    "bad", [{"D": 1}, {"h_cap": 0.0}, {"blowup_norm": -1.0}, {"horizon": 0.0}, {"t_max": float("nan")}],
+    ids=["D_1", "h_cap_0", "blowup_norm_negative", "horizon_0", "t_max_nan"],
+)
+def test_sweep_out_of_range_value_exits_2(tmp_path, bad):
+    cfg = {"schema_version": 1, "mode": "sweep", "sweep": {"scenario": "convergence", "D": 2, "seed_count": 1, **bad}}
+    code, _ = run_cli(tmp_path, cfg)
+    assert code == 2
+
+
 def test_sweep_small_range(tmp_path):
     cfg = {
         "schema_version": 1,
@@ -289,10 +401,9 @@ def test_runtime_loads_no_scipy(tmp_path):
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(attnsim.__file__))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    configs = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
     names = ("verify_divergence.json", "simulate_collapse.json", "sweep_convergence.json")
     proc = subprocess.run(
-        [sys.executable, "-c", NUMPY_ONLY_CHILD, str(tmp_path), *(os.path.join(configs, n) for n in names)],
+        [sys.executable, "-c", NUMPY_ONLY_CHILD, str(tmp_path), *(os.path.join(CONFIGS, n) for n in names)],
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr

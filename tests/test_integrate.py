@@ -63,6 +63,24 @@ def test_blow_up_guard():
     assert np.isfinite(traj.states).all()
 
 
+def test_blow_up_paths_stop_and_record():
+    # a non-finite stage stops at the start of its step and keeps the
+    # samples recorded so far; the norm guard stops at the end of its step
+    # and records that state even between strides
+    def overflow(t, X):
+        return np.full_like(X, np.inf) if t > 0.22 else np.ones_like(X)
+
+    traj = integrate(overflow, np.zeros((1, 1)), IntegratorConfig(h=0.1, T=1.0, record_stride=2))
+    assert traj.terminated is Termination.BLOW_UP
+    np.testing.assert_allclose(traj.times, [0.0, 0.2])
+    assert traj.blowup_time == 2 * 0.1
+    traj = integrate(lambda t, X: np.ones_like(X), np.zeros((1, 1)), IntegratorConfig(h=0.1, T=1.0, record_stride=4, blowup_norm=0.25))
+    assert traj.terminated is Termination.BLOW_UP
+    np.testing.assert_allclose(traj.times, [0.0, 0.3])
+    np.testing.assert_allclose(traj.states[:, 0, 0], [0.0, 0.3])
+    assert traj.blowup_time == traj.times[-1]
+
+
 def test_determinism_bitwise():
     p = random_params(2, 3)
     X0 = np.array([[0.3, -0.4], [0.1, 0.9]])
