@@ -15,7 +15,6 @@ from .analyze import (
 from .dynamics import (
     PosEnc,
     PosEncKind,
-    attention_weights,
     rhs_absolute,
     rhs_rotary,
     rhs_vanilla,

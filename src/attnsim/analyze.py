@@ -8,6 +8,7 @@ already folded into the margin for threshold-style checks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -15,7 +16,7 @@ import numpy as np
 
 from . import quadspace
 from .dynamics import _softmax_rows
-from .errors import DomainError, HypothesisError, NoRealDominantError, SingularMatrixError
+from .errors import ConfigError, DomainError, HypothesisError, NoRealDominantError, SingularMatrixError
 from .integrate import Termination, Trajectory
 from .params import ModelParams, derive_W_A, interaction_matrix
 
@@ -355,6 +356,24 @@ VERIFY_TOLERANCES = {
 }
 
 
+def _resolve_tolerances(tolerances) -> dict:
+    """VERIFY_TOLERANCES updated by the overrides, each of which must name a
+    known tolerance and be a finite non-negative number (not a bool), or
+    None where the default is a formula in h."""
+    tolerances = {} if tolerances is None else tolerances
+    if not isinstance(tolerances, dict):
+        raise ConfigError("verify must be an object")
+    unknown = set(tolerances) - set(VERIFY_TOLERANCES)
+    if unknown:
+        raise ConfigError(f"verify: unknown keys {sorted(unknown)}")
+    for key, value in tolerances.items():
+        if value is None and VERIFY_TOLERANCES[key] is None:
+            continue  # the formula default
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 <= value < math.inf:
+            raise ConfigError(f"verify.{key} must be a finite non-negative number, got {value!r}")
+    return {**VERIFY_TOLERANCES, **tolerances}
+
+
 def run_checks(traj: Trajectory, params: ModelParams, P=None, tolerances: dict | None = None) -> VerificationReport:
     """Run every checker whose hypothesis the run satisfies; skipped checks
     carry the reason. P is the position table of an absolute-encoding run:
@@ -362,9 +381,10 @@ def run_checks(traj: Trajectory, params: ModelParams, P=None, tolerances: dict |
     checked on y. A run whose params carry rope is rotary: its interaction
     is not W, so the W/A laws are skipped. Empirical extensions
     (non-symmetric A with definite symmetric part) are reported without
-    gating all_passed. tolerances override VERIFY_TOLERANCES.
+    gating all_passed. tolerances override VERIFY_TOLERANCES; a malformed
+    override raises ConfigError before any check runs.
     """
-    tol = {**VERIFY_TOLERANCES, **(tolerances or {})}
+    tol = _resolve_tolerances(tolerances)
     report = VerificationReport()
     if params.rope is not None:
         report.skipped.extend(

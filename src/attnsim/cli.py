@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -286,22 +285,10 @@ def run_simulate(cfg: dict, out_dir: str) -> int:
     return EXIT_OK
 
 
-def _verify_tolerances(cfg: dict) -> dict:
-    tolerances = cfg.get("verify") or {}
-    _require_keys(tolerances, set(analyze.VERIFY_TOLERANCES), set(), "verify")
-    for key, value in tolerances.items():
-        if value is None and analyze.VERIFY_TOLERANCES[key] is None:
-            continue  # the formula default
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 <= value < math.inf:
-            raise ConfigError(f"verify.{key} must be a finite non-negative number, got {value!r}")
-    return tolerances
-
-
 def run_verify(cfg: dict, out_dir: str) -> int:
-    tolerances = _verify_tolerances(cfg)
     params, X0, icfg, rhs, P = _prepare_run(cfg)
     traj = integrate(lambda t, X: rhs(X), X0, icfg)
-    report = run_checks(traj, params, P, tolerances)
+    report = run_checks(traj, params, P, cfg.get("verify"))
 
     text = report.to_text()
     print(text)

@@ -12,7 +12,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ContractError, DomainError, ShapeError
-from .params import LambdaKind, ModelParams, interaction_matrix
+from .params import LambdaKind, ModelParams
 
 
 class PosEncKind(Enum):
@@ -36,14 +36,6 @@ class PosEnc:
             raise DomainError(f"{self.kind.value} takes no P matrix")
 
 
-def attention_weights(logits) -> np.ndarray:
-    """Stable softmax of a logit vector (log-sum-exp shifted)."""
-    z = np.asarray(logits, dtype=float)
-    if z.ndim != 1:
-        raise ShapeError("logits must be a vector")
-    return _softmax_rows(z[None, :])[0]
-
-
 def _softmax_rows(Z):
     if not np.isfinite(Z).all():
         raise ContractError("non-finite attention logits")
@@ -63,8 +55,7 @@ def _check_state(params, X):
 def rhs_vanilla(params: ModelParams, X) -> np.ndarray:
     """dx_l = V^T sum_i softmax_i(x_l^T W x_.) x_i with W = Q K^T / sqrt(Dk)."""
     X = _check_state(params, X)
-    W = interaction_matrix(params)
-    P = _softmax_rows(X @ W @ X.T)
+    P = _softmax_rows(X @ params.W @ X.T)
     return (P @ X) @ params.V
 
 
@@ -130,7 +121,7 @@ def rhs_rotary(params: ModelParams, X) -> np.ndarray:
     """
     X = _check_state(params, X)
     rope = _require_rope(params)
-    W = interaction_matrix(params)
+    W = params.W
     mod = rope.lambda_mod
     if mod is not None:
         W = W + mod.lam * (np.eye(params.D) if mod.kind is LambdaKind.IDENTITY_SCALED else np.diag(mod.diag))

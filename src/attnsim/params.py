@@ -7,7 +7,7 @@ identical parameters on any platform.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -67,7 +67,13 @@ class RopeParams:
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Square query/key/value matrices plus optional rotary extras."""
+    """Square query/key/value matrices plus optional rotary extras.
+
+    Immutable: Q, K and V are read-only float copies of the inputs, and the
+    interaction matrix W = Q K^T / sqrt(Dk) is computed once, here, so every
+    right-hand-side call reads it instead of recomputing it. Use
+    dataclasses.replace to change a matrix; W follows.
+    """
 
     D: int
     Q: np.ndarray
@@ -75,17 +81,20 @@ class ModelParams:
     V: np.ndarray
     Dk: int | None = None
     rope: RopeParams | None = None
+    W: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "Q", np.asarray(self.Q, dtype=float))
-        object.__setattr__(self, "K", np.asarray(self.K, dtype=float))
-        object.__setattr__(self, "V", np.asarray(self.V, dtype=float))
         if self.Dk is None:
             object.__setattr__(self, "Dk", self.D)
         for name in ("Q", "K", "V"):
-            m = getattr(self, name)
+            m = np.array(getattr(self, name), dtype=float)  # a copy, in the input's memory order
             if m.shape != (self.D, self.D):
                 raise ShapeError(f"{name} must be {self.D}x{self.D}, got {m.shape}")
+            m.flags.writeable = False
+            object.__setattr__(self, name, m)
+        W = self.Q @ self.K.T / np.sqrt(self.Dk)
+        W.flags.writeable = False
+        object.__setattr__(self, "W", W)
         if self.rope is not None:
             if self.D % 2 != 0:
                 raise DomainError("rotary parameters require even D")
@@ -158,8 +167,9 @@ def derive_W_A(params: ModelParams):
 
 
 def interaction_matrix(params: ModelParams) -> np.ndarray:
-    """W = Q K^T / sqrt(Dk); no invertibility requirement on V."""
-    return params.Q @ params.K.T / np.sqrt(params.Dk)
+    """W = Q K^T / sqrt(Dk), bound when params was built; no invertibility
+    requirement on V."""
+    return params.W
 
 
 def params_from_w_and_v(W, V) -> ModelParams:

@@ -25,7 +25,7 @@ from attnsim.analyze import (
     trajectory_metrics,
 )
 from attnsim.dynamics import rhs_vanilla
-from attnsim.errors import HypothesisError, NoRealDominantError, SingularMatrixError
+from attnsim.errors import ConfigError, HypothesisError, NoRealDominantError, SingularMatrixError
 from attnsim.integrate import IntegratorConfig, Termination, Trajectory, integrate
 from attnsim.params import ModelParams, generator, params_from_w_and_a, params_from_w_and_v, random_params
 
@@ -371,3 +371,18 @@ def test_check_stationarity_on_converged_run():
     assert check_stationarity(traj, p, tol=1e-3).passed
     assert check_derivative_decay(traj, tol=1e-3).passed
     assert classify_regime(traj) is Regime.CONVERGED
+
+
+@pytest.mark.parametrize(
+    "tolerances",
+    [{"hul_tol": 1e-4}, {"hull_tol": -1.0}, {"hull_tol": True}, {"hull_tol": None}, {"hull_tol": float("nan")}, [1e-4]],
+    ids=["misspelt_key", "negative", "bool", "null_without_formula", "nan", "not_a_dict"],
+)
+def test_run_checks_rejects_malformed_tolerances(tolerances):
+    p = params_from_w_and_v(np.eye(2), 0.5 * np.eye(2))
+    traj = integrate(lambda t, X: rhs_vanilla(p, X), np.eye(2), IntegratorConfig(h=1e-2, T=0.1))
+    with pytest.raises(ConfigError):
+        analyze.run_checks(traj, p, tolerances=tolerances)
+    # null picks the formula default where there is one
+    report = analyze.run_checks(traj, p, tolerances={"monotonicity_tol": None, "qa_rate_tol": None, "hull_tol": 0})
+    assert report.checks

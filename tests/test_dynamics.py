@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from attnsim import quadspace
 from attnsim.dynamics import (
-    attention_weights,
     rhs_absolute,
     rhs_rotary,
     rhs_vanilla,
@@ -27,27 +26,19 @@ def _rope(D, Q, K, V, Qbar, Kbar, Dk=1, lambda_mod=None):
     )
 
 
-def test_attention_weights_uniform():
-    np.testing.assert_allclose(attention_weights([2.0] * 4, ), np.full(4, 0.25))
+def test_rhs_vanilla_extreme_logits_stay_finite():
+    # logits 1000 apart: the shifted softmax puts all weight on one token
+    p = _plain(1, [[1.0]], [[1.0]], [[1.0]], Dk=1)
+    X = np.array([[np.sqrt(1000.0)], [0.0]])
+    out = rhs_vanilla(p, X)
+    assert np.isfinite(out).all()
+    np.testing.assert_allclose(out[0], X[0])
 
 
-def test_attention_weights_extreme_logits():
-    w = attention_weights([1000.0, 0.0])
-    assert w[0] == pytest.approx(1.0)
-    assert w[1] < 1e-300
-    assert np.isfinite(w).all()
-
-
-def test_attention_weights_matches_direct_formula():
-    z = np.array([1.0, 2.0, 3.0])
-    direct = np.exp(z) / np.exp(z).sum()
-    np.testing.assert_allclose(attention_weights(z), direct, atol=1e-15)
-    assert attention_weights(z).sum() == pytest.approx(1.0, abs=1e-15)
-
-
-def test_attention_weights_rejects_non_finite():
-    with pytest.raises(ContractError):
-        attention_weights([np.inf, 0.0])
+def test_rhs_vanilla_rejects_non_finite_logits():
+    p = _plain(1, [[1.0]], [[1.0]], [[1.0]], Dk=1)
+    with np.errstate(over="ignore"), pytest.raises(ContractError):
+        rhs_vanilla(p, np.array([[1e200], [0.0]]))
 
 
 def test_rhs_vanilla_single_token():
@@ -279,6 +270,54 @@ def test_rhs_rotary_matches_offset_oracle(seed, L, half_D, Dk, theta_base, lam_k
     X = rng.standard_normal((L, D))
     expected = _rhs_rotary_offsets(p, X)
     assert np.abs(rhs_rotary(p, X) - expected).max() <= 1e-12 * max(1.0, np.abs(expected).max())
+
+
+def _rhs_recomputing_W(p, X):
+    """rhs_vanilla, or rhs_rotary when p has rope, with W = Q K^T / sqrt(Dk)
+    recomputed on every call instead of read from p."""
+    W = p.Q @ p.K.T / np.sqrt(p.Dk)
+    if p.rope is None:
+        Z = X @ W @ X.T
+    else:
+        mod = p.rope.lambda_mod
+        if mod is not None:
+            W = W + mod.lam * (np.eye(p.D) if mod.kind is LambdaKind.IDENTITY_SCALED else np.diag(mod.diag))
+        k = np.arange(p.D // 2)
+        theta = np.multiply.outer(np.arange(X.shape[0], dtype=float), p.rope.theta_base ** (-2.0 * k / p.D))
+        c, s = np.cos(theta), np.sin(theta)
+        Y = np.stack((X @ p.rope.Qbar, X @ p.rope.Kbar))
+        rot = np.empty_like(Y)
+        rot[..., 0::2] = c * Y[..., 0::2] - s * Y[..., 1::2]
+        rot[..., 1::2] = s * Y[..., 0::2] + c * Y[..., 1::2]
+        Z = X @ W @ X.T + rot[0] @ rot[1].T / np.sqrt(p.Dk)
+    E = np.exp(Z - Z.max(axis=1, keepdims=True))
+    return (E / E.sum(axis=1, keepdims=True) @ X) @ p.V
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    L=st.integers(1, 16),
+    D=st.integers(1, 8),
+    Dk=st.integers(1, 8),
+    rotary=st.booleans(),
+    lam_kind=st.sampled_from([None, LambdaKind.IDENTITY_SCALED, LambdaKind.DIAG_SCALED]),
+)
+@settings(max_examples=100, deadline=None)
+def test_rhs_bitwise_equal_to_recomputed_W(seed, L, D, Dk, rotary, lam_kind):
+    rng = generator(seed)
+    Q, K, V, Qb, Kb = rng.standard_normal((5, D, D))
+    rope = None
+    if rotary and D % 2 == 0:
+        mod = None
+        if lam_kind is LambdaKind.IDENTITY_SCALED:
+            mod = LambdaMod(kind=lam_kind, lam=-rng.uniform(0.1, 2.0))
+        elif lam_kind is LambdaKind.DIAG_SCALED:
+            mod = LambdaMod(kind=lam_kind, lam=-rng.uniform(0.1, 2.0), diag=rng.uniform(0.1, 2.0, D))
+        rope = RopeParams(Qbar=Qb, Kbar=Kb, lambda_mod=mod)
+    p = ModelParams(D=D, Q=Q, K=K, V=V, Dk=Dk, rope=rope)
+    X = rng.standard_normal((L, D))
+    rhs = rhs_vanilla if rope is None else rhs_rotary
+    np.testing.assert_array_equal(rhs(p, X), _rhs_recomputing_W(p, X))
 
 
 def test_rhs_rotary_requires_rope():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from attnsim import quadspace
 from attnsim.dynamics import rhs_vanilla
@@ -61,6 +63,31 @@ def test_blow_up_guard():
     assert traj.blowup_time is not None and traj.blowup_time < 20.0
     assert np.linalg.norm(traj.final, axis=1).max() > 1e8
     assert np.isfinite(traj.states).all()
+
+
+@given(
+    X0=st.integers(1, 6).flatmap(
+        lambda L: st.lists(
+            st.lists(st.floats(-1e200, 1e200, allow_nan=False), min_size=3, max_size=3), min_size=L, max_size=L
+        )
+    ),
+    row=st.integers(0, 5),
+    nudge=st.sampled_from([-1, 0, 1]),
+    scale=st.sampled_from([None, 1e-3, 1.0, 1e3]),
+)
+@settings(max_examples=200, deadline=None)
+def test_blow_up_guard_decides_as_linalg_norm(X0, row, nudge, scale):
+    # a zero field leaves X0 bit for bit, so one step asks the guard about X0
+    X0 = np.array(X0)
+    with np.errstate(over="ignore"):  # rows past ~1e154 have an infinite norm, in both forms
+        norms = np.linalg.norm(X0, axis=1)
+        b = norms[row % len(X0)] if scale is None else scale * norms.max()
+        b = np.nextafter(b, np.inf * nudge) if nudge else b
+        if not 0 < b < np.inf:
+            return
+        expected = norms.max() > b
+        traj = integrate(lambda t, X: np.zeros_like(X), X0, IntegratorConfig(h=1.0, T=1.0, blowup_norm=float(b)))
+    assert (traj.terminated is Termination.BLOW_UP) == expected
 
 
 def test_blow_up_paths_stop_and_record():

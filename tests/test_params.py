@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -149,6 +151,31 @@ def test_lambda_mod_validation():
 def test_model_params_shape_validation():
     with pytest.raises(ShapeError):
         ModelParams(D=3, Q=np.eye(2), K=np.eye(3), V=np.eye(3))
+
+
+def test_model_params_arrays_are_read_only_copies():
+    rng = np.random.default_rng(3)
+    Q, K, V = rng.standard_normal((3, 3, 3))
+    p = ModelParams(D=3, Q=Q, K=K, V=V, Dk=2)
+    Q0, W0 = p.Q.copy(), p.W.copy()
+    np.testing.assert_array_equal(W0, Q @ K.T / np.sqrt(2))
+    for name in ("Q", "K", "V", "W"):
+        with pytest.raises(ValueError):
+            getattr(p, name)[0, 0] = 1.0
+    Q[0, 0] += 1.0  # the caller's array changes; the params do not
+    np.testing.assert_array_equal(p.Q, Q0)
+    np.testing.assert_array_equal(p.W, W0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        p.W = np.zeros((3, 3))
+
+
+def test_model_params_replace_rebinds_W():
+    rng = np.random.default_rng(4)
+    Q, K, V, Q2 = rng.standard_normal((4, 3, 3))
+    p = ModelParams(D=3, Q=Q, K=K, V=V, Dk=5)
+    q = dataclasses.replace(p, Q=Q2)
+    np.testing.assert_array_equal(q.W, Q2 @ K.T / np.sqrt(5))
+    np.testing.assert_array_equal(p.W, Q @ K.T / np.sqrt(5))
 
 
 def test_eigen_stats_identity_and_zero():

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from attnsim import quadspace
-from attnsim.dynamics import attention_weights, rhs_absolute, rhs_vanilla, rotation_matrix
+from attnsim.dynamics import rhs_absolute, rhs_vanilla, rotation_matrix
 from attnsim.params import generator, random_params, softplus
 
 dims = st.integers(min_value=2, max_value=32)
@@ -83,15 +83,6 @@ def test_hull_membership_monotone(seed, n, D):
 @given(st.floats(-500.0, 500.0, allow_nan=False))
 def test_softplus_positive(x):
     assert softplus(x) > 0.0
-
-
-@given(seeds, st.integers(1, 10))
-@settings(max_examples=50, deadline=None)
-def test_attention_weights_simplex(seed, L):
-    rng = generator(seed)
-    w = attention_weights(20.0 * rng.standard_normal(L))
-    assert np.all(w >= 0)
-    assert abs(w.sum() - 1.0) <= 1e-12
 
 
 @given(seeds, st.integers(1, 6), st.integers(2, 5))
