@@ -25,6 +25,7 @@ DIVERGED_RATIO = 1e3
 EXP_CLIP = 700.0  # keeps margins finite when q_W is very negative
 HULL_BLOCK_ENTRIES = 2**18  # hull queries x hull points per simplex_distance call
 MATEXP_BLOCK_ENTRIES = 2**18  # matrix entries per stacked matexp call
+PAIR_BLOCK_ENTRIES = 2**18  # samples x token pairs (or x one token's differences) per block
 
 
 class Direction(Enum):
@@ -90,18 +91,26 @@ class MetricSeries:
 
 
 def trajectory_metrics(traj: Trajectory) -> MetricSeries:
-    """Per-sample mean token norm and mean pairwise Euclidean distance."""
+    """Per-sample mean token norm and mean pairwise Euclidean distance. Each
+    sample's pair norms fill one row, averaged whole, whatever the block size."""
     if traj.states.shape[0] == 0:
         raise DomainError("empty trajectory")
-    L = traj.states.shape[1]
-    iu = np.triu_indices(L, 1)
-    norms = np.linalg.norm(traj.states, axis=2)
-    mean_norm = norms.mean(axis=1)
-    dists = np.zeros(len(traj.times))
-    if L > 1:
-        # per sample: all pair differences at once would be (samples, pairs, D)
-        for k, X in enumerate(traj.states):
-            dists[k] = np.linalg.norm(X[iu[0]] - X[iu[1]], axis=1).mean()
+    N, L, D = traj.states.shape
+    mean_norm = np.linalg.norm(traj.states, axis=2).mean(axis=1)
+    dists = np.zeros(N)
+    pairs = L * (L - 1) // 2
+    if pairs:
+        # whole samples; neither the pair rows nor one token's differences outgrow the budget
+        per_block = max(1, PAIR_BLOCK_ENTRIES // max(pairs, (L - 1) * D))
+        buf = np.empty((min(per_block, N), pairs))
+        for start in range(0, N, per_block):
+            S = np.ascontiguousarray(traj.states[start:start + per_block])  # reductions round by memory layout
+            rows = buf[:len(S)]
+            col = 0
+            for i in range(L - 1):
+                rows[:, col:col + L - 1 - i] = np.linalg.norm(S[:, i:i + 1] - S[:, i + 1:], axis=-1)
+                col += L - 1 - i
+            dists[start:start + per_block] = rows.mean(axis=1)
     return MetricSeries(times=traj.times, mean_token_norm=mean_norm, mean_pairwise_dist=dists)
 
 
@@ -120,7 +129,7 @@ def check_distance_monotonicity(traj: Trajectory, A, direction: Direction, tol: 
         return CheckResult(name, True, 0.0, float(traj.times[0]), asserted)
     iu = np.triu_indices(L, 1)
     series = np.empty((len(traj.times), len(iu[0])))
-    for k, X in enumerate(traj.states):
+    for k, X in enumerate(traj.states):  # per sample: quad_form's einsum rounds differently on a stacked (N, pairs, D) call
         series[k] = quadspace.quad_form(A, X[iu[0]] - X[iu[1]])
     if quadspace.classify_definiteness(A) is quadspace.Definiteness.NEGATIVE_DEFINITE:
         series = -series

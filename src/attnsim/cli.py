@@ -16,7 +16,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +45,7 @@ from .params import (
 
 SCHEMA_VERSION = 1
 MODES = ("simulate", "verify", "sweep", "spectra")
+FLOAT_FORMAT = "%.17g"  # 17 significant digits: every double reads back exactly
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -54,7 +54,7 @@ EXIT_MATH = 3
 
 
 def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+    return FLOAT_FORMAT % float(x)
 
 
 def _require_keys(d: dict, allowed: set[str], required: set[str], where: str):
@@ -252,11 +252,13 @@ def _prepare_run(cfg: dict):
 
 def write_trajectory_csv(path, traj):
     D = traj.states.shape[2]
+    tail = ("," + FLOAT_FORMAT) * D + "\n"  # one template per file, filled once per row
     with open(path, "w") as fh:
         fh.write("t,token_index," + ",".join(f"x_{j}" for j in range(D)) + "\n")
         for t, X in zip(traj.times, traj.states):
-            for l, row in enumerate(X):
-                fh.write(_fmt(t) + f",{l}," + ",".join(_fmt(v) for v in row) + "\n")
+            head = _fmt(t)
+            for l, row in enumerate(X.tolist()):
+                fh.write(f"{head},{l}" + tail % tuple(row))
 
 
 def write_metrics_csv(path, metrics):
@@ -389,6 +391,7 @@ def run_sweep(cfg: dict, out_dir: str, jobs: int) -> int:
     # does not depend on the window it was swept in
     work = [(plan, s, spawn_seeds(s + 7_777_777, 1)[0]) for s in range(start, start + count)]
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only parallel sweeps pay for the import
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_sweep_one, work))
     else:

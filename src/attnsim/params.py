@@ -34,7 +34,7 @@ class LambdaKind(Enum):
     DIAG_SCALED = "diag_scaled"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LambdaMod:
     """Learned regularizer added to the rotary interaction matrix:
     lam * I for IDENTITY_SCALED, lam * diag(diag) for DIAG_SCALED."""
@@ -57,7 +57,7 @@ class LambdaMod:
             raise DomainError("identity_scaled takes no diag vector")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RopeParams:
     Qbar: np.ndarray
     Kbar: np.ndarray
@@ -65,14 +65,15 @@ class RopeParams:
     lambda_mod: LambdaMod | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModelParams:
     """Square query/key/value matrices plus optional rotary extras.
 
     Immutable: Q, K and V are read-only float copies of the inputs, and the
     interaction matrix W = Q K^T / sqrt(Dk) is computed once, here, so every
     right-hand-side call reads it instead of recomputing it. Use
-    dataclasses.replace to change a matrix; W follows.
+    dataclasses.replace to change a matrix; W follows. Equality and hash
+    are by identity: array fields have no single truth value to compare.
     """
 
     D: int
@@ -81,7 +82,7 @@ class ModelParams:
     V: np.ndarray
     Dk: int | None = None
     rope: RopeParams | None = None
-    W: np.ndarray = field(init=False, repr=False, compare=False)
+    W: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.Dk is None:

@@ -79,6 +79,72 @@ def test_metrics_match_naive_recomputation():
         assert m.mean_token_norm[k] == pytest.approx(np.linalg.norm(X, axis=1).mean(), abs=1e-12)
 
 
+def metrics_loop(states):
+    """The per-sample loop trajectory_metrics replaced: the oracle."""
+    L = states.shape[1]
+    iu = np.triu_indices(L, 1)
+    dists = np.zeros(len(states))
+    if L > 1:
+        for k, X in enumerate(states):
+            dists[k] = np.linalg.norm(X[iu[0]] - X[iu[1]], axis=1).mean()
+    return np.linalg.norm(states, axis=2).mean(axis=1), dists
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    N=st.integers(1, 60),
+    L=st.integers(1, 40),
+    D=st.integers(1, 8),
+    log_scale=st.floats(-5.0, 5.0),
+    tokens=st.sampled_from(["spread", "cluster", "duplicated"]),
+    block=st.sampled_from(["one_sample", "two_samples", "part_of_a_sample", "default"]),
+    layout=st.sampled_from(["C", "F", "D_outermost"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_metrics_bitwise_equal_loop_oracle(N, L, D, log_scale, tokens, block, layout, seed):
+    rng = np.random.default_rng(seed)
+    states = rng.standard_normal((N, L, D))
+    if tokens == "cluster":  # pair distances ~1e-9 of the norms
+        states = rng.standard_normal((N, 1, D)) + 1e-9 * states
+    elif tokens == "duplicated":
+        states = states[:, rng.integers(0, max(1, L // 2), size=L)]
+    states = 10.0**log_scale * states
+    if layout == "F":
+        states = np.asfortranarray(states)
+    elif layout == "D_outermost":
+        states = np.ascontiguousarray(states.transpose(2, 0, 1)).transpose(1, 2, 0)
+    pairs = L * (L - 1) // 2
+    sample = max(pairs, (L - 1) * D)  # entries one sample's block holds
+    entries = {"one_sample": sample, "two_samples": 2 * sample, "part_of_a_sample": max(1, pairs - 1)}
+    with pytest.MonkeyPatch.context() as mp:
+        if block != "default":
+            mp.setattr(analyze, "PAIR_BLOCK_ENTRIES", entries[block])
+        m = trajectory_metrics(make_traj(np.arange(float(N)), states))
+    mean_norm, dists = metrics_loop(states)
+    assert m.mean_token_norm.tobytes() == mean_norm.tobytes()
+    assert m.mean_pairwise_dist.tobytes() == dists.tobytes()
+
+
+def test_metrics_memory_bounded_by_pair_block():
+    import tracemalloc
+
+    N, L, D = 51, 256, 16  # the wide simulate run
+    states = np.random.default_rng(5).standard_normal((N, L, D))
+    traj = make_traj(np.arange(float(N)), states)
+    pairs = L * (L - 1) // 2
+    per_block = analyze.PAIR_BLOCK_ENTRIES // pairs  # whole samples per block
+    assert 1 <= per_block < N
+    # the pair rows of a block, plus one token's differences, their squares and their norms
+    bound = 8 * per_block * (pairs + 2 * (L - 1) * D + (L - 1))
+    tracemalloc.start()
+    try:
+        trajectory_metrics(traj)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * bound, (peak, bound)
+
+
 def test_monotonicity_vacuous_single_token():
     traj = make_traj([0.0, 1.0], np.zeros((2, 1, 2)))
     res = check_distance_monotonicity(traj, np.eye(2), Direction.NON_DECREASING, 1e-6)

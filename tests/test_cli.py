@@ -6,12 +6,15 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import attnsim
 from attnsim import analyze, quadspace
-from attnsim.cli import _prepare_run, load_config, main
-from attnsim.integrate import integrate
-from attnsim.params import generator, save_matrix
+from attnsim.cli import _fmt, _prepare_run, load_config, main, write_trajectory_csv
+from attnsim.dynamics import rhs_vanilla
+from attnsim.integrate import IntegratorConfig, Termination, Trajectory, integrate
+from attnsim.params import generator, params_from_w_and_v, random_params, save_matrix
 
 from cases import GROW_A, GROW_W, GROW_X0, ROPE_K, ROPE_KBAR, ROPE_Q, ROPE_QBAR
 
@@ -136,6 +139,53 @@ def test_simulate_outputs_and_roundtrip(tmp_path):
     with open(out / "metrics.csv") as fh:
         mrows = list(csv.DictReader(fh))
     assert len(mrows) == len(traj.times)
+
+
+def fmt_oracle(x):
+    return format(float(x), ".17g")
+
+
+def write_trajectory_loop(path, traj):
+    """The per-value writer write_trajectory_csv replaced: the oracle."""
+    D = traj.states.shape[2]
+    with open(path, "w") as fh:
+        fh.write("t,token_index," + ",".join(f"x_{j}" for j in range(D)) + "\n")
+        for t, X in zip(traj.times, traj.states):
+            for l, row in enumerate(X):
+                fh.write(fmt_oracle(t) + f",{l}," + ",".join(fmt_oracle(v) for v in row) + "\n")
+
+
+SPECIAL_FLOATS = [
+    np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+    1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1e16, 1e-5,
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(SPECIAL_FLOATS))
+def test_fmt_matches_format(x):
+    assert _fmt(x) == fmt_oracle(x)
+    assert _fmt(np.float64(x)) == fmt_oracle(x)
+
+
+def test_trajectory_writer_bytes_match_oracle(tmp_path):
+    rng = np.random.default_rng(8)
+    special = np.array(SPECIAL_FLOATS)
+    states = rng.standard_normal((3, 5, len(special))) * 10.0 ** rng.uniform(-300, 300, (3, 5, 1))
+    states[1, 2] = special
+    states[2, :, 0] = special[:5]
+    edge = Trajectory(times=np.array([-0.0, 5e-324, 0.1]), states=states, terminated=Termination.HORIZON_REACHED,
+                      config=IntegratorConfig(h=0.1, T=0.2), blowup_time=None)
+    stride = integrate(lambda t, X: rhs_vanilla(random_params(3, 6), X), rng.standard_normal((4, 3)),
+                       IntegratorConfig(h=0.01, T=0.5, record_stride=3))
+    blow = params_from_w_and_v(np.array([[0.5, 0.1], [0.0, 0.4]]), 2.0 * np.eye(2))
+    blowup = integrate(lambda t, X: rhs_vanilla(blow, X), np.array([[1.0, 0.2], [0.8, -0.1]]),
+                       IntegratorConfig(h=0.01, T=30.0, blowup_norm=1e6))
+    assert blowup.terminated is Termination.BLOW_UP
+    for name, traj in (("edge", edge), ("stride", stride), ("blowup", blowup)):
+        write_trajectory_csv(tmp_path / f"{name}.csv", traj)
+        write_trajectory_loop(tmp_path / f"{name}_oracle.csv", traj)
+        assert (tmp_path / f"{name}.csv").read_bytes() == (tmp_path / f"{name}_oracle.csv").read_bytes(), name
 
 
 def test_simulate_single_token_matches_matexp(tmp_path):
@@ -409,6 +459,16 @@ def test_runtime_loads_no_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout)
     assert seen == {"import": [], **{n: [0, []] for n in names}}
+
+
+def test_cli_import_loads_no_process_pool():
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(attnsim.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    child = "import sys, attnsim, attnsim.cli; print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_sweep_empty_range_rejected(tmp_path):

@@ -9,6 +9,7 @@ from attnsim.params import (
     LambdaKind,
     LambdaMod,
     ModelParams,
+    RopeParams,
     Scenario,
     ScenarioSpec,
     build_scenario,
@@ -176,6 +177,19 @@ def test_model_params_replace_rebinds_W():
     q = dataclasses.replace(p, Q=Q2)
     np.testing.assert_array_equal(q.W, Q2 @ K.T / np.sqrt(5))
     np.testing.assert_array_equal(p.W, Q @ K.T / np.sqrt(5))
+
+
+def test_model_params_equality_is_identity():
+    p = random_params(4, 1)
+    q = dataclasses.replace(p, V=p.V)  # equal matrices, another object
+    assert p == p
+    assert (p == q) is False and (p != q) is True
+    assert len({p, q, p}) == 2
+    assert hash(p) == hash(p)
+    rope = RopeParams(Qbar=np.eye(2), Kbar=np.eye(2), lambda_mod=LambdaMod(kind=LambdaKind.IDENTITY_SCALED, lam=-1.0))
+    assert rope == rope and (rope == dataclasses.replace(rope)) is False
+    assert rope.lambda_mod == rope.lambda_mod and (rope.lambda_mod == dataclasses.replace(rope.lambda_mod)) is False
+    assert len({rope, rope.lambda_mod}) == 2
 
 
 def test_eigen_stats_identity_and_zero():
