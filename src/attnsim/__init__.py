@@ -13,8 +13,6 @@ from .analyze import (
     trajectory_metrics,
 )
 from .dynamics import (
-    PosEnc,
-    PosEncKind,
     rhs_absolute,
     rhs_rotary,
     rhs_vanilla,

@@ -18,7 +18,7 @@ from . import quadspace
 from .dynamics import _softmax_rows
 from .errors import ConfigError, DomainError, HypothesisError, NoRealDominantError, SingularMatrixError
 from .integrate import Termination, Trajectory
-from .params import ModelParams, derive_W_A, interaction_matrix
+from .params import ModelParams, derive_W_A
 
 CONVERGED_RATIO = 1e-3
 DIVERGED_RATIO = 1e3
@@ -114,7 +114,7 @@ def trajectory_metrics(traj: Trajectory) -> MetricSeries:
     return MetricSeries(times=traj.times, mean_token_norm=mean_norm, mean_pairwise_dist=dists)
 
 
-def check_distance_monotonicity(traj: Trajectory, A, direction: Direction, tol: float, asserted: bool = True) -> CheckResult:
+def check_distance_monotonicity(traj: Trajectory, A, direction: Direction, tol: float) -> CheckResult:
     """Step-wise monotonicity of squared A-distances between token pairs.
 
     The monitored quantity is q_A(x_i - x_j) when sym(A) is not negative
@@ -126,7 +126,7 @@ def check_distance_monotonicity(traj: Trajectory, A, direction: Direction, tol: 
     L = traj.states.shape[1]
     name = f"distance_monotonicity_{direction.value}"
     if L < 2:
-        return CheckResult(name, True, 0.0, float(traj.times[0]), asserted)
+        return CheckResult(name, True, 0.0, float(traj.times[0]))
     iu = np.triu_indices(L, 1)
     series = np.empty((len(traj.times), len(iu[0])))
     for k, X in enumerate(traj.states):  # per sample: quad_form's einsum rounds differently on a stacked (N, pairs, D) call
@@ -137,7 +137,7 @@ def check_distance_monotonicity(traj: Trajectory, A, direction: Direction, tol: 
     margins = steps if direction is Direction.NON_DECREASING else -steps
     k, p = np.unravel_index(np.argmin(margins), margins.shape)
     worst = float(margins[k, p])
-    return CheckResult(name, worst >= -tol, worst, float(traj.times[k + 1]), asserted)
+    return CheckResult(name, worst >= -tol, worst, float(traj.times[k + 1]))
 
 
 def check_quadratic_form_bounds(
@@ -145,7 +145,6 @@ def check_quadratic_form_bounds(
     params: ModelParams,
     tol_differential: float | None = None,
     tol_envelope: float = 1e-4,
-    asserted: bool = True,
 ) -> list[CheckResult | SkippedCheck]:
     """Differential inequality d/dt q_A >= 2 - 2L e^{-q_W} at interior
     samples (central differences), plus the closed-form decay envelope on
@@ -175,7 +174,7 @@ def check_quadratic_form_bounds(
     k, l = np.unravel_index(np.argmin(margins), margins.shape)
     worst = float(margins[k, l])
     results: list[CheckResult | SkippedCheck] = [
-        CheckResult("qa_rate_lower_bound", worst >= -tol_differential, worst, float(t[k + 1]), asserted)
+        CheckResult("qa_rate_lower_bound", worst >= -tol_differential, worst, float(t[k + 1]))
     ]
 
     a_kind = quadspace.classify_definiteness(A)
@@ -188,23 +187,21 @@ def check_quadratic_form_bounds(
         margins_env = env - na
         k, l = np.unravel_index(np.argmin(margins_env), margins_env.shape)
         worst_env = float(margins_env[k, l])
-        results.append(CheckResult("qa_decay_envelope", worst_env >= -tol_envelope, worst_env, float(t[k]), asserted))
+        results.append(CheckResult("qa_decay_envelope", worst_env >= -tol_envelope, worst_env, float(t[k])))
     else:
         results.append(SkippedCheck("qa_decay_envelope", f"needs A < 0 and W_sym > 0 (got A {a_kind.value}, W_sym {w_kind.value})"))
     return results
 
 
-def check_convergence(traj: Trajectory, rel_threshold: float, asserted: bool = True) -> CheckResult:
+def check_convergence(traj: Trajectory, rel_threshold: float) -> CheckResult:
     """max_l ||x_l(T)|| <= rel_threshold * max_l ||x_l(0)||."""
     start = float(np.linalg.norm(traj.initial, axis=1).max())
     end = float(np.linalg.norm(traj.final, axis=1).max())
     margin = rel_threshold * start - end
-    return CheckResult("norm_collapse", margin >= 0.0, margin, float(traj.times[-1]), asserted)
+    return CheckResult("norm_collapse", margin >= 0.0, margin, float(traj.times[-1]))
 
 
-def check_divergence_projection(
-    traj: Trajectory, V, n, eigenvalue: float, tol: float, asserted: bool = True
-) -> list[CheckResult]:
+def check_divergence_projection(traj: Trajectory, V, n, eigenvalue: float, tol: float) -> list[CheckResult]:
     """Invariant-projection bounds of the divergence theorem.
 
     Checks min_i n.x_i(0) - tol <= n^T e^{-tV^T} x_l(t) <= max_i + tol at
@@ -232,7 +229,7 @@ def check_divergence_projection(
     margins = np.minimum((y - lo).min(axis=1), (hi - y).min(axis=1))
     k = int(np.argmin(margins))  # first worst sample; a nan margin is worst and fails
     worst = float(margins[k])
-    results = [CheckResult("projection_band", worst >= -tol, worst, float(traj.times[k]), asserted)]
+    results = [CheckResult("projection_band", worst >= -tol, worst, float(traj.times[k]))]
 
     eigs = np.linalg.eigvals(V)
     one_sided = lo > 1e-8 or hi < -1e-8
@@ -241,12 +238,12 @@ def check_divergence_projection(
         final_max = float(np.linalg.norm(traj.final, axis=1).max())
         margin = final_max - traj.config.blowup_norm
         results.append(
-            CheckResult("norm_divergence", traj.terminated is Termination.BLOW_UP or margin > 0, margin, float(traj.times[-1]), asserted)
+            CheckResult("norm_divergence", traj.terminated is Termination.BLOW_UP or margin > 0, margin, float(traj.times[-1]))
         )
     return results
 
 
-def check_hull_containment(traj: Trajectory, V, lam: float, tol: float, asserted: bool = True) -> CheckResult:
+def check_hull_containment(traj: Trajectory, V, lam: float, tol: float) -> CheckResult:
     """e^{-lam t} x_l(t) stays in the convex hull of the initial tokens;
     requires V = lam I with lam > 0."""
     V = np.asarray(V, dtype=float)
@@ -265,7 +262,7 @@ def check_hull_containment(traj: Trajectory, V, lam: float, tol: float, asserted
         k = int(np.argmin(margins))  # first worst query in (sample, token) order
         if margins[k] < worst:
             worst, loc = float(margins[k]), float(traj.times[start + k // L])
-    return CheckResult("rescaled_hull_containment", worst >= 0.0, worst, loc, asserted)
+    return CheckResult("rescaled_hull_containment", worst >= 0.0, worst, loc)
 
 
 def stationarity_residual(params: ModelParams, X) -> float:
@@ -273,29 +270,33 @@ def stationarity_residual(params: ModelParams, X) -> float:
     all-zero stationary state and, unlike the unnormalised weights
     e^{x_l^T W x_j}, unable to underflow to a false zero far from it."""
     X = np.asarray(X, dtype=float)
-    W = interaction_matrix(params)
-    return float(np.linalg.norm(_softmax_rows(X @ W @ X.T) @ X, axis=1).max())
+    return float(np.linalg.norm(_softmax_rows(X @ params.W @ X.T) @ X, axis=1).max())
 
 
-def check_stationarity(traj: Trajectory, params: ModelParams, tol: float, asserted: bool = True) -> CheckResult:
+def check_stationarity(traj: Trajectory, params: ModelParams, tol: float) -> CheckResult:
     residual = stationarity_residual(params, traj.final)
-    return CheckResult("stationarity_residual", residual <= tol, tol - residual, float(traj.times[-1]), asserted)
+    return CheckResult("stationarity_residual", residual <= tol, tol - residual, float(traj.times[-1]))
 
 
-def check_absolute_limit(traj: Trajectory, P, tol: float, asserted: bool = True) -> CheckResult:
+def check_absolute_limit(traj: Trajectory, P, tol: float) -> CheckResult:
     """max_l ||x_l(T) + p_l|| <= tol (limit of the absolute-PE dynamics)."""
     P = np.asarray(P, dtype=float)
     dev = float(np.linalg.norm(traj.final + P, axis=1).max())
-    return CheckResult("absolute_position_limit", dev <= tol, tol - dev, float(traj.times[-1]), asserted)
+    return CheckResult("absolute_position_limit", dev <= tol, tol - dev, float(traj.times[-1]))
 
 
-def check_derivative_decay(traj: Trajectory, tol: float, asserted: bool = True) -> CheckResult:
+def check_derivative_decay(traj: Trajectory, tol: float) -> CheckResult:
     """Finite-difference token velocity over the last recorded step."""
     if len(traj.times) < 2:
         raise DomainError("need at least two samples")
     dt = float(traj.times[-1] - traj.times[-2])
     vel = float(np.linalg.norm(traj.states[-1] - traj.states[-2], axis=1).max() / dt)
-    return CheckResult("velocity_decay", vel <= tol, tol - vel, float(traj.times[-1]), asserted)
+    return CheckResult("velocity_decay", vel <= tol, tol - vel, float(traj.times[-1]))
+
+
+def endpoint_mean_norms(traj: Trajectory) -> tuple[float, float]:
+    """Mean token norm of the initial and of the final state."""
+    return float(np.linalg.norm(traj.initial, axis=1).mean()), float(np.linalg.norm(traj.final, axis=1).mean())
 
 
 def classify_regime(traj: Trajectory) -> Regime:
@@ -303,8 +304,7 @@ def classify_regime(traj: Trajectory) -> Regime:
     blow-up flag)."""
     if traj.terminated is Termination.BLOW_UP:
         return Regime.DIVERGED
-    start = float(np.linalg.norm(traj.initial, axis=1).mean())
-    end = float(np.linalg.norm(traj.final, axis=1).mean())
+    start, end = endpoint_mean_norms(traj)
     if end < CONVERGED_RATIO * start:
         return Regime.CONVERGED
     if end > DIVERGED_RATIO * start:
@@ -431,7 +431,8 @@ def _check_plain_field_laws(traj: Trajectory, params: ModelParams, P, tol: dict,
     if a_kind in (quadspace.Definiteness.POSITIVE_DEFINITE, quadspace.Definiteness.NEGATIVE_DEFINITE):
         direction = Direction.NON_DECREASING if a_kind is quadspace.Definiteness.POSITIVE_DEFINITE else Direction.NON_INCREASING
         mono_tol = tol["monotonicity_tol"] if tol["monotonicity_tol"] is not None else 1e-6 + 100.0 * traj.config.h**4
-        report.checks.append(check_distance_monotonicity(y, A, direction, mono_tol, asserted=quadspace.is_symmetric(A, 1e-8)))
+        result = check_distance_monotonicity(y, A, direction, mono_tol)
+        report.checks.append(replace(result, asserted=quadspace.is_symmetric(A, 1e-8)))
     else:
         report.skipped.append(SkippedCheck("distance_monotonicity", f"sym(A) is {a_kind.value}; no monotone direction"))
     for r in check_quadratic_form_bounds(y, params, tol["qa_rate_tol"], tol["qa_envelope_tol"]):

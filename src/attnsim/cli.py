@@ -22,7 +22,7 @@ import numpy as np
 
 from . import analyze, quadspace
 from .analyze import run_checks  # by name: perfbench's `cli.run_checks` span wraps it here
-from .dynamics import PosEnc, PosEncKind, rhs_for, rhs_vanilla
+from .dynamics import rhs_for, rhs_vanilla, sinusoidal_encoding
 from .errors import AttnSimError, ConfigError, DomainError, ShapeError
 from .integrate import IntegratorConfig, integrate, stable_step
 from .params import (
@@ -130,27 +130,28 @@ def build_params(cfg: dict) -> ModelParams:
     raise ConfigError(f"params.kind must be one of scenario/random/matrices/effective, got {kind!r}")
 
 
-def build_posenc(cfg: dict | None) -> PosEnc:
-    if cfg is None:
-        return PosEnc(kind=PosEncKind.NONE)
-    _require_keys(cfg, {"kind", "rows"}, {"kind"}, "posenc")
-    kinds = {
-        "none": PosEncKind.NONE,
-        "sinusoidal": PosEncKind.ABSOLUTE_SINUSOIDAL,
-        "given": PosEncKind.ABSOLUTE_GIVEN,
-        "rotary": PosEncKind.ROTARY,
-    }
-    if cfg["kind"] not in kinds:
-        raise ConfigError(f"posenc.kind must be one of {sorted(kinds)}, got {cfg['kind']!r}")
-    kind = kinds[cfg["kind"]]
-    try:
-        if kind is PosEncKind.ABSOLUTE_GIVEN:
-            return PosEnc(kind=kind, P=_matrix(cfg.get("rows"), "posenc.rows") if "rows" in cfg else None)
-        if "rows" in cfg:
-            raise ConfigError("posenc.rows is only valid with kind = given")
-        return PosEnc(kind=kind)
-    except DomainError as exc:
-        raise ConfigError(f"posenc: {exc}") from exc
+def build_positions(cfg: dict | None, params: ModelParams, L: int) -> np.ndarray | None:
+    """The absolute position table the posenc section names, or None for
+    the vanilla and rotary fields. Rotary encoding comes with rope
+    parameters, and rope parameters only with rotary encoding."""
+    kind = "none"
+    if cfg is not None:
+        _require_keys(cfg, {"kind", "rows"}, {"kind"}, "posenc")
+        kind = cfg["kind"]
+        if kind not in ("given", "none", "rotary", "sinusoidal"):
+            raise ConfigError(f"posenc.kind must be one of given/none/rotary/sinusoidal, got {kind!r}")
+        if ("rows" in cfg) != (kind == "given"):
+            raise ConfigError("posenc.rows is required with kind = given and valid only there")
+    if (kind == "rotary") != (params.rope is not None):
+        raise ConfigError("rope parameters must be present exactly when posenc is rotary")
+    if kind == "sinusoidal":
+        return sinusoidal_encoding(L, params.D)
+    if kind == "given":
+        P = _matrix(cfg["rows"], "posenc.rows")
+        if P.shape != (L, params.D):
+            raise ConfigError(f"posenc.rows {P.shape} do not match (L, D) = ({L}, {params.D})")
+        return P
+    return None
 
 
 def build_tokens(cfg: dict, D: int) -> np.ndarray:
@@ -238,16 +239,10 @@ def _prepare_run(cfg: dict):
     if "params" not in cfg or "tokens" not in cfg:
         raise ConfigError(f"{cfg['mode']} mode needs params and tokens sections")
     params = build_params(cfg["params"])
-    posenc = build_posenc(cfg.get("posenc"))
-    if (posenc.kind is PosEncKind.ROTARY) != (params.rope is not None):
-        raise ConfigError("rope parameters must be present exactly when posenc is rotary")
     X0 = build_tokens(cfg["tokens"], params.D)
+    P = build_positions(cfg.get("posenc"), params, X0.shape[0])
     icfg = build_integrator(cfg.get("integrator"))
-    try:
-        rhs, P = rhs_for(params, posenc, X0.shape[0])
-    except (DomainError, ShapeError) as exc:
-        raise ConfigError(str(exc)) from exc
-    return params, X0, icfg, rhs, P
+    return params, X0, icfg, rhs_for(params, P), P
 
 
 def write_trajectory_csv(path, traj):
@@ -270,7 +265,7 @@ def write_metrics_csv(path, metrics):
 
 def run_simulate(cfg: dict, out_dir: str) -> int:
     _, X0, icfg, rhs, _ = _prepare_run(cfg)
-    traj = integrate(lambda t, X: rhs(X), X0, icfg)
+    traj = integrate(rhs, X0, icfg)
     metrics = analyze.trajectory_metrics(traj)
     write_trajectory_csv(os.path.join(out_dir, "trajectory.csv"), traj)
     write_metrics_csv(os.path.join(out_dir, "metrics.csv"), metrics)
@@ -289,7 +284,7 @@ def run_simulate(cfg: dict, out_dir: str) -> int:
 
 def run_verify(cfg: dict, out_dir: str) -> int:
     params, X0, icfg, rhs, P = _prepare_run(cfg)
-    traj = integrate(lambda t, X: rhs(X), X0, icfg)
+    traj = integrate(rhs, X0, icfg)
     report = run_checks(traj, params, P, cfg.get("verify"))
 
     text = report.to_text()
@@ -340,9 +335,8 @@ def _sweep_one(args):
     else:
         T = plan.horizon
     icfg = IntegratorConfig(h=h, T=T, record_stride=max(1, int(T / h / 512)), blowup_norm=plan.blowup_norm)
-    traj = integrate(lambda t, X: rhs_vanilla(params, X), X0, icfg)
-    start = float(np.linalg.norm(traj.initial, axis=1).mean())
-    end = float(np.linalg.norm(traj.final, axis=1).mean())
+    traj = integrate(lambda X: rhs_vanilla(params, X), X0, icfg)
+    start, end = analyze.endpoint_mean_norms(traj)
     return {
         "seed": seed,
         "pos_eigs_Wsym": pos_w,

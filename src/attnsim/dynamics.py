@@ -6,34 +6,10 @@ pure: they never mutate X and depend on nothing but their arguments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
-
 import numpy as np
 
 from .errors import ContractError, DomainError, ShapeError
 from .params import LambdaKind, ModelParams
-
-
-class PosEncKind(Enum):
-    NONE = "none"
-    ABSOLUTE_SINUSOIDAL = "absolute_sinusoidal"
-    ABSOLUTE_GIVEN = "absolute_given"
-    ROTARY = "rotary"
-
-
-@dataclass(frozen=True)
-class PosEnc:
-    kind: PosEncKind
-    P: np.ndarray | None = None  # required for ABSOLUTE_GIVEN
-
-    def __post_init__(self):
-        if self.kind is PosEncKind.ABSOLUTE_GIVEN:
-            if self.P is None:
-                raise DomainError("absolute_given needs an explicit P matrix")
-            object.__setattr__(self, "P", np.asarray(self.P, dtype=float))
-        elif self.P is not None:
-            raise DomainError(f"{self.kind.value} takes no P matrix")
 
 
 def _softmax_rows(Z):
@@ -135,18 +111,15 @@ def rhs_rotary(params: ModelParams, X) -> np.ndarray:
     return (P @ X) @ params.V
 
 
-def rhs_for(params: ModelParams, posenc: PosEnc, L: int):
-    """Bind a position encoding to params and return rhs(X) plus the
-    absolute position table used (None for vanilla and rotary)."""
-    if posenc.kind is PosEncKind.NONE:
-        return (lambda X: rhs_vanilla(params, X)), None
-    if posenc.kind is PosEncKind.ROTARY:
-        _require_rope(params)
-        return (lambda X: rhs_rotary(params, X)), None
-    if posenc.kind is PosEncKind.ABSOLUTE_SINUSOIDAL:
-        P = sinusoidal_encoding(L, params.D)
-    else:
-        P = posenc.P
-        if P.shape != (L, params.D):
-            raise ShapeError(f"given positions {P.shape} do not match (L, D) = ({L}, {params.D})")
-    return (lambda X: rhs_absolute(params, P, X)), P
+def rhs_for(params: ModelParams, P=None):
+    """The autonomous field rhs(X) of a run: rotary when params carry rope,
+    absolute encoding with the position table P when one is given, vanilla
+    otherwise. The lambdas look rhs_vanilla and rhs_rotary up here at call
+    time, so a wrapper installed on this module sees every evaluation."""
+    if params.rope is not None:
+        if P is not None:
+            raise DomainError("rotary encoding takes no position table")
+        return lambda X: rhs_rotary(params, X)
+    if P is not None:
+        return lambda X: rhs_absolute(params, P, X)
+    return lambda X: rhs_vanilla(params, X)

@@ -41,10 +41,5 @@ class IntegrationError(AttnSimError):
     """Right-hand-side evaluation failed during integration."""
 
 
-class BlowUpSignal(IntegrationError):
-    """A stage produced non-finite values; the integrator treats this as
-    blow-up."""
-
-
 class ConfigError(AttnSimError, ValueError):
     """Run configuration is malformed or inconsistent."""

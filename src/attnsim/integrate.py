@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .errors import BlowUpSignal, DomainError, IntegrationError
+from .errors import DomainError, IntegrationError
 
 DEFAULT_BLOWUP_NORM = 1e8
 
@@ -44,8 +45,9 @@ class Trajectory:
     """Recorded samples of one integration run.
 
     times is (N,), states is (N, L, D); sample 0 is the initial state and
-    the final sample is always recorded. On blow-up the final sample is the
-    first state whose max token norm exceeded the guard.
+    the final sample is always recorded. On blow-up by the norm guard the
+    final sample is the first state whose max token norm exceeded it; a
+    step that left the state non-finite is not recorded.
     """
 
     times: np.ndarray
@@ -63,25 +65,24 @@ class Trajectory:
         return self.states[-1]
 
 
-def rk4_step(rhs, X, t: float, h: float) -> np.ndarray:
-    """One classical Runge-Kutta step. rhs(t, X) -> dX; autonomous systems
-    are free to ignore t."""
-    k1 = rhs(t, X)
-    k2 = rhs(t + 0.5 * h, X + 0.5 * h * k1)
-    k3 = rhs(t + 0.5 * h, X + 0.5 * h * k2)
-    k4 = rhs(t + h, X + h * k3)
-    out = X + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.isfinite(out).all():
-        raise BlowUpSignal(f"non-finite stage at t={t:.6g}")
-    return out
+def rk4_step(rhs, X, h: float) -> np.ndarray:
+    """One classical Runge-Kutta step of the autonomous field rhs(X) -> dX."""
+    k1 = rhs(X)
+    k2 = rhs(X + 0.5 * h * k1)
+    k3 = rhs(X + 0.5 * h * k2)
+    k4 = rhs(X + h * k3)
+    return X + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def integrate(rhs, X0, config: IntegratorConfig) -> Trajectory:
-    """Integrate rhs from X0 over [0, T] in fixed steps of h.
+    """Integrate the autonomous field rhs(X) from X0 over [0, T] in fixed
+    steps of h.
 
     Records every record_stride-th sample plus t=0 and the final state;
     stops early with BLOW_UP once any token's Euclidean norm exceeds
-    config.blowup_norm. rhs errors propagate wrapped with the failure time.
+    config.blowup_norm, or at the start of a step whose result is not
+    finite (that state is not recorded). rhs errors propagate wrapped with
+    the failure time.
     """
     X = np.array(X0, dtype=float)
     if X.ndim != 2:
@@ -91,28 +92,24 @@ def integrate(rhs, X0, config: IntegratorConfig) -> Trajectory:
     terminated, blowup_time = Termination.HORIZON_REACHED, None
     n, h, stride, bound = config.n_steps, config.h, config.record_stride, config.blowup_norm
     for k in range(n):
-        t = k * h
         try:
-            X = rk4_step(rhs, X, t, h)
-        except BlowUpSignal:
-            # degenerate path: with stabilized softmax logits the norm
-            # guard below fires long before any stage overflows
-            terminated, blowup_time = Termination.BLOW_UP, t
-            break
-        except IntegrationError:
-            raise
+            X = rk4_step(rhs, X, h)
         except Exception as exc:
-            raise IntegrationError(f"rhs evaluation failed at t={t:.6g}") from exc
-        t_next = (k + 1) * h
+            raise IntegrationError(f"rhs evaluation failed at t={k * h:.6g}") from exc
+        # s is nan iff an entry is nan, and inf iff an entry is inf or a
+        # finite square overflows; only the last case is a recordable state
+        s = np.add.reduce(X * X, axis=1).max()
+        if not math.isfinite(s) and not np.isfinite(X).all():
+            terminated, blowup_time = Termination.BLOW_UP, k * h
+            break
         # the decision of np.linalg.norm(X, axis=1).max() > bound, bit for
-        # bit (norm is this sqrt of a row sum, and sqrt is monotone), minus
-        # norm's wrapper cost
-        blown = np.sqrt(np.add.reduce(X * X, axis=1).max()) > bound
+        # bit: norm is this IEEE sqrt of a row sum, and sqrt is monotone
+        blown = math.sqrt(s) > bound
         if blown or (k + 1) % stride == 0 or k == n - 1:
-            times.append(t_next)
+            times.append((k + 1) * h)
             states.append(X.copy())
         if blown:
-            terminated, blowup_time = Termination.BLOW_UP, t_next
+            terminated, blowup_time = Termination.BLOW_UP, (k + 1) * h
             break
     return Trajectory(np.array(times), np.array(states), terminated, config, blowup_time)
 

@@ -162,15 +162,7 @@ def random_params(D: int, seed: int, scale: float = 1.0) -> ModelParams:
 
 def derive_W_A(params: ModelParams):
     """W = Q K^T / sqrt(Dk) and A = W (V^T)^{-1}; requires invertible V."""
-    W = interaction_matrix(params)
-    A = W @ quadspace.invert(params.V.T)
-    return W, A
-
-
-def interaction_matrix(params: ModelParams) -> np.ndarray:
-    """W = Q K^T / sqrt(Dk), bound when params was built; no invertibility
-    requirement on V."""
-    return params.W
+    return params.W, params.W @ quadspace.invert(params.V.T)
 
 
 def params_from_w_and_v(W, V) -> ModelParams:
@@ -282,8 +274,7 @@ def eigen_stats(Qs, Ks, Vs, eps: float = 1e-3) -> SpectrumStats:
     singular = 0
     for Q, K, V in zip(Qs, Ks, Vs):
         p = ModelParams(D=len(Q), Q=Q, K=K, V=V)
-        W = interaction_matrix(p)
-        pw.append(100.0 * np.mean(np.linalg.eigvalsh(quadspace.sym(W)) > 0))
+        pw.append(100.0 * np.mean(np.linalg.eigvalsh(quadspace.sym(p.W)) > 0))
         pv.append(100.0 * np.mean(np.abs(np.linalg.eigvals(p.V)) <= eps))
         try:
             _, A = derive_W_A(p)

@@ -70,7 +70,7 @@ def test_criterion_01_distance_monotonicity():
         ("shrink", SHRINK_A, SHRINK_W, SHRINK_X0, Direction.NON_INCREASING),
     ):
         p = params_from_w_and_a(W, quadspace.sym(A))
-        traj = integrate(lambda t, X: rhs_vanilla(p, X), X0, IntegratorConfig(h=h, T=5.0))
+        traj = integrate(lambda X: rhs_vanilla(p, X), X0, IntegratorConfig(h=h, T=5.0))
         res = analyze.check_distance_monotonicity(traj, quadspace.sym(A), direction, tol)
         margins[name] = res.worst_margin
         assert res.passed, f"{name}: worst margin {res.worst_margin:.3e} < -{tol:.1e}"
@@ -92,7 +92,7 @@ def test_criterion_02_collapse_to_zero():
     p = params_from_w_and_a(COLLAPSE_W, COLLAPSE_A)
     rng = generator(902)
     X0 = np.array([2.0, 1.0]) + 5e-4 * rng.standard_normal((6, 2))
-    traj = integrate(lambda t, X: rhs_vanilla(p, X), X0, IntegratorConfig(h=1e-2, T=10.0))
+    traj = integrate(lambda X: rhs_vanilla(p, X), X0, IntegratorConfig(h=1e-2, T=10.0))
     res = analyze.check_convergence(traj, rel_threshold=1e-2)
     ratio = np.linalg.norm(traj.final, axis=1).max() / np.linalg.norm(traj.initial, axis=1).max()
     elapsed = time.perf_counter() - t0
@@ -114,7 +114,7 @@ def test_criterion_03_quadratic_form_bounds():
         h = stable_step(p.V, cap=1e-2)
         rng = generator(500 + i)
         X0 = 0.6 * rng.standard_normal((5, D))
-        traj = integrate(lambda t, X: rhs_vanilla(p, X), X0, IntegratorConfig(h=h, T=5.0))
+        traj = integrate(lambda X: rhs_vanilla(p, X), X0, IntegratorConfig(h=h, T=5.0))
         results = analyze.check_quadratic_form_bounds(traj, p, tol_differential=10.0 * h**3, tol_envelope=1e-4)
         by_name = {r.name: r for r in results if isinstance(r, analyze.CheckResult)}
         assert set(by_name) == {"qa_rate_lower_bound", "qa_decay_envelope"}, results
@@ -137,7 +137,7 @@ def test_criterion_04_projection_invariance_and_divergence():
         p = params_from_w_and_v(W, 2.0 * np.eye(3))
         X0 = rng.standard_normal((5, 3))
         X0[:, 0] = 0.15 + np.abs(X0[:, 0])  # strictly one side of the hyperplane
-        traj = integrate(lambda t, X: rhs_vanilla(p, X), X0, IntegratorConfig(h=1e-2, T=12.0))
+        traj = integrate(lambda X: rhs_vanilla(p, X), X0, IntegratorConfig(h=1e-2, T=12.0))
         results = analyze.check_divergence_projection(traj, p.V, n_vec, 2.0, tol=1e-4)
         assert all(r.passed for r in results), (i, results)
         assert {r.name for r in results} == {"projection_band", "norm_divergence"}
@@ -156,7 +156,7 @@ def test_criterion_05_hull_containment():
             W = rng.standard_normal((2, 2))
             p = params_from_w_and_v(W, lam * np.eye(2))
             X0 = rng.standard_normal((5, 2))
-            traj = integrate(lambda t, X: rhs_vanilla(p, X), X0, IntegratorConfig(h=1e-2, T=5.0))
+            traj = integrate(lambda X: rhs_vanilla(p, X), X0, IntegratorConfig(h=1e-2, T=5.0))
             res = analyze.check_hull_containment(traj, p.V, lam, tol=1e-4)
             assert res.passed, (lam, i, res)
             worst = min(worst, res.worst_margin)
@@ -196,7 +196,7 @@ def test_criterion_06_absolute_encoding():
         m *= 1.5 / np.linalg.norm(m)
         X0 = -P + m + 1e-4 * rng.standard_normal((L, 4))
         h = stable_step(p.V, cap=1e-2)
-        traj = integrate(lambda t, X: rhs_absolute(p, P, X), X0, IntegratorConfig(h=h, T=20.0))
+        traj = integrate(lambda X: rhs_absolute(p, P, X), X0, IntegratorConfig(h=h, T=20.0))
         res = analyze.check_absolute_limit(traj, P, tol=5e-2)
         assert res.passed, (seed, res)
         worst = max(worst, 5e-2 - res.worst_margin)
@@ -217,8 +217,8 @@ def test_criterion_07_rotary_breaks_convergence():
     eps = generator(55).standard_normal((6, 2))
     X0 = 30.0 * direction + 3e-4 * 30.0 * eps
     cfg = IntegratorConfig(h=1e-2, T=25.0)
-    traj_v = integrate(lambda t, X: rhs_vanilla(vanilla, X), X0, cfg)
-    traj_r = integrate(lambda t, X: rhs_rotary(rotary, X), X0, cfg)
+    traj_v = integrate(lambda X: rhs_vanilla(vanilla, X), X0, cfg)
+    traj_r = integrate(lambda X: rhs_rotary(rotary, X), X0, cfg)
     r_v = np.linalg.norm(traj_v.final, axis=1).mean() / np.linalg.norm(traj_v.initial, axis=1).mean()
     r_r = np.linalg.norm(traj_r.final, axis=1).mean() / np.linalg.norm(traj_r.initial, axis=1).mean()
     ok = classify_regime(traj_v) is Regime.CONVERGED and classify_regime(traj_r) is Regime.DIVERGED
@@ -277,7 +277,7 @@ def test_criterion_10_oracle_suite():
         p = random_params(3, 4000 + i)
         rng = generator(4100 + i)
         x0 = rng.standard_normal((1, 3))
-        traj = integrate(lambda t, X: rhs_vanilla(p, X), x0, IntegratorConfig(h=1e-3, T=2.0))
+        traj = integrate(lambda X: rhs_vanilla(p, X), x0, IntegratorConfig(h=1e-3, T=2.0))
         expected = x0 @ quadspace.matexp(2.0 * p.V.T).T
         assert np.abs(traj.final - expected).max() < 1e-6, i
 
@@ -309,7 +309,7 @@ def test_criterion_10_oracle_suite():
 
     errs = []
     for h in (0.1, 0.05):
-        traj = integrate(lambda t, X: X, np.array([[1.0]]), IntegratorConfig(h=h, T=1.0))
+        traj = integrate(lambda X: X, np.array([[1.0]]), IntegratorConfig(h=h, T=1.0))
         errs.append(abs(traj.final[0, 0] - np.e))
     ratio = errs[0] / errs[1]
     assert 12.0 < ratio < 20.0

@@ -177,7 +177,7 @@ def test_monotonicity_negative_definite_direction():
 def test_quadratic_bounds_single_token_closed_form():
     p = params_from_w_and_a(np.eye(2), -np.eye(2))  # W = I, A = -I
     X0 = np.array([[2.0, 0.0]])
-    traj = integrate(lambda t, X: rhs_vanilla(p, X), X0, IntegratorConfig(h=1e-2, T=5.0))
+    traj = integrate(lambda X: rhs_vanilla(p, X), X0, IntegratorConfig(h=1e-2, T=5.0))
     results = check_quadratic_form_bounds(traj, p)
     assert all(isinstance(r, CheckResult) and r.passed for r in results)
     names = {r.name for r in results}
@@ -187,7 +187,7 @@ def test_quadratic_bounds_single_token_closed_form():
 def test_quadratic_bounds_singular_value_matrix_raises():
     # A = W (V^T)^{-1} is undefined; run_checks reports the skip
     p = ModelParams(D=2, Q=np.eye(2), K=np.eye(2), V=np.diag([1.0, 0.0]), Dk=1)
-    traj = integrate(lambda t, X: rhs_vanilla(p, X), np.eye(2), IntegratorConfig(h=1e-2, T=0.1))
+    traj = integrate(lambda X: rhs_vanilla(p, X), np.eye(2), IntegratorConfig(h=1e-2, T=0.1))
     with pytest.raises(SingularMatrixError):
         check_quadratic_form_bounds(traj, p)
 
@@ -196,7 +196,7 @@ def test_quadratic_bounds_skip_asymmetric():
     rng = np.random.default_rng(1)
     p = random_params(3, 23)  # A generically asymmetric
     X0 = rng.normal(size=(3, 3))
-    traj = integrate(lambda t, X: rhs_vanilla(p, X), X0, IntegratorConfig(h=1e-2, T=0.2))
+    traj = integrate(lambda X: rhs_vanilla(p, X), X0, IntegratorConfig(h=1e-2, T=0.2))
     results = check_quadratic_form_bounds(traj, p)
     assert len(results) == 1 and isinstance(results[0], SkippedCheck)
 
@@ -211,7 +211,7 @@ def test_projection_single_token_identity():
     V = np.diag([1.5, 0.5])
     p = params_from_w_and_v(rng.normal(size=(2, 2)), V)
     x0 = np.array([[0.7, -0.3]])
-    traj = integrate(lambda t, X: rhs_vanilla(p, X), x0, IntegratorConfig(h=1e-3, T=1.0))
+    traj = integrate(lambda X: rhs_vanilla(p, X), x0, IntegratorConfig(h=1e-3, T=1.0))
     res = check_divergence_projection(traj, V, np.array([1.0, 0.0]), 1.5, tol=1e-6)
     proj = res[0]
     assert proj.passed
@@ -223,7 +223,7 @@ def test_projection_mean_reverting_average():
     p = ModelParams(D=2, Q=np.zeros((2, 2)), K=np.zeros((2, 2)), V=np.eye(2), Dk=1)
     rng = np.random.default_rng(3)
     X0 = rng.normal(size=(4, 2))
-    traj = integrate(lambda t, X: rhs_vanilla(p, X), X0, IntegratorConfig(h=1e-2, T=3.0))
+    traj = integrate(lambda X: rhs_vanilla(p, X), X0, IntegratorConfig(h=1e-2, T=3.0))
     res = check_divergence_projection(traj, np.eye(2), np.array([0.0, 1.0]), 1.0, tol=1e-6)
     assert res[0].passed and res[0].worst_margin >= -1e-9
 
@@ -288,7 +288,7 @@ def test_projection_band_fails_on_nan_sample():
 def test_hull_containment_single_token():
     p = params_from_w_and_v(np.zeros((2, 2)), 2.0 * np.eye(2))
     x0 = np.array([[0.4, 0.9]])
-    traj = integrate(lambda t, X: rhs_vanilla(p, X), x0, IntegratorConfig(h=1e-2, T=2.0))
+    traj = integrate(lambda X: rhs_vanilla(p, X), x0, IntegratorConfig(h=1e-2, T=2.0))
     res = check_hull_containment(traj, p.V, 2.0, tol=1e-4)
     assert res.passed
 
@@ -297,7 +297,7 @@ def test_hull_containment_averaging_flow():
     p = ModelParams(D=2, Q=np.zeros((2, 2)), K=np.zeros((2, 2)), V=np.eye(2), Dk=1)
     rng = np.random.default_rng(4)
     X0 = rng.normal(size=(5, 2))
-    traj = integrate(lambda t, X: rhs_vanilla(p, X), X0, IntegratorConfig(h=1e-2, T=3.0))
+    traj = integrate(lambda X: rhs_vanilla(p, X), X0, IntegratorConfig(h=1e-2, T=3.0))
     assert check_hull_containment(traj, p.V, 1.0, tol=1e-4).passed
 
 
@@ -306,7 +306,7 @@ def test_hull_containment_matches_per_query_loop(monkeypatch):
     lam, tol = 1.0, 1e-4
     rng = generator(2001)
     p = params_from_w_and_v(rng.standard_normal((2, 2)), lam * np.eye(2))
-    traj = integrate(lambda t, X: rhs_vanilla(p, X), rng.standard_normal((5, 2)), IntegratorConfig(h=1e-2, T=5.0))
+    traj = integrate(lambda X: rhs_vanilla(p, X), rng.standard_normal((5, 2)), IntegratorConfig(h=1e-2, T=5.0))
     ref = hull_containment_loop(traj, lam, tol)
     results = [check_hull_containment(traj, p.V, lam, tol)]
     for entries in (50, 1):  # blocks of two samples (10 queries), then of one
@@ -413,8 +413,8 @@ def test_checkers_identical_for_trivial_rotary():
     rope = ModelParams(D=2, Q=Q, K=K, V=V, Dk=1, rope=RopeParams(Qbar=np.zeros((2, 2)), Kbar=Kbar))
     X0 = np.abs(rng.normal(size=(4, 2))) + 0.1
     cfg = IntegratorConfig(h=1e-2, T=3.0)
-    tv = integrate(lambda t, X: rhs_vanilla(plain, X), X0, cfg)
-    tr = integrate(lambda t, X: rhs_rotary(rope, X), X0, cfg)
+    tv = integrate(lambda X: rhs_vanilla(plain, X), X0, cfg)
+    tr = integrate(lambda X: rhs_rotary(rope, X), X0, cfg)
     # summation order differs between the two code paths; agreement is to
     # rounding only
     np.testing.assert_allclose(tr.states, tv.states, atol=5e-12)
@@ -433,7 +433,7 @@ def test_check_stationarity_on_converged_run():
     m = rng.normal(size=2)
     m *= 2.0 / np.linalg.norm(m)
     X0 = m + 1e-3 * rng.normal(size=(4, 2))
-    traj = integrate(lambda t, X: rhs_vanilla(p, X), X0, IntegratorConfig(h=1e-2, T=20.0))
+    traj = integrate(lambda X: rhs_vanilla(p, X), X0, IntegratorConfig(h=1e-2, T=20.0))
     assert check_stationarity(traj, p, tol=1e-3).passed
     assert check_derivative_decay(traj, tol=1e-3).passed
     assert classify_regime(traj) is Regime.CONVERGED
@@ -446,7 +446,7 @@ def test_check_stationarity_on_converged_run():
 )
 def test_run_checks_rejects_malformed_tolerances(tolerances):
     p = params_from_w_and_v(np.eye(2), 0.5 * np.eye(2))
-    traj = integrate(lambda t, X: rhs_vanilla(p, X), np.eye(2), IntegratorConfig(h=1e-2, T=0.1))
+    traj = integrate(lambda X: rhs_vanilla(p, X), np.eye(2), IntegratorConfig(h=1e-2, T=0.1))
     with pytest.raises(ConfigError):
         analyze.run_checks(traj, p, tolerances=tolerances)
     # null picks the formula default where there is one

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import attnsim
 from attnsim import analyze, quadspace
 from attnsim.cli import _fmt, _prepare_run, load_config, main, write_trajectory_csv
-from attnsim.dynamics import rhs_vanilla
+from attnsim.dynamics import rhs_absolute, rhs_vanilla
 from attnsim.integrate import IntegratorConfig, Termination, Trajectory, integrate
 from attnsim.params import generator, params_from_w_and_v, random_params, save_matrix
 
@@ -132,13 +132,48 @@ def test_simulate_outputs_and_roundtrip(tmp_path):
 
     p = build_params({"kind": "random", "D": 2, "seed": 1})
     X0 = build_tokens({"kind": "random", "L": 3, "seed": 2, "scale": 0.5}, 2)
-    traj = integrate(lambda t, X: rhs_vanilla(p, X), X0, IntegratorConfig(h=0.01, T=0.5))
+    traj = integrate(lambda X: rhs_vanilla(p, X), X0, IntegratorConfig(h=0.01, T=0.5))
     parsed = np.array([[float(r["x_0"]), float(r["x_1"])] for r in rows]).reshape(len(traj.times), 3, 2)
     np.testing.assert_array_equal(parsed, traj.states)
 
     with open(out / "metrics.csv") as fh:
         mrows = list(csv.DictReader(fh))
     assert len(mrows) == len(traj.times)
+
+
+GIVEN_ROWS = [[0.3, -0.1], [0.0, 0.2], [-0.4, 0.5]]  # (L, D) = (3, 2), matching simulate_cfg
+
+
+def test_simulate_given_positions_match_absolute_field(tmp_path):
+    code, out = run_cli(tmp_path, simulate_cfg(posenc={"kind": "given", "rows": GIVEN_ROWS}))
+    assert code == 0
+    p = random_params(2, 1)
+    X0 = 0.5 * generator(2).standard_normal((3, 2))
+    traj = integrate(lambda X: rhs_absolute(p, np.array(GIVEN_ROWS), X), X0, IntegratorConfig(h=0.01, T=0.5))
+    with open(out / "trajectory.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    parsed = np.array([[float(r["x_0"]), float(r["x_1"])] for r in rows]).reshape(traj.states.shape)
+    np.testing.assert_array_equal(parsed, traj.states)
+
+
+@pytest.mark.parametrize(
+    "posenc",
+    [
+        {"kind": "given"},
+        {"kind": "given", "rows": GIVEN_ROWS[:2]},
+        {"kind": "given", "rows": [row + [0.0] for row in GIVEN_ROWS]},
+        {"kind": "given", "rows": [0.1, 0.2]},
+        {"kind": "sinusoidal", "rows": GIVEN_ROWS},
+        {"kind": "rotary"},
+        {"kind": "learned"},
+        {"kind": ["given"]},
+    ],
+    ids=["missing_rows", "too_few_rows", "too_many_columns", "not_a_matrix", "rows_with_sinusoidal", "rotary_without_rope", "unknown_kind",
+         "unhashable_kind"],
+)
+def test_malformed_posenc_exits_2(tmp_path, posenc):
+    code, _ = run_cli(tmp_path, simulate_cfg(posenc=posenc))
+    assert code == 2
 
 
 def fmt_oracle(x):
@@ -176,10 +211,10 @@ def test_trajectory_writer_bytes_match_oracle(tmp_path):
     states[2, :, 0] = special[:5]
     edge = Trajectory(times=np.array([-0.0, 5e-324, 0.1]), states=states, terminated=Termination.HORIZON_REACHED,
                       config=IntegratorConfig(h=0.1, T=0.2), blowup_time=None)
-    stride = integrate(lambda t, X: rhs_vanilla(random_params(3, 6), X), rng.standard_normal((4, 3)),
+    stride = integrate(lambda X: rhs_vanilla(random_params(3, 6), X), rng.standard_normal((4, 3)),
                        IntegratorConfig(h=0.01, T=0.5, record_stride=3))
     blow = params_from_w_and_v(np.array([[0.5, 0.1], [0.0, 0.4]]), 2.0 * np.eye(2))
-    blowup = integrate(lambda t, X: rhs_vanilla(blow, X), np.array([[1.0, 0.2], [0.8, -0.1]]),
+    blowup = integrate(lambda X: rhs_vanilla(blow, X), np.array([[1.0, 0.2], [0.8, -0.1]]),
                        IntegratorConfig(h=0.01, T=30.0, blowup_norm=1e6))
     assert blowup.terminated is Termination.BLOW_UP
     for name, traj in (("edge", edge), ("stride", stride), ("blowup", blowup)):
@@ -341,7 +376,7 @@ def test_run_checks_matches_cli_report(tmp_path):
     code = main(["--config", path, "--out", str(tmp_path)])
     assert code == 0
     params, X0, icfg, rhs, P = _prepare_run(load_config(path))
-    report = analyze.run_checks(integrate(lambda t, X: rhs(X), X0, icfg), params, P)
+    report = analyze.run_checks(integrate(lambda X: rhs(X), X0, icfg), params, P)
     assert (tmp_path / "report.csv").read_text().splitlines()[1:] == report.to_records()
 
 

@@ -5,8 +5,13 @@ import contextlib
 import importlib
 import importlib.util
 import io
+import json
 import re
 from pathlib import Path
+
+import pytest
+
+from attnsim import cli, dynamics, integrate
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -30,3 +35,38 @@ def test_perfbench_trace_sites_resolve():
     for module, attribute in sites:
         target = getattr(importlib.import_module(f"attnsim.{module}"), attribute, None)
         assert callable(target), f"perfbench traces attnsim.{module}.{attribute}, which is missing"
+
+
+SIMULATE = {"schema_version": 1, "mode": "simulate", "params": {"kind": "random", "D": 2, "seed": 1},
+            "tokens": {"kind": "random", "L": 3, "seed": 2}, "integrator": {"h": 0.05, "T": 0.2}}
+ROTARY_PARAMS = {"kind": "matrices", "Q": [[1.0, 0.0], [0.0, 1.0]], "K": [[0.5, 0.0], [0.0, 0.5]], "V": [[-1.0, 0.0], [0.0, -1.0]],
+                 "rope": {"Qbar": [[1.0, 0.0], [0.0, 1.0]], "Kbar": [[1.0, 0.0], [0.0, 1.0]]}}
+TRACED_RUNS = {
+    "vanilla": (SIMULATE, ["integrate.rk4_step", "dynamics.rhs_vanilla"]),
+    "rotary": ({**SIMULATE, "params": ROTARY_PARAMS, "posenc": {"kind": "rotary"}}, ["integrate.rk4_step", "dynamics.rhs_rotary"]),
+    "given": ({**SIMULATE, "posenc": {"kind": "given", "rows": [[0.1, 0.0], [0.0, 0.1], [0.2, -0.1]]}},
+              ["integrate.rk4_step", "dynamics.rhs_vanilla"]),
+    "sweep": ({"schema_version": 1, "mode": "sweep", "sweep": {"scenario": "convergence", "D": 4, "seed_count": 1, "horizon": 1.0}},
+              ["integrate.rk4_step", "cli.rhs_vanilla"]),
+}
+
+
+@pytest.mark.parametrize("run", sorted(TRACED_RUNS))
+def test_cli_runs_through_traced_names(tmp_path, monkeypatch, run):
+    # perfbench's per-layer rows count calls by replacing these attributes;
+    # a CLI path that bypasses them would leave those rows at 0
+    counts = {}
+    for module, name in ((integrate, "rk4_step"), (dynamics, "rhs_vanilla"), (cli, "rhs_vanilla"), (dynamics, "rhs_rotary")):
+        key = f"{module.__name__.split('.')[-1]}.{name}"
+
+        def counted(*args, _fn=getattr(module, name), _key=key, **kwargs):
+            counts[_key] = counts.get(_key, 0) + 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    cfg, expected = TRACED_RUNS[run]
+    (tmp_path / "run.json").write_text(json.dumps(cfg))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["--config", str(tmp_path / "run.json"), "--out", str(tmp_path / "out")]) == 0
+    for key in expected:
+        assert counts.get(key, 0) > 0, f"{run}: no call went through {key}"
