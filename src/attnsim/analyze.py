@@ -90,9 +90,17 @@ class MetricSeries:
     mean_pairwise_dist: np.ndarray
 
 
+def metrics_block_samples(L: int, D: int) -> int:
+    """Whole samples per metrics block: neither the pair rows, nor one
+    token's differences, nor (at L = 1) the samples outgrow PAIR_BLOCK_ENTRIES."""
+    return max(1, PAIR_BLOCK_ENTRIES // max(L * (L - 1) // 2, (L - 1) * D, D))
+
+
 def trajectory_metrics(traj: Trajectory) -> MetricSeries:
     """Per-sample mean token norm and mean pairwise Euclidean distance. Each
-    sample's pair norms fill one row, averaged whole, whatever the block size."""
+    sample's pair norms fill one row, averaged whole, whatever the block size.
+    Reads only traj.times and traj.states: blocks of a C-contiguous run's
+    samples give that run's values bit for bit."""
     if traj.states.shape[0] == 0:
         raise DomainError("empty trajectory")
     N, L, D = traj.states.shape
@@ -100,8 +108,7 @@ def trajectory_metrics(traj: Trajectory) -> MetricSeries:
     dists = np.zeros(N)
     pairs = L * (L - 1) // 2
     if pairs:
-        # whole samples; neither the pair rows nor one token's differences outgrow the budget
-        per_block = max(1, PAIR_BLOCK_ENTRIES // max(pairs, (L - 1) * D))
+        per_block = metrics_block_samples(L, D)
         buf = np.empty((min(per_block, N), pairs))
         for start in range(0, N, per_block):
             S = np.ascontiguousarray(traj.states[start:start + per_block])  # reductions round by memory layout

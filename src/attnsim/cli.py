@@ -13,10 +13,12 @@ config, 3 violated mathematical precondition.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -75,6 +77,8 @@ def _matrix(value, where: str) -> np.ndarray:
         raise ConfigError(f"{where}: not a numeric matrix") from exc
     if M.ndim != 2:
         raise ConfigError(f"{where}: expected a 2-d matrix")
+    if not np.isfinite(M).all():
+        raise ConfigError(f"{where}: entries must be finite")
     return M
 
 
@@ -182,8 +186,8 @@ def _build_tokens_checked(cfg: dict, D: int) -> np.ndarray:
         spread = float(cfg.get("spread", 1e-4))
         if "direction" in cfg:
             m = np.asarray(cfg["direction"], dtype=float)
-            if m.shape != (D,):
-                raise ConfigError(f"tokens.direction must have {D} entries")
+            if m.shape != (D,) or not np.isfinite(m).all() or not m.any():
+                raise ConfigError(f"tokens.direction must have {D} finite entries, not all zero")
         else:
             m = rng.standard_normal(D)
         m = m * (mean_norm / np.linalg.norm(m))
@@ -194,6 +198,8 @@ def _build_tokens_checked(cfg: dict, D: int) -> np.ndarray:
         raise ConfigError(f"tokens have dimension {X0.shape[1]}, params have D={D}")
     if X0.shape[0] < 1:
         raise ConfigError("need at least one token")
+    if not np.isfinite(X0).all():
+        raise ConfigError("tokens: entries must be finite")
     return X0
 
 
@@ -245,36 +251,86 @@ def _prepare_run(cfg: dict):
     return params, X0, icfg, rhs_for(params, P), P
 
 
+def _trajectory_header(D: int) -> str:
+    return "t,token_index," + ",".join(f"x_{j}" for j in range(D)) + "\n"
+
+
+METRICS_HEADER = "t,mean_norm,mean_pairwise_dist\n"
+
+
+def _write_trajectory_rows(fh, traj):
+    tail = ("," + FLOAT_FORMAT) * traj.states.shape[2] + "\n"  # one template per call, filled once per row
+    for t, X in zip(traj.times, traj.states):
+        head = _fmt(t)
+        for l, row in enumerate(X.tolist()):
+            fh.write(f"{head},{l}" + tail % tuple(row))
+
+
+def _write_metrics_rows(fh, metrics):
+    for t, mn, md in zip(metrics.times, metrics.mean_token_norm, metrics.mean_pairwise_dist):
+        fh.write(f"{_fmt(t)},{_fmt(mn)},{_fmt(md)}\n")
+
+
 def write_trajectory_csv(path, traj):
-    D = traj.states.shape[2]
-    tail = ("," + FLOAT_FORMAT) * D + "\n"  # one template per file, filled once per row
     with open(path, "w") as fh:
-        fh.write("t,token_index," + ",".join(f"x_{j}" for j in range(D)) + "\n")
-        for t, X in zip(traj.times, traj.states):
-            head = _fmt(t)
-            for l, row in enumerate(X.tolist()):
-                fh.write(f"{head},{l}" + tail % tuple(row))
+        fh.write(_trajectory_header(traj.states.shape[2]))
+        _write_trajectory_rows(fh, traj)
 
 
 def write_metrics_csv(path, metrics):
     with open(path, "w") as fh:
-        fh.write("t,mean_norm,mean_pairwise_dist\n")
-        for t, mn, md in zip(metrics.times, metrics.mean_token_norm, metrics.mean_pairwise_dist):
-            fh.write(f"{_fmt(t)},{_fmt(mn)},{_fmt(md)}\n")
+        fh.write(METRICS_HEADER)
+        _write_metrics_rows(fh, metrics)
+
+
+class _SampleStream:
+    """integrate's sink for simulate: fills one metrics block of samples and
+    appends each full block's rows to the two CSVs."""
+
+    def __init__(self, traj_fh, metrics_fh, n: int, L: int, D: int):
+        self.traj_fh, self.metrics_fh = traj_fh, metrics_fh
+        self.times, self.states = np.empty(n), np.empty((n, L, D))  # C order, as integrate's states
+        self.filled = self.samples = 0
+
+    def __call__(self, t, X):
+        self.times[self.filled], self.states[self.filled] = t, X
+        self.filled, self.samples = self.filled + 1, self.samples + 1
+        if self.filled == len(self.times):
+            self.flush()
+
+    def flush(self):
+        if self.filled:
+            block = SimpleNamespace(times=self.times[:self.filled], states=self.states[:self.filled])
+            _write_trajectory_rows(self.traj_fh, block)
+            _write_metrics_rows(self.metrics_fh, analyze.trajectory_metrics(block))
+            self.filled = 0
 
 
 def run_simulate(cfg: dict, out_dir: str) -> int:
     _, X0, icfg, rhs, _ = _prepare_run(cfg)
-    traj = integrate(rhs, X0, icfg)
-    metrics = analyze.trajectory_metrics(traj)
-    write_trajectory_csv(os.path.join(out_dir, "trajectory.csv"), traj)
-    write_metrics_csv(os.path.join(out_dir, "metrics.csv"), metrics)
+    L, D = X0.shape
+    block = min(analyze.metrics_block_samples(L, D), icfg.n_steps // icfg.record_stride + 2)
+    paths = [os.path.join(out_dir, name) for name in ("trajectory.csv", "metrics.csv")]
+    partial = [path + ".partial" for path in paths]  # renamed on success: a failed run leaves no CSV
+    try:
+        with open(partial[0], "w") as traj_fh, open(partial[1], "w") as metrics_fh:
+            traj_fh.write(_trajectory_header(D))
+            metrics_fh.write(METRICS_HEADER)
+            stream = _SampleStream(traj_fh, metrics_fh, block, L, D)
+            traj = integrate(rhs, X0, icfg, stream)
+            stream.flush()
+        for src, dst in zip(partial, paths):
+            os.replace(src, dst)
+    finally:
+        for path in partial:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(path)
     summary = {
         "mode": "simulate",
         "terminated": traj.terminated.value,
         "blowup_time": traj.blowup_time,
         "regime": analyze.classify_regime(traj).value,
-        "samples": len(traj.times),
+        "samples": stream.samples,
     }
     with open(os.path.join(out_dir, "summary.json"), "w") as fh:
         json.dump(summary, fh, indent=2)
@@ -379,8 +435,9 @@ def run_sweep(cfg: dict, out_dir: str, jobs: int) -> int:
         raise ConfigError("sweep.seed_count must be >= 1")
     if plan.D < 2:
         raise ConfigError("sweep.D must be >= 2")
-    if not (all(v > 0 for v in (plan.scale, plan.h_cap, plan.t_max, plan.blowup_norm)) and (plan.horizon is None or plan.horizon > 0)):
-        raise ConfigError("sweep: scale, h_cap, t_max, blowup_norm and horizon must be positive")
+    finite = (plan.scale,) if plan.horizon is None else (plan.scale, plan.horizon)
+    if not (all(v > 0 for v in (plan.h_cap, plan.t_max, plan.blowup_norm)) and all(0 < v < np.inf for v in finite)):
+        raise ConfigError("sweep: scale, h_cap, t_max, blowup_norm and horizon must be positive, scale and horizon finite")
     # each token seed is keyed by its own parameter seed, so a seed's row
     # does not depend on the window it was swept in
     work = [(plan, s, spawn_seeds(s + 7_777_777, 1)[0]) for s in range(start, start + count)]

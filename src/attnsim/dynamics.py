@@ -13,10 +13,13 @@ from .params import LambdaKind, ModelParams
 
 
 def _softmax_rows(Z):
+    """Row softmax of the logits Z, computed in Z's own memory: Z is consumed."""
     if not np.isfinite(Z).all():
         raise ContractError("non-finite attention logits")
-    E = np.exp(Z - Z.max(axis=1, keepdims=True))
-    return E / E.sum(axis=1, keepdims=True)
+    Z -= Z.max(axis=1, keepdims=True)
+    np.exp(Z, out=Z)
+    Z /= Z.sum(axis=1, keepdims=True)
+    return Z
 
 
 def _check_state(params, X):

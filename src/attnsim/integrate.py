@@ -26,13 +26,13 @@ class IntegratorConfig:
     blowup_norm: float = DEFAULT_BLOWUP_NORM
 
     def __post_init__(self):
-        if self.h <= 0:
-            raise DomainError("step size must be positive")
-        if self.T < self.h:
-            raise DomainError("horizon must be at least one step")
+        if not 0 < self.h < math.inf:
+            raise DomainError("step size must be positive and finite")
+        if not self.h <= self.T < math.inf:
+            raise DomainError("horizon must be finite and at least one step")
         if self.record_stride < 1:
             raise DomainError("record_stride must be >= 1")
-        if self.blowup_norm <= 0:
+        if not self.blowup_norm > 0:  # inf is allowed: no guard
             raise DomainError("blowup_norm must be positive")
 
     @property
@@ -74,7 +74,7 @@ def rk4_step(rhs, X, h: float) -> np.ndarray:
     return X + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def integrate(rhs, X0, config: IntegratorConfig) -> Trajectory:
+def integrate(rhs, X0, config: IntegratorConfig, sink=None) -> Trajectory:
     """Integrate the autonomous field rhs(X) from X0 over [0, T] in fixed
     steps of h.
 
@@ -83,12 +83,19 @@ def integrate(rhs, X0, config: IntegratorConfig) -> Trajectory:
     config.blowup_norm, or at the start of a step whose result is not
     finite (that state is not recorded). rhs errors propagate wrapped with
     the failure time.
+
+    With a sink, each recorded sample goes to sink(t, X) as it is taken
+    (X is never written to afterwards) and the returned Trajectory keeps
+    only the first and the last of them.
     """
     X = np.array(X0, dtype=float)
     if X.ndim != 2:
         raise DomainError("initial state must be an (L, D) array")
-    times = [0.0]
-    states = [X.copy()]
+    samples = []
+    if sink is None:
+        sink = lambda *sample: samples.append(sample)  # noqa: E731
+    first = last = (0.0, X)
+    sink(*first)
     terminated, blowup_time = Termination.HORIZON_REACHED, None
     n, h, stride, bound = config.n_steps, config.h, config.record_stride, config.blowup_norm
     for k in range(n):
@@ -106,11 +113,14 @@ def integrate(rhs, X0, config: IntegratorConfig) -> Trajectory:
         # bit: norm is this IEEE sqrt of a row sum, and sqrt is monotone
         blown = math.sqrt(s) > bound
         if blown or (k + 1) % stride == 0 or k == n - 1:
-            times.append((k + 1) * h)
-            states.append(X.copy())
+            last = ((k + 1) * h, X)  # rk4_step returns a fresh array
+            sink(*last)
         if blown:
             terminated, blowup_time = Termination.BLOW_UP, (k + 1) * h
             break
+    if not samples:  # streamed: keep the endpoints
+        samples = [first] if last is first else [first, last]
+    times, states = zip(*samples)
     return Trajectory(np.array(times), np.array(states), terminated, config, blowup_time)
 
 

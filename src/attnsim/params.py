@@ -44,14 +44,14 @@ class LambdaMod:
     diag: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.lam >= 0:
-            raise DomainError("lambda must be negative")
+        if not -np.inf < self.lam < 0:
+            raise DomainError("lambda must be negative and finite")
         if self.kind is LambdaKind.DIAG_SCALED:
             if self.diag is None:
                 raise DomainError("diag_scaled requires a diag vector")
             d = np.asarray(self.diag, dtype=float)
-            if d.ndim != 1 or np.any(d <= 0):
-                raise DomainError("diag entries must be strictly positive")
+            if d.ndim != 1 or not np.all((d > 0) & (d < np.inf)):
+                raise DomainError("diag entries must be strictly positive and finite")
             object.__setattr__(self, "diag", d)
         elif self.diag is not None:
             raise DomainError("identity_scaled takes no diag vector")
@@ -63,6 +63,10 @@ class RopeParams:
     Kbar: np.ndarray
     theta_base: float = 10000.0
     lambda_mod: LambdaMod | None = None
+
+    def __post_init__(self):
+        if not 0 < self.theta_base < np.inf:
+            raise DomainError("theta_base must be positive and finite")
 
 
 @dataclass(frozen=True, eq=False)

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,9 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import attnsim
-from attnsim import analyze, quadspace
-from attnsim.cli import _fmt, _prepare_run, load_config, main, write_trajectory_csv
+from attnsim import analyze, dynamics, quadspace
+from attnsim.cli import _fmt, _prepare_run, load_config, main, write_metrics_csv, write_trajectory_csv
 from attnsim.dynamics import rhs_absolute, rhs_vanilla
+from attnsim.errors import ContractError
 from attnsim.integrate import IntegratorConfig, Termination, Trajectory, integrate
 from attnsim.params import generator, params_from_w_and_v, random_params, save_matrix
 
@@ -253,6 +255,115 @@ def test_simulate_blowup_reported(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["terminated"] == "blow_up"
     assert summary["blowup_time"] is not None
+
+
+STREAMED_ROTARY = {"kind": "matrices", "Q": ROPE_Q.tolist(), "K": ROPE_K.tolist(), "V": (-np.eye(2)).tolist(),
+                   "rope": {"Qbar": ROPE_QBAR.tolist(), "Kbar": ROPE_KBAR.tolist()}}
+NON_FINITE = {
+    "integrator_h_nan": ("integrator", {"h": float("nan")}),
+    "integrator_T_inf": ("integrator", {"h": 0.01, "T": float("inf")}),
+    "integrator_blowup_norm_nan": ("integrator", {"blowup_norm": float("nan")}),
+    "tokens_rows_nan": ("tokens", {"kind": "explicit", "rows": [[0.1, float("nan")], [0.2, 0.3]]}),
+    "posenc_rows_nan": ("posenc", {"kind": "given", "rows": [[0.1, 0.0], [float("nan"), 0.1], [0.2, -0.1]]}),
+    "params_Q_inf": ("params", {"kind": "matrices", "Q": [[float("inf"), 0.0], [0.0, 1.0]], "K": np.eye(2).tolist(), "V": np.eye(2).tolist()}),
+    "params_W_inf": ("params", {"kind": "effective", "W": [[1.0, 0.0], [0.0, float("-inf")]], "V": np.eye(2).tolist()}),
+    "direction_zero": ("tokens", {"kind": "cluster", "L": 3, "seed": 1, "direction": [0.0, 0.0]}),
+    "direction_inf": ("tokens", {"kind": "cluster", "L": 3, "seed": 1, "direction": [float("inf"), 1.0]}),
+    "tokens_scale_inf": ("tokens", {"kind": "random", "L": 3, "seed": 2, "scale": float("inf")}),
+    "cluster_mean_norm_nan": ("tokens", {"kind": "cluster", "L": 3, "seed": 2, "mean_norm": float("nan")}),
+    "rope_lambda_nan": ("params", {**STREAMED_ROTARY, "rope": {**STREAMED_ROTARY["rope"], "lambda_mod": {"kind": "identity_scaled", "lambda": float("nan")}}}),
+    "rope_theta_base_nan": ("params", {**STREAMED_ROTARY, "rope": {**STREAMED_ROTARY["rope"], "theta_base": float("nan")}}),
+    "sweep_horizon_inf": ("sweep", {"scenario": "convergence", "D": 2, "seed_count": 1, "horizon": float("inf")}),
+    "sweep_scale_inf": ("sweep", {"D": 2, "seed_count": 1, "scale": float("inf"), "horizon": 1.0}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE))
+def test_non_finite_config_values_exit_2(tmp_path, capsys, case):
+    section, value = NON_FINITE[case]
+    cfg = {"schema_version": 1, "mode": "sweep", "sweep": value} if section == "sweep" else simulate_cfg(**{section: value})
+    if section == "params" and "rope" in value:
+        cfg["posenc"] = {"kind": "rotary"}
+    code, out = run_cli(tmp_path, cfg)
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("error:") and "Traceback" not in err
+    assert os.listdir(out) == []
+
+
+def _block_entries(L, D, samples):
+    """The PAIR_BLOCK_ENTRIES that makes a metrics block hold `samples` samples."""
+    return samples * max(L * (L - 1) // 2, (L - 1) * D, D)
+
+
+STREAMED_RUNS = {
+    "vanilla": simulate_cfg(),
+    "rotary": simulate_cfg(params=STREAMED_ROTARY, posenc={"kind": "rotary"}),
+    "given": simulate_cfg(posenc={"kind": "given", "rows": GIVEN_ROWS}),
+    "blowup": simulate_cfg(
+        params={"kind": "effective", "W": [[0.5, 0.1], [0.0, 0.4]], "V": [[2.0, 0.0], [0.0, 2.0]]},
+        tokens={"kind": "explicit", "rows": [[1.0, 0.2], [0.8, -0.1]]},
+        integrator={"h": 0.05, "T": 30.0, "blowup_norm": 1e6}),
+    "stride_3": simulate_cfg(integrator={"h": 0.01, "T": 0.5, "record_stride": 3}),
+    "single_token": simulate_cfg(tokens={"kind": "random", "L": 1, "seed": 5}),
+    # D = 16: the norms' row sums round by memory layout, so a block that is not C-ordered shows here
+    "wide_tokens": simulate_cfg(params={"kind": "random", "D": 16, "seed": 3, "scale": 0.5}, tokens={"kind": "random", "L": 5, "seed": 4}),
+}
+
+
+@pytest.mark.parametrize("block", [None, 1, 2, 8], ids=["default", "one_sample", "two_samples", "eight_samples"])
+@pytest.mark.parametrize("run", sorted(STREAMED_RUNS))
+def test_streamed_simulate_matches_whole_trajectory(tmp_path, monkeypatch, capsys, run, block):
+    cfg = STREAMED_RUNS[run]
+    _, X0, icfg, rhs, _ = _prepare_run(cfg)
+    traj = integrate(rhs, X0, icfg)
+    write_trajectory_csv(tmp_path / "trajectory.csv", traj)
+    write_metrics_csv(tmp_path / "metrics.csv", analyze.trajectory_metrics(traj))
+    summary = {"mode": "simulate", "terminated": traj.terminated.value, "blowup_time": traj.blowup_time,
+               "regime": analyze.classify_regime(traj).value, "samples": len(traj.times)}
+    if block is not None:  # 8 leaves a partial last block on every run (51, 140 or 18 samples)
+        monkeypatch.setattr(analyze, "PAIR_BLOCK_ENTRIES", _block_entries(*X0.shape, block))
+    capsys.readouterr()
+    code, out = run_cli(tmp_path, cfg)
+    assert code == 0
+    assert capsys.readouterr().out == json.dumps(summary) + "\n"
+    assert json.loads((out / "summary.json").read_text()) == summary
+    assert sorted(os.listdir(out)) == ["metrics.csv", "summary.json", "trajectory.csv"]
+    for name in ("trajectory.csv", "metrics.csv"):
+        assert (out / name).read_bytes() == (tmp_path / name).read_bytes(), name
+
+
+def test_simulate_rhs_error_mid_run_leaves_no_csv(tmp_path, monkeypatch, capsys):
+    calls = []
+
+    def failing(params, X):
+        calls.append(1)
+        if len(calls) > 40:  # ten steps in
+            raise ContractError("injected failure")
+        return rhs_vanilla(params, X)
+
+    monkeypatch.setattr(dynamics, "rhs_vanilla", failing)
+    monkeypatch.setattr(analyze, "PAIR_BLOCK_ENTRIES", _block_entries(3, 2, 2))  # blocks were written before the failure
+    code, out = run_cli(tmp_path, simulate_cfg())
+    assert code == 3 and "rhs evaluation failed at t=0.1" in capsys.readouterr().err
+    assert os.listdir(out) == []
+
+
+def _simulate_peak_bytes(tmp_path, T):
+    cfg = simulate_cfg(params={"kind": "random", "D": 8, "seed": 3, "scale": 0.5},
+                       tokens={"kind": "random", "L": 64, "seed": 4},
+                       integrator={"h": 0.01, "T": T, "record_stride": 1})
+    tracemalloc.start()
+    try:
+        assert run_cli(tmp_path, cfg)[0] == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_simulate_memory_independent_of_horizon(tmp_path, capsys):
+    _simulate_peak_bytes(tmp_path, 0.5)  # first-call allocations out of the way
+    short, long = _simulate_peak_bytes(tmp_path, 2.0), _simulate_peak_bytes(tmp_path, 8.0)
+    assert abs(long - short) < 0.1 * short, (short, long)
 
 
 def test_verify_convergence_scenario(tmp_path):

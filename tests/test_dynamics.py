@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from attnsim import quadspace
 from attnsim.dynamics import (
+    _softmax_rows,
     rhs_absolute,
     rhs_rotary,
     rhs_vanilla,
@@ -39,6 +42,40 @@ def test_rhs_vanilla_rejects_non_finite_logits():
     p = _plain(1, [[1.0]], [[1.0]], [[1.0]], Dk=1)
     with np.errstate(over="ignore"), pytest.raises(ContractError):
         rhs_vanilla(p, np.array([[1e200], [0.0]]))
+
+
+def _softmax_out_of_place(Z):
+    """The three-temporary formula the in-place softmax replaced: the oracle."""
+    E = np.exp(Z - Z.max(axis=1, keepdims=True))
+    return E / E.sum(axis=1, keepdims=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from([1e-3, 1.0, 30.0, 700.0, 1e300]),
+)
+def test_softmax_in_place_bitwise_equal_oracle(shape, seed, scale):
+    Z = scale * np.random.default_rng(seed).standard_normal(shape)
+    want = _softmax_out_of_place(Z)
+    got = _softmax_rows(Z)
+    assert got is Z  # the logits' own memory
+    assert got.tobytes() == want.tobytes()
+
+
+def test_rhs_vanilla_peak_memory_below_one_and_a_half_logit_arrays():
+    L, D = 256, 8
+    p = random_params(D, 3)
+    X = np.random.default_rng(4).standard_normal((L, D))
+    rhs_vanilla(p, X)
+    tracemalloc.start()
+    try:
+        rhs_vanilla(p, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * L * L * 8
 
 
 def test_rhs_vanilla_single_token():

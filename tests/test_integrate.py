@@ -21,6 +21,14 @@ def test_config_validation():
         IntegratorConfig(record_stride=0)
 
 
+@pytest.mark.parametrize("kwargs", [{"h": float("nan")}, {"h": float("inf")}, {"T": float("nan")}, {"T": float("inf")},
+                                    {"blowup_norm": float("nan")}])
+def test_config_rejects_non_finite_values(kwargs):
+    with pytest.raises(DomainError):
+        IntegratorConfig(**kwargs)
+    IntegratorConfig(blowup_norm=float("inf"))  # no guard
+
+
 def test_zero_rhs_keeps_state():
     X0 = np.array([[1.0, 2.0], [3.0, 4.0]])
     traj = integrate(lambda X: np.zeros_like(X), X0, IntegratorConfig(h=0.1, T=1.0))
@@ -257,11 +265,19 @@ def test_integrate_bitwise_equal_two_path_oracle(X0, poison, at, field, m_seed, 
     with np.errstate(all="ignore"):
         got = _run(integrate, rhs, X0, config)
         want = _run(_oracle_integrate, rhs, X0, config)
+        streamed = []
+        ends = _run(integrate, rhs, X0, config, lambda t, X: streamed.append((t, X)))
     if isinstance(want, str):
-        assert got == want
+        assert got == want and ends == want
         return
     times, states, terminated, blowup_time = want
     assert got.times.tobytes() == times.tobytes()
     assert got.states.shape == states.shape and got.states.tobytes() == states.tobytes()
     assert got.terminated is terminated
     assert got.blowup_time == blowup_time
+    # a sink sees every sample as taken; the result keeps the first and the last
+    assert np.array([t for t, _ in streamed]).tobytes() == times.tobytes()
+    assert np.array([X for _, X in streamed]).tobytes() == states.tobytes()
+    keep = [0] if len(times) == 1 else [0, -1]
+    assert ends.times.tobytes() == times[keep].tobytes() and ends.states.tobytes() == states[keep].tobytes()
+    assert (ends.terminated, ends.blowup_time) == (terminated, blowup_time)

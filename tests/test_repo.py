@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from attnsim import cli, dynamics, integrate
+from attnsim import analyze, cli, dynamics, integrate
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -42,10 +42,11 @@ SIMULATE = {"schema_version": 1, "mode": "simulate", "params": {"kind": "random"
 ROTARY_PARAMS = {"kind": "matrices", "Q": [[1.0, 0.0], [0.0, 1.0]], "K": [[0.5, 0.0], [0.0, 0.5]], "V": [[-1.0, 0.0], [0.0, -1.0]],
                  "rope": {"Qbar": [[1.0, 0.0], [0.0, 1.0]], "Kbar": [[1.0, 0.0], [0.0, 1.0]]}}
 TRACED_RUNS = {
-    "vanilla": (SIMULATE, ["integrate.rk4_step", "dynamics.rhs_vanilla"]),
-    "rotary": ({**SIMULATE, "params": ROTARY_PARAMS, "posenc": {"kind": "rotary"}}, ["integrate.rk4_step", "dynamics.rhs_rotary"]),
+    "vanilla": (SIMULATE, ["integrate.rk4_step", "dynamics.rhs_vanilla", "analyze.trajectory_metrics"]),
+    "rotary": ({**SIMULATE, "params": ROTARY_PARAMS, "posenc": {"kind": "rotary"}},
+               ["integrate.rk4_step", "dynamics.rhs_rotary", "analyze.trajectory_metrics"]),
     "given": ({**SIMULATE, "posenc": {"kind": "given", "rows": [[0.1, 0.0], [0.0, 0.1], [0.2, -0.1]]}},
-              ["integrate.rk4_step", "dynamics.rhs_vanilla"]),
+              ["integrate.rk4_step", "dynamics.rhs_vanilla", "analyze.trajectory_metrics"]),
     "sweep": ({"schema_version": 1, "mode": "sweep", "sweep": {"scenario": "convergence", "D": 4, "seed_count": 1, "horizon": 1.0}},
               ["integrate.rk4_step", "cli.rhs_vanilla"]),
 }
@@ -56,7 +57,8 @@ def test_cli_runs_through_traced_names(tmp_path, monkeypatch, run):
     # perfbench's per-layer rows count calls by replacing these attributes;
     # a CLI path that bypasses them would leave those rows at 0
     counts = {}
-    for module, name in ((integrate, "rk4_step"), (dynamics, "rhs_vanilla"), (cli, "rhs_vanilla"), (dynamics, "rhs_rotary")):
+    for module, name in ((integrate, "rk4_step"), (dynamics, "rhs_vanilla"), (cli, "rhs_vanilla"), (dynamics, "rhs_rotary"),
+                         (analyze, "trajectory_metrics")):
         key = f"{module.__name__.split('.')[-1]}.{name}"
 
         def counted(*args, _fn=getattr(module, name), _key=key, **kwargs):
