@@ -372,7 +372,7 @@ VERIFY_TOLERANCES = {
 }
 
 
-def _resolve_tolerances(tolerances) -> dict:
+def resolve_tolerances(tolerances) -> dict:
     """VERIFY_TOLERANCES updated by the overrides, each of which must name a
     known tolerance and be a finite non-negative number (not a bool), or
     None where the default is a formula in h."""
@@ -400,7 +400,7 @@ def run_checks(traj: Trajectory, params: ModelParams, P=None, tolerances: dict |
     gating all_passed. tolerances override VERIFY_TOLERANCES; a malformed
     override raises ConfigError before any check runs.
     """
-    tol = _resolve_tolerances(tolerances)
+    tol = resolve_tolerances(tolerances)
     report = VerificationReport()
     if params.rope is not None:
         report.skipped.extend(

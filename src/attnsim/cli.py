@@ -17,7 +17,7 @@ import contextlib
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -25,7 +25,7 @@ import numpy as np
 from . import analyze, quadspace
 from .analyze import run_checks  # by name: perfbench's `cli.run_checks` span wraps it here
 from .dynamics import rhs_for, rhs_vanilla, sinusoidal_encoding
-from .errors import AttnSimError, ConfigError, DomainError, ShapeError
+from .errors import AttnSimError, ConfigError, DomainError
 from .integrate import IntegratorConfig, integrate, stable_step
 from .params import (
     LambdaKind,
@@ -82,28 +82,40 @@ def _matrix(value, where: str) -> np.ndarray:
     return M
 
 
+@contextlib.contextmanager
+def _section(where: str):
+    """Turn a ValueError or TypeError raised while a config section is built into ConfigError."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _optional(cfg: dict, **convert) -> dict:
+    """The keys of cfg named in convert, each converted; an absent key is
+    left out, so the constructor's own default applies."""
+    return {key: fn(cfg[key]) for key, fn in convert.items() if key in cfg}
+
+
 def _build_lambda_mod(cfg: dict) -> LambdaMod:
     _require_keys(cfg, {"kind", "lambda", "diag"}, {"kind", "lambda"}, "params.rope.lambda_mod")
-    kind = {"identity_scaled": LambdaKind.IDENTITY_SCALED, "diag_scaled": LambdaKind.DIAG_SCALED}.get(cfg["kind"])
-    if kind is None:
-        raise ConfigError(f"lambda_mod.kind must be identity_scaled or diag_scaled, got {cfg['kind']!r}")
-    try:
-        return LambdaMod(kind=kind, lam=float(cfg["lambda"]), diag=np.asarray(cfg["diag"], dtype=float) if "diag" in cfg else None)
-    except (DomainError, ValueError, TypeError) as exc:
-        raise ConfigError(f"params.rope.lambda_mod: {exc}") from exc
+    with _section("params.rope.lambda_mod"):
+        return LambdaMod(kind=LambdaKind(cfg["kind"]), lam=float(cfg["lambda"]), **_optional(cfg, diag=np.asarray))
 
 
 def build_params(cfg: dict) -> ModelParams:
     _require_keys(cfg, set(cfg) if isinstance(cfg, dict) else set(), {"kind"}, "params")
     kind = cfg["kind"]
-    try:
+    with _section("params"):
         if kind == "scenario":
             _require_keys(cfg, {"kind", "scenario", "D", "seed", "symmetric"}, {"kind", "scenario", "D", "seed"}, "params")
-            scenario = Scenario(cfg["scenario"])
-            return build_scenario(ScenarioSpec(scenario=scenario, D=int(cfg["D"]), seed=int(cfg["seed"]), symmetric=bool(cfg.get("symmetric", False))))
+            spec = ScenarioSpec(scenario=Scenario(cfg["scenario"]), D=int(cfg["D"]), seed=int(cfg["seed"]), **_optional(cfg, symmetric=bool))
+            return build_scenario(spec)
         if kind == "random":
             _require_keys(cfg, {"kind", "D", "seed", "scale"}, {"kind", "D", "seed"}, "params")
-            return random_params(int(cfg["D"]), int(cfg["seed"]), float(cfg.get("scale", 1.0)))
+            return random_params(int(cfg["D"]), int(cfg["seed"]), **_optional(cfg, scale=float))
         if kind == "matrices":
             _require_keys(cfg, {"kind", "Q", "K", "V", "dk", "rope"}, {"kind", "Q", "K", "V"}, "params")
             Q, K, V = (_matrix(cfg[k], f"params.{k}") for k in ("Q", "K", "V"))
@@ -114,11 +126,9 @@ def build_params(cfg: dict) -> ModelParams:
                 rope = RopeParams(
                     Qbar=_matrix(rcfg["Qbar"], "params.rope.Qbar"),
                     Kbar=_matrix(rcfg["Kbar"], "params.rope.Kbar"),
-                    theta_base=float(rcfg.get("theta_base", 10000.0)),
-                    lambda_mod=_build_lambda_mod(rcfg["lambda_mod"]) if "lambda_mod" in rcfg else None,
+                    **_optional(rcfg, theta_base=float, lambda_mod=_build_lambda_mod),
                 )
-            D = Q.shape[0]
-            return ModelParams(D=D, Q=Q, K=K, V=V, Dk=int(cfg["dk"]) if "dk" in cfg else None, rope=rope)
+            return ModelParams(D=Q.shape[0], Q=Q, K=K, V=V, Dk=int(cfg["dk"]) if "dk" in cfg else None, rope=rope)
         if kind == "effective":
             _require_keys(cfg, {"kind", "W", "A", "V"}, {"kind", "W"}, "params")
             W = _matrix(cfg["W"], "params.W")
@@ -127,10 +137,6 @@ def build_params(cfg: dict) -> ModelParams:
             if "A" in cfg:
                 return params_from_w_and_a(W, _matrix(cfg["A"], "params.A"))
             return params_from_w_and_v(W, _matrix(cfg["V"], "params.V"))
-    except ConfigError:
-        raise
-    except (DomainError, ShapeError, ValueError, TypeError) as exc:
-        raise ConfigError(f"params: {exc}") from exc
     raise ConfigError(f"params.kind must be one of scenario/random/matrices/effective, got {kind!r}")
 
 
@@ -147,7 +153,7 @@ def build_positions(cfg: dict | None, params: ModelParams, L: int) -> np.ndarray
         if ("rows" in cfg) != (kind == "given"):
             raise ConfigError("posenc.rows is required with kind = given and valid only there")
     if (kind == "rotary") != (params.rope is not None):
-        raise ConfigError("rope parameters must be present exactly when posenc is rotary")
+        raise ConfigError("posenc: rope parameters must be present exactly when posenc is rotary")
     if kind == "sinusoidal":
         return sinusoidal_encoding(L, params.D)
     if kind == "given":
@@ -160,62 +166,45 @@ def build_positions(cfg: dict | None, params: ModelParams, L: int) -> np.ndarray
 
 def build_tokens(cfg: dict, D: int) -> np.ndarray:
     _require_keys(cfg, {"kind", "rows", "L", "seed", "scale", "mean_norm", "spread", "direction"}, {"kind"}, "tokens")
-    try:
-        return _build_tokens_checked(cfg, D)
-    except ConfigError:
-        raise
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"tokens: {exc}") from exc
-
-
-def _build_tokens_checked(cfg: dict, D: int) -> np.ndarray:
     kind = cfg["kind"]
-    if kind == "explicit":
-        _require_keys(cfg, {"kind", "rows"}, {"kind", "rows"}, "tokens")
-        X0 = _matrix(cfg["rows"], "tokens.rows")
-    elif kind == "random":
-        _require_keys(cfg, {"kind", "L", "seed", "scale"}, {"kind", "L", "seed"}, "tokens")
-        rng = generator(int(cfg["seed"]))
-        X0 = float(cfg.get("scale", 1.0)) * rng.standard_normal((int(cfg["L"]), D))
-    elif kind == "cluster":
-        # tight cluster: seeded mean direction scaled to mean_norm, plus
-        # Gaussian offsets of std spread * mean_norm
-        _require_keys(cfg, {"kind", "L", "seed", "mean_norm", "spread", "direction"}, {"kind", "L", "seed"}, "tokens")
-        rng = generator(int(cfg["seed"]))
-        mean_norm = float(cfg.get("mean_norm", 1.0))
-        spread = float(cfg.get("spread", 1e-4))
-        if "direction" in cfg:
-            m = np.asarray(cfg["direction"], dtype=float)
-            if m.shape != (D,) or not np.isfinite(m).all() or not m.any():
-                raise ConfigError(f"tokens.direction must have {D} finite entries, not all zero")
+    with _section("tokens"):
+        if kind == "explicit":
+            _require_keys(cfg, {"kind", "rows"}, {"kind", "rows"}, "tokens")
+            X0 = _matrix(cfg["rows"], "tokens.rows")
+        elif kind == "random":
+            _require_keys(cfg, {"kind", "L", "seed", "scale"}, {"kind", "L", "seed"}, "tokens")
+            rng = generator(int(cfg["seed"]))
+            X0 = float(cfg.get("scale", 1.0)) * rng.standard_normal((int(cfg["L"]), D))
+        elif kind == "cluster":
+            # tight cluster: seeded mean direction scaled to mean_norm, plus
+            # Gaussian offsets of std spread * mean_norm
+            _require_keys(cfg, {"kind", "L", "seed", "mean_norm", "spread", "direction"}, {"kind", "L", "seed"}, "tokens")
+            rng = generator(int(cfg["seed"]))
+            mean_norm = float(cfg.get("mean_norm", 1.0))
+            spread = float(cfg.get("spread", 1e-4))
+            if "direction" in cfg:
+                m = np.asarray(cfg["direction"], dtype=float)
+                if m.shape != (D,) or not np.isfinite(m).all() or not m.any():
+                    raise ConfigError(f"tokens.direction must have {D} finite entries, not all zero")
+            else:
+                m = rng.standard_normal(D)
+            m = m * (mean_norm / np.linalg.norm(m))
+            X0 = m + spread * mean_norm * rng.standard_normal((int(cfg["L"]), D))
         else:
-            m = rng.standard_normal(D)
-        m = m * (mean_norm / np.linalg.norm(m))
-        X0 = m + spread * mean_norm * rng.standard_normal((int(cfg["L"]), D))
-    else:
-        raise ConfigError(f"tokens.kind must be explicit/random/cluster, got {kind!r}")
+            raise ConfigError(f"tokens.kind must be explicit/random/cluster, got {kind!r}")
     if X0.shape[1] != D:
         raise ConfigError(f"tokens have dimension {X0.shape[1]}, params have D={D}")
     if X0.shape[0] < 1:
-        raise ConfigError("need at least one token")
+        raise ConfigError("tokens: need at least one token")
     if not np.isfinite(X0).all():
         raise ConfigError("tokens: entries must be finite")
     return X0
 
 
-def build_integrator(cfg: dict | None) -> IntegratorConfig:
-    if cfg is None:
-        return IntegratorConfig()
+def build_integrator(cfg: dict) -> IntegratorConfig:
     _require_keys(cfg, {"h", "T", "record_stride", "blowup_norm"}, set(), "integrator")
-    try:
-        return IntegratorConfig(
-            h=float(cfg.get("h", 1e-2)),
-            T=float(cfg.get("T", 10.0)),
-            record_stride=int(cfg.get("record_stride", 1)),
-            blowup_norm=float(cfg.get("blowup_norm", 1e8)),
-        )
-    except (DomainError, ValueError, TypeError) as exc:
-        raise ConfigError(f"integrator: {exc}") from exc
+    with _section("integrator"):
+        return IntegratorConfig(**_optional(cfg, h=float, T=float, record_stride=int, blowup_norm=float))
 
 
 def load_config(path: str) -> dict:
@@ -226,8 +215,6 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError("config root must be an object")
     _require_keys(
         cfg,
         {"schema_version", "mode", "params", "posenc", "tokens", "integrator", "verify", "sweep", "spectra"},
@@ -235,19 +222,17 @@ def load_config(path: str) -> dict:
         "config",
     )
     if cfg["schema_version"] != SCHEMA_VERSION:
-        raise ConfigError(f"unsupported schema_version {cfg['schema_version']!r} (expected {SCHEMA_VERSION})")
+        raise ConfigError(f"config: unsupported schema_version {cfg['schema_version']!r} (expected {SCHEMA_VERSION})")
     if cfg["mode"] not in MODES:
-        raise ConfigError(f"mode must be one of {MODES}, got {cfg['mode']!r}")
+        raise ConfigError(f"config.mode must be one of {MODES}, got {cfg['mode']!r}")
     return cfg
 
 
 def _prepare_run(cfg: dict):
-    if "params" not in cfg or "tokens" not in cfg:
-        raise ConfigError(f"{cfg['mode']} mode needs params and tokens sections")
-    params = build_params(cfg["params"])
-    X0 = build_tokens(cfg["tokens"], params.D)
+    params = build_params(cfg.get("params", {}))
+    X0 = build_tokens(cfg.get("tokens", {}), params.D)
     P = build_positions(cfg.get("posenc"), params, X0.shape[0])
-    icfg = build_integrator(cfg.get("integrator"))
+    icfg = build_integrator(cfg.get("integrator", {}))
     return params, X0, icfg, rhs_for(params, P), P
 
 
@@ -339,9 +324,10 @@ def run_simulate(cfg: dict, out_dir: str) -> int:
 
 
 def run_verify(cfg: dict, out_dir: str) -> int:
+    tolerances = analyze.resolve_tolerances(cfg.get("verify"))
     params, X0, icfg, rhs, P = _prepare_run(cfg)
     traj = integrate(rhs, X0, icfg)
-    report = run_checks(traj, params, P, cfg.get("verify"))
+    report = run_checks(traj, params, P, tolerances)
 
     text = report.to_text()
     print(text)
@@ -355,30 +341,54 @@ def run_verify(cfg: dict, out_dir: str) -> int:
     return EXIT_OK if report.all_passed else EXIT_CHECK_FAILED
 
 
-DEFAULT_SWEEP_TOKENS = {"kind": "cluster", "L": 4, "mean_norm": 1.0, "spread": 1e-4}
-
-
 @dataclass(frozen=True)
 class SweepPlan:
-    """The sweep section, parsed once; every seed runs from it."""
+    """The sweep section, parsed once: one field per key, defaulted when the key is absent."""
 
-    scenario: Scenario | None  # None draws random_params
     D: int
-    scale: float
-    symmetric: bool
-    tokens: dict
-    horizon: float | None  # None: from the slowest mean-mode rate of V
-    h_cap: float
-    t_max: float
-    blowup_norm: float
+    seed_count: int
+    seed_start: int = 0
+    scenario: Scenario | None = None  # None draws random_params
+    scale: float | None = None  # None: random_params' default
+    symmetric: bool | None = None  # None: ScenarioSpec's default
+    tokens: dict = field(default_factory=lambda: {"kind": "cluster", "L": 4})
+    horizon: float | None = None  # None: from the slowest mean-mode rate of V
+    h_cap: float = 5e-2
+    t_max: float = 1500.0
+    blowup_norm: float | None = None  # None: IntegratorConfig's default
+
+
+def _given(**kwargs) -> dict:
+    """The keyword arguments that are not None; the rest keep the callee's defaults."""
+    return {key: value for key, value in kwargs.items() if value is not None}
+
+
+def build_sweep_plan(cfg: dict) -> SweepPlan:
+    _require_keys(cfg, {f.name for f in fields(SweepPlan)}, {"D", "seed_count"}, "sweep")
+    with _section("sweep"):
+        plan = SweepPlan(**_optional(
+            cfg, D=int, seed_count=int, seed_start=int, scale=float, symmetric=bool, tokens=dict,
+            scenario=lambda s: None if s == "random" else Scenario(s), horizon=lambda v: None if v == "auto" else float(v),
+            h_cap=float, t_max=float, blowup_norm=float,
+        ))
+    if plan.seed_count < 1:
+        raise ConfigError("sweep.seed_count must be >= 1")
+    if plan.D < 2:
+        raise ConfigError("sweep.D must be >= 2")
+    if not (all(v is None or v > 0 for v in (plan.h_cap, plan.t_max, plan.blowup_norm))
+            and all(v is None or 0 < v < np.inf for v in (plan.scale, plan.horizon))):
+        raise ConfigError("sweep: scale, h_cap, t_max, blowup_norm and horizon must be positive, scale and horizon finite")
+    if "seed" in plan.tokens:
+        raise ConfigError("sweep.tokens: no seed; each token seed is derived from its sweep seed")
+    return plan
 
 
 def _sweep_one(args):
     plan, seed, token_seed = args
     if plan.scenario is None:
-        params = random_params(plan.D, seed, plan.scale)
+        params = random_params(plan.D, seed, **_given(scale=plan.scale))
     else:
-        params = build_scenario(ScenarioSpec(scenario=plan.scenario, D=plan.D, seed=seed, symmetric=plan.symmetric))
+        params = build_scenario(ScenarioSpec(scenario=plan.scenario, D=plan.D, seed=seed, **_given(symmetric=plan.symmetric)))
     W, A = derive_W_A(params)
     pos_w = int(np.sum(np.linalg.eigvalsh(quadspace.sym(W)) > 0))
     pos_a = int(np.sum(np.linalg.eigvalsh(quadspace.sym(A)) > 0))
@@ -390,7 +400,7 @@ def _sweep_one(args):
         T = float(np.clip(9.0 / max(rate, 1e-9), 10.0, plan.t_max))
     else:
         T = plan.horizon
-    icfg = IntegratorConfig(h=h, T=T, record_stride=max(1, int(T / h / 512)), blowup_norm=plan.blowup_norm)
+    icfg = IntegratorConfig(h=h, T=T, record_stride=max(1, int(T / h / 512)), **_given(blowup_norm=plan.blowup_norm))
     traj = integrate(lambda X: rhs_vanilla(params, X), X0, icfg)
     start, end = analyze.endpoint_mean_norms(traj)
     return {
@@ -406,41 +416,10 @@ def _sweep_one(args):
 
 
 def run_sweep(cfg: dict, out_dir: str, jobs: int) -> int:
-    scfg = cfg.get("sweep")
-    if scfg is None:
-        raise ConfigError("sweep mode needs a sweep section")
-    _require_keys(
-        scfg,
-        {"scenario", "D", "seed_start", "seed_count", "scale", "symmetric", "tokens", "horizon", "h_cap", "t_max", "blowup_norm"},
-        {"D", "seed_count"},
-        "sweep",
-    )
-    try:
-        scenario, horizon = scfg.get("scenario", "random"), scfg.get("horizon", "auto")
-        plan = SweepPlan(
-            scenario=None if scenario == "random" else Scenario(scenario),
-            D=int(scfg["D"]),
-            scale=float(scfg.get("scale", 1.0)),
-            symmetric=bool(scfg.get("symmetric", False)),
-            tokens=dict(scfg.get("tokens", DEFAULT_SWEEP_TOKENS)),
-            horizon=None if horizon == "auto" else float(horizon),
-            h_cap=float(scfg.get("h_cap", 5e-2)),
-            t_max=float(scfg.get("t_max", 1500.0)),
-            blowup_norm=float(scfg.get("blowup_norm", 1e8)),
-        )
-        start, count = int(scfg.get("seed_start", 0)), int(scfg["seed_count"])
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"sweep: {exc}") from exc
-    if count < 1:
-        raise ConfigError("sweep.seed_count must be >= 1")
-    if plan.D < 2:
-        raise ConfigError("sweep.D must be >= 2")
-    finite = (plan.scale,) if plan.horizon is None else (plan.scale, plan.horizon)
-    if not (all(v > 0 for v in (plan.h_cap, plan.t_max, plan.blowup_norm)) and all(0 < v < np.inf for v in finite)):
-        raise ConfigError("sweep: scale, h_cap, t_max, blowup_norm and horizon must be positive, scale and horizon finite")
+    plan = build_sweep_plan(cfg.get("sweep", {}))
     # each token seed is keyed by its own parameter seed, so a seed's row
     # does not depend on the window it was swept in
-    work = [(plan, s, spawn_seeds(s + 7_777_777, 1)[0]) for s in range(start, start + count)]
+    work = [(plan, s, spawn_seeds(s + 7_777_777, 1)[0]) for s in range(plan.seed_start, plan.seed_start + plan.seed_count)]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # only parallel sweeps pay for the import
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -471,14 +450,10 @@ def run_sweep(cfg: dict, out_dir: str, jobs: int) -> int:
 
 
 def run_spectra(cfg: dict, out_dir: str) -> int:
-    pcfg = cfg.get("spectra")
-    if pcfg is None:
-        raise ConfigError("spectra mode needs a spectra section")
+    pcfg = cfg.get("spectra", {})
     _require_keys(pcfg, {"sets", "eps"}, {"sets"}, "spectra")
-    try:
-        eps = float(pcfg.get("eps", 1e-3))
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"spectra: {exc}") from exc
+    with _section("spectra"):
+        options = _optional(pcfg, eps=float)
     sets = pcfg["sets"]
     if not isinstance(sets, list) or not sets:
         raise ConfigError("spectra.sets must be a nonempty list")
@@ -490,24 +465,21 @@ def run_spectra(cfg: dict, out_dir: str) -> int:
         except (DomainError, OSError) as exc:
             raise ConfigError(f"spectra.sets[{i}]: {exc}") from exc
 
-    per_set = [eigen_stats([q], [k], [v], eps=eps) for q, k, v in triples]
+    per_set = [eigen_stats([q], [k], [v], **options) for q, k, v in triples]
+    # the aggregates are over the per-set percentages; A_sym has none where V is singular
+    summary = {"mode": "spectra", "n_sets": len(per_set)}
     with open(os.path.join(out_dir, "spectra.csv"), "w") as fh:
         fh.write("set,pct_pos_Wsym,pct_pos_Asym,pct_near_zero_V,singular_V\n")
         for i, s in enumerate(per_set):
             fh.write(f"{i},{_fmt(s.pct_pos_Wsym)},{_fmt(s.pct_pos_Asym)},{_fmt(s.pct_near_zero_V)},{s.n_singular_V}\n")
-        for name, attr in (("pct_pos_Wsym", "pct_pos_Wsym"), ("pct_pos_Asym", "pct_pos_Asym"), ("pct_near_zero_V", "pct_near_zero_V")):
-            vals = np.array([getattr(s, attr) for s in per_set])
+        for name in ("pct_pos_Wsym", "pct_pos_Asym", "pct_near_zero_V"):
+            vals = np.array([getattr(s, name) for s in per_set])
             vals = vals[np.isfinite(vals)]
-            fh.write(f"aggregate_{name},{_fmt(vals.mean())},{_fmt(vals.std())},,\n")
-    agg = eigen_stats([t[0] for t in triples], [t[1] for t in triples], [t[2] for t in triples], eps=eps)
-    print(json.dumps({
-        "mode": "spectra",
-        "n_sets": agg.n_sets,
-        "pct_pos_Wsym": agg.pct_pos_Wsym,
-        "pct_pos_Asym": agg.pct_pos_Asym,
-        "pct_near_zero_V": agg.pct_near_zero_V,
-        "singular_V": agg.n_singular_V,
-    }))
+            mean, std = (float(vals.mean()), vals.std()) if vals.size else (float("nan"), float("nan"))
+            fh.write(f"aggregate_{name},{_fmt(mean)},{_fmt(std)},,\n")
+            summary[name] = mean
+    summary["singular_V"] = sum(s.n_singular_V for s in per_set)
+    print(json.dumps(summary))
     return EXIT_OK
 
 

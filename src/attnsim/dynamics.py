@@ -110,7 +110,10 @@ def rhs_rotary(params: ModelParams, X) -> np.ndarray:
     rot = np.empty_like(Y)  # row l turned by R(l), feature pair by pair
     rot[..., 0::2] = c * Y[..., 0::2] - s * Y[..., 1::2]
     rot[..., 1::2] = s * Y[..., 0::2] + c * Y[..., 1::2]
-    P = _softmax_rows(X @ W @ X.T + rot[0] @ rot[1].T / np.sqrt(params.Dk))
+    Z = rot[0] @ rot[1].T  # plus X @ W @ X.T, summed in place: two L x L arrays at most
+    Z /= np.sqrt(params.Dk)
+    Z += X @ W @ X.T
+    P = _softmax_rows(Z)
     return (P @ X) @ params.V
 
 

@@ -98,26 +98,28 @@ def integrate(rhs, X0, config: IntegratorConfig, sink=None) -> Trajectory:
     sink(*first)
     terminated, blowup_time = Termination.HORIZON_REACHED, None
     n, h, stride, bound = config.n_steps, config.h, config.record_stride, config.blowup_norm
-    for k in range(n):
-        try:
-            X = rk4_step(rhs, X, h)
-        except Exception as exc:
-            raise IntegrationError(f"rhs evaluation failed at t={k * h:.6g}") from exc
-        # s is nan iff an entry is nan, and inf iff an entry is inf or a
-        # finite square overflows; only the last case is a recordable state
-        s = np.add.reduce(X * X, axis=1).max()
-        if not math.isfinite(s) and not np.isfinite(X).all():
-            terminated, blowup_time = Termination.BLOW_UP, k * h
-            break
-        # the decision of np.linalg.norm(X, axis=1).max() > bound, bit for
-        # bit: norm is this IEEE sqrt of a row sum, and sqrt is monotone
-        blown = math.sqrt(s) > bound
-        if blown or (k + 1) % stride == 0 or k == n - 1:
-            last = ((k + 1) * h, X)  # rk4_step returns a fresh array
-            sink(*last)
-        if blown:
-            terminated, blowup_time = Termination.BLOW_UP, (k + 1) * h
-            break
+    # overflow and nan are this loop's to detect, not numpy's to warn about
+    with np.errstate(all="ignore"):
+        for k in range(n):
+            try:
+                X = rk4_step(rhs, X, h)
+            except Exception as exc:
+                raise IntegrationError(f"rhs evaluation failed at t={k * h:.6g}") from exc
+            # s is nan iff an entry is nan, and inf iff an entry is inf or a
+            # finite square overflows; only the last case is a recordable state
+            s = np.add.reduce(X * X, axis=1).max()
+            if not math.isfinite(s) and not np.isfinite(X).all():
+                terminated, blowup_time = Termination.BLOW_UP, k * h
+                break
+            # the decision of np.linalg.norm(X, axis=1).max() > bound, bit for
+            # bit: norm is this IEEE sqrt of a row sum, and sqrt is monotone
+            blown = math.sqrt(s) > bound
+            if blown or (k + 1) % stride == 0 or k == n - 1:
+                last = ((k + 1) * h, X)  # rk4_step returns a fresh array
+                sink(*last)
+            if blown:
+                terminated, blowup_time = Termination.BLOW_UP, (k + 1) * h
+                break
     if not samples:  # streamed: keep the endpoints
         samples = [first] if last is first else [first, last]
     times, states = zip(*samples)

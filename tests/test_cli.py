@@ -11,12 +11,33 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import attnsim
-from attnsim import analyze, dynamics, quadspace
-from attnsim.cli import _fmt, _prepare_run, load_config, main, write_metrics_csv, write_trajectory_csv
+from attnsim import analyze, cli, dynamics, quadspace
+from attnsim import integrate as integrate_module
+from attnsim.cli import (
+    _fmt,
+    _prepare_run,
+    _sweep_one,
+    build_integrator,
+    build_params,
+    build_sweep_plan,
+    load_config,
+    main,
+    write_metrics_csv,
+    write_trajectory_csv,
+)
 from attnsim.dynamics import rhs_absolute, rhs_vanilla
 from attnsim.errors import ContractError
 from attnsim.integrate import IntegratorConfig, Termination, Trajectory, integrate
-from attnsim.params import generator, params_from_w_and_v, random_params, save_matrix
+from attnsim.params import (
+    RopeParams,
+    Scenario,
+    ScenarioSpec,
+    build_scenario,
+    generator,
+    params_from_w_and_v,
+    random_params,
+    save_matrix,
+)
 
 from cases import GROW_A, GROW_W, GROW_X0, ROPE_K, ROPE_KBAR, ROPE_Q, ROPE_QBAR
 
@@ -55,9 +76,9 @@ def test_unknown_nested_key_rejected(tmp_path):
 
 
 @pytest.mark.parametrize("section", ["params", "posenc", "tokens", "integrator"])
-def test_section_not_an_object_exits_2(tmp_path, section):
+def test_section_not_an_object_exits_2(tmp_path, capsys, section):
     code, _ = run_cli(tmp_path, simulate_cfg(**{section: 5}))
-    assert code == 2
+    assert code == 2 and capsys.readouterr().err == f"error: {section} must be an object\n"
 
 
 def test_missing_schema_version(tmp_path):
@@ -173,9 +194,9 @@ def test_simulate_given_positions_match_absolute_field(tmp_path):
     ids=["missing_rows", "too_few_rows", "too_many_columns", "not_a_matrix", "rows_with_sinusoidal", "rotary_without_rope", "unknown_kind",
          "unhashable_kind"],
 )
-def test_malformed_posenc_exits_2(tmp_path, posenc):
+def test_malformed_posenc_exits_2(tmp_path, capsys, posenc):
     code, _ = run_cli(tmp_path, simulate_cfg(posenc=posenc))
-    assert code == 2
+    assert code == 2 and capsys.readouterr().err.startswith("error: posenc")
 
 
 def fmt_oracle(x):
@@ -286,7 +307,7 @@ def test_non_finite_config_values_exit_2(tmp_path, capsys, case):
         cfg["posenc"] = {"kind": "rotary"}
     code, out = run_cli(tmp_path, cfg)
     err = capsys.readouterr().err
-    assert code == 2 and err.startswith("error:") and "Traceback" not in err
+    assert code == 2 and err.startswith(f"error: {section}") and "Traceback" not in err
     assert os.listdir(out) == []
 
 
@@ -493,16 +514,21 @@ def test_run_checks_matches_cli_report(tmp_path):
 
 @pytest.mark.parametrize(
     "verify",
-    [{"hull_tol": "abc"}, {"hull_tol": -1e-4}, {"hull_tol": None}, {"hull_tol": float("inf")}, {"hull_tol": True}, 5],
-    ids=["string", "negative", "null", "infinite", "bool", "not_an_object"],
+    [{"hull_tol": "abc"}, {"hull_tol": -1e-4}, {"hull_tol": None}, {"hull_tol": float("inf")}, {"hull_tol": True}, 5,
+     {"hul_tol": 1e-3}],
+    ids=["string", "negative", "null", "infinite", "bool", "not_an_object", "misspelt"],
 )
-def test_verify_malformed_tolerance_exits_2(tmp_path, verify):
+def test_verify_malformed_tolerance_exits_2(tmp_path, monkeypatch, capsys, verify):
     with open(os.path.join(CONFIGS, "verify_divergence.json")) as fh:
         cfg = json.load(fh)
     code, _ = run_cli(tmp_path, {**cfg, "verify": {"monotonicity_tol": None, "qa_rate_tol": None, "hull_tol": 1e-3}}, name="ok.json")
     assert code == 0  # null picks the formula default where there is one
+    capsys.readouterr()
+    steps, rk4_step = [], integrate_module.rk4_step
+    monkeypatch.setattr(integrate_module, "rk4_step", lambda *args: steps.append(1) or rk4_step(*args))
     code, _ = run_cli(tmp_path, {**cfg, "verify": verify})
-    assert code == 2
+    assert code == 2 and capsys.readouterr().err.startswith("error: verify")
+    assert steps == []  # the section is read before the run integrates
 
 
 def test_sweep_unknown_scenario_exits_2(tmp_path):
@@ -512,13 +538,42 @@ def test_sweep_unknown_scenario_exits_2(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "bad", [{"D": 1}, {"h_cap": 0.0}, {"blowup_norm": -1.0}, {"horizon": 0.0}, {"t_max": float("nan")}],
-    ids=["D_1", "h_cap_0", "blowup_norm_negative", "horizon_0", "t_max_nan"],
+    "bad",
+    [{"D": 1}, {"h_cap": 0.0}, {"blowup_norm": -1.0}, {"horizon": 0.0}, {"t_max": float("nan")},
+     {"tokens": {"kind": "cluster", "L": 3, "seed": 5}}],  # each sweep seed derives its own token seed
+    ids=["D_1", "h_cap_0", "blowup_norm_negative", "horizon_0", "t_max_nan", "tokens_seed"],
 )
-def test_sweep_out_of_range_value_exits_2(tmp_path, bad):
+def test_sweep_out_of_range_value_exits_2(tmp_path, capsys, bad):
     cfg = {"schema_version": 1, "mode": "sweep", "sweep": {"scenario": "convergence", "D": 2, "seed_count": 1, **bad}}
     code, _ = run_cli(tmp_path, cfg)
-    assert code == 2
+    assert code == 2 and capsys.readouterr().err.startswith("error: sweep")
+
+
+def test_omitted_keys_take_library_defaults(monkeypatch):
+    # move every library default a config may leave out: a CLI that kept a
+    # copy of one would not follow
+    monkeypatch.setattr(IntegratorConfig.__init__, "__defaults__", (0.02, 3.0, 2, 1e6))
+    monkeypatch.setattr(random_params, "__defaults__", (0.5,))
+    monkeypatch.setattr(ScenarioSpec.__init__, "__defaults__", (True,))
+    monkeypatch.setattr(RopeParams.__init__, "__defaults__", (500.0, None))
+    assert build_integrator({}) == IntegratorConfig(h=0.02, T=3.0, record_stride=2, blowup_norm=1e6)
+    assert build_params({"kind": "random", "D": 3, "seed": 1}).Q.tobytes() == random_params(3, 1, 0.5).Q.tobytes()
+    scenario = build_params({"kind": "scenario", "scenario": "convergence", "D": 3, "seed": 1})
+    assert scenario.V.tobytes() == build_scenario(ScenarioSpec(Scenario.CONVERGENCE, 3, 1, True)).V.tobytes()
+    eye = np.eye(2).tolist()
+    assert build_params({"kind": "matrices", "Q": eye, "K": eye, "V": eye, "rope": {"Qbar": eye, "Kbar": eye}}).rope.theta_base == 500.0
+
+    plan = build_sweep_plan({"D": 2, "seed_count": 1})
+    assert (plan.seed_start, plan.scenario, plan.horizon, plan.h_cap, plan.t_max) == (0, None, None, 5e-2, 1500.0)
+    assert plan.tokens == {"kind": "cluster", "L": 4}
+    blowup_norms = []
+    monkeypatch.setattr(cli, "integrate", lambda rhs, X0, icfg: blowup_norms.append(icfg.blowup_norm) or integrate(rhs, X0, icfg))
+    for section, given in (({"D": 2}, {"scale": 0.5, "blowup_norm": 1e6}),
+                           ({"scenario": "convergence", "D": 2}, {"symmetric": True, "blowup_norm": 1e6})):
+        omitted, explicit = (_sweep_one((build_sweep_plan({**section, "seed_count": 1, "horizon": 1.0, **extra}), 3, 4))
+                             for extra in ({}, given))
+        assert omitted == explicit
+    assert blowup_norms == [1e6] * 4
 
 
 def test_sweep_small_range(tmp_path):
@@ -568,6 +623,26 @@ def test_package_entry_point_runs_cli():
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert proc.stdout.startswith("usage: attnsim")
+
+
+def test_numpy_warnings_stay_off_stderr(tmp_path):
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(attnsim.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    overflow = simulate_cfg(params={"kind": "effective", "W": np.eye(2).tolist(), "V": (2 * np.eye(2)).tolist()},
+                            tokens={"kind": "explicit", "rows": [[1.0, 0.2], [0.8, -0.1]]},
+                            integrator={"h": 0.05, "T": 400.0, "blowup_norm": float("inf")})  # logits overflow near t = 177
+    for i in range(2):
+        save_matrix(tmp_path / f"q{i}.txt", generator(i).standard_normal((3, 3)))
+    save_matrix(tmp_path / "zero.txt", np.zeros((3, 3)))
+    singular = {"schema_version": 1, "mode": "spectra",
+                "spectra": {"sets": [{"Q": str(tmp_path / "q0.txt"), "K": str(tmp_path / "q1.txt"), "V": str(tmp_path / "zero.txt")}] * 2}}
+    for name, cfg, code, stderr in (("overflow", overflow, 3, "error: rhs evaluation failed at t=177.45\n"),
+                                    ("singular", singular, 0, "")):
+        (tmp_path / f"{name}.json").write_text(json.dumps(cfg))
+        proc = subprocess.run([sys.executable, "-m", "attnsim", "--config", str(tmp_path / f"{name}.json"), "--out", str(tmp_path / name)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert (proc.returncode, proc.stderr) == (code, stderr)
 
 
 # Import the package and run the CLI in-process on the shipped configs,

@@ -78,6 +78,26 @@ def test_rhs_vanilla_peak_memory_below_one_and_a_half_logit_arrays():
     assert peak < 1.5 * L * L * 8
 
 
+@pytest.mark.parametrize("L", [128, 256])
+def test_rhs_rotary_peak_memory_below_two_and_a_half_logit_arrays(L):
+    # rhs_vanilla's bound plus the one array the rotary term needs before it
+    # is added in; at L = 128 a logit array is under the 256 KiB from which
+    # numpy elides temporaries, so only the in-place sum avoids a third
+    D = 8
+    p = random_params(D, 3)
+    r = generator(5)
+    p = _rope(D, p.Q, p.K, p.V, r.standard_normal((D, D)), r.standard_normal((D, D)), Dk=D)
+    X = np.random.default_rng(4).standard_normal((L, D))
+    rhs_rotary(p, X)
+    tracemalloc.start()
+    try:
+        rhs_rotary(p, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * L * L * 8
+
+
 def test_rhs_vanilla_single_token():
     rng = np.random.default_rng(0)
     V = rng.normal(size=(3, 3))

@@ -1,12 +1,17 @@
 """Checks that tie the package to the files around it: the README's library
-session, and the attribute names perfbench's tracer wraps."""
+session, the attribute names perfbench's tracer wraps, and the builders
+perfbench's set-up child calls."""
 
+import ast
 import contextlib
 import importlib
 import importlib.util
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -35,6 +40,20 @@ def test_perfbench_trace_sites_resolve():
     for module, attribute in sites:
         target = getattr(importlib.import_module(f"attnsim.{module}"), attribute, None)
         assert callable(target), f"perfbench traces attnsim.{module}.{attribute}, which is missing"
+
+
+def test_perfbench_setup_child_builds_shipped_configs():
+    # perfbench's setup_s runs this child on every config it builds; run it
+    # here (read from run.py, not imported) so that a renamed builder fails
+    # the suite instead of a benchmark run
+    tree = ast.parse((ROOT / "perfbench" / "run.py").read_text())
+    child = next(ast.literal_eval(node.value) for node in tree.body
+                 if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["SETUP_CHILD"])
+    paths = os.pathsep.join(filter(None, [str(ROOT / "src"), str(ROOT / "perfbench"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", child, *map(str, sorted((ROOT / "configs").glob("*.json")))],
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=paths), cwd=ROOT, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert {"import_s", "build_s"} <= set(json.loads(proc.stdout.splitlines()[-1]))
 
 
 SIMULATE = {"schema_version": 1, "mode": "simulate", "params": {"kind": "random", "D": 2, "seed": 1},
