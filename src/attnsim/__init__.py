@@ -16,7 +16,6 @@ from .dynamics import (
     rhs_absolute,
     rhs_rotary,
     rhs_vanilla,
-    rotation_matrix,
     sinusoidal_encoding,
 )
 from .integrate import IntegratorConfig, Termination, Trajectory, integrate as integrate_rhs, rk4_step, stable_step

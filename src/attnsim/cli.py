@@ -164,40 +164,40 @@ def build_positions(cfg: dict | None, params: ModelParams, L: int) -> np.ndarray
     return None
 
 
-def build_tokens(cfg: dict, D: int) -> np.ndarray:
-    _require_keys(cfg, {"kind", "rows", "L", "seed", "scale", "mean_norm", "spread", "direction"}, {"kind"}, "tokens")
+def build_tokens(cfg: dict, D: int, where: str = "tokens") -> np.ndarray:
+    _require_keys(cfg, {"kind", "rows", "L", "seed", "scale", "mean_norm", "spread", "direction"}, {"kind"}, where)
     kind = cfg["kind"]
-    with _section("tokens"):
+    with _section(where):
         if kind == "explicit":
-            _require_keys(cfg, {"kind", "rows"}, {"kind", "rows"}, "tokens")
-            X0 = _matrix(cfg["rows"], "tokens.rows")
+            _require_keys(cfg, {"kind", "rows"}, {"kind", "rows"}, where)
+            X0 = _matrix(cfg["rows"], f"{where}.rows")
         elif kind == "random":
-            _require_keys(cfg, {"kind", "L", "seed", "scale"}, {"kind", "L", "seed"}, "tokens")
+            _require_keys(cfg, {"kind", "L", "seed", "scale"}, {"kind", "L", "seed"}, where)
             rng = generator(int(cfg["seed"]))
             X0 = float(cfg.get("scale", 1.0)) * rng.standard_normal((int(cfg["L"]), D))
         elif kind == "cluster":
             # tight cluster: seeded mean direction scaled to mean_norm, plus
             # Gaussian offsets of std spread * mean_norm
-            _require_keys(cfg, {"kind", "L", "seed", "mean_norm", "spread", "direction"}, {"kind", "L", "seed"}, "tokens")
+            _require_keys(cfg, {"kind", "L", "seed", "mean_norm", "spread", "direction"}, {"kind", "L", "seed"}, where)
             rng = generator(int(cfg["seed"]))
             mean_norm = float(cfg.get("mean_norm", 1.0))
             spread = float(cfg.get("spread", 1e-4))
             if "direction" in cfg:
                 m = np.asarray(cfg["direction"], dtype=float)
                 if m.shape != (D,) or not np.isfinite(m).all() or not m.any():
-                    raise ConfigError(f"tokens.direction must have {D} finite entries, not all zero")
+                    raise ConfigError(f"{where}.direction must have {D} finite entries, not all zero")
             else:
                 m = rng.standard_normal(D)
             m = m * (mean_norm / np.linalg.norm(m))
             X0 = m + spread * mean_norm * rng.standard_normal((int(cfg["L"]), D))
         else:
-            raise ConfigError(f"tokens.kind must be explicit/random/cluster, got {kind!r}")
+            raise ConfigError(f"{where}.kind must be explicit/random/cluster, got {kind!r}")
     if X0.shape[1] != D:
-        raise ConfigError(f"tokens have dimension {X0.shape[1]}, params have D={D}")
+        raise ConfigError(f"{where} have dimension {X0.shape[1]}, params have D={D}")
     if X0.shape[0] < 1:
-        raise ConfigError("tokens: need at least one token")
+        raise ConfigError(f"{where}: need at least one token")
     if not np.isfinite(X0).all():
-        raise ConfigError("tokens: entries must be finite")
+        raise ConfigError(f"{where}: entries must be finite")
     return X0
 
 
@@ -380,7 +380,14 @@ def build_sweep_plan(cfg: dict) -> SweepPlan:
         raise ConfigError("sweep: scale, h_cap, t_max, blowup_norm and horizon must be positive, scale and horizon finite")
     if "seed" in plan.tokens:
         raise ConfigError("sweep.tokens: no seed; each token seed is derived from its sweep seed")
+    # the first seed's tokens, built here so that a bad section fails before any run
+    build_tokens({"seed": _token_seed(plan.seed_start), **plan.tokens}, plan.D, "sweep.tokens")
     return plan
+
+
+def _token_seed(seed: int) -> int:
+    """Keyed by the parameter seed alone, so a seed's row does not depend on its sweep window."""
+    return spawn_seeds(seed + 7_777_777, 1)[0]
 
 
 def _sweep_one(args):
@@ -392,7 +399,7 @@ def _sweep_one(args):
     W, A = derive_W_A(params)
     pos_w = int(np.sum(np.linalg.eigvalsh(quadspace.sym(W)) > 0))
     pos_a = int(np.sum(np.linalg.eigvalsh(quadspace.sym(A)) > 0))
-    X0 = build_tokens({"seed": token_seed, **plan.tokens}, plan.D)
+    X0 = build_tokens({"seed": token_seed, **plan.tokens}, plan.D, "sweep.tokens")
 
     h = stable_step(params.V, cap=plan.h_cap)
     if plan.horizon is None:
@@ -417,9 +424,7 @@ def _sweep_one(args):
 
 def run_sweep(cfg: dict, out_dir: str, jobs: int) -> int:
     plan = build_sweep_plan(cfg.get("sweep", {}))
-    # each token seed is keyed by its own parameter seed, so a seed's row
-    # does not depend on the window it was swept in
-    work = [(plan, s, spawn_seeds(s + 7_777_777, 1)[0]) for s in range(plan.seed_start, plan.seed_start + plan.seed_count)]
+    work = [(plan, s, _token_seed(s)) for s in range(plan.seed_start, plan.seed_start + plan.seed_count)]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # only parallel sweeps pay for the import
         with ProcessPoolExecutor(max_workers=jobs) as pool:

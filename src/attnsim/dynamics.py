@@ -6,6 +6,8 @@ pure: they never mutate X and depend on nothing but their arguments.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ContractError, DomainError, ShapeError
@@ -14,16 +16,18 @@ from .params import LambdaKind, ModelParams
 
 def _softmax_rows(Z):
     """Row softmax of the logits Z, computed in Z's own memory: Z is consumed."""
-    if not np.isfinite(Z).all():
+    # a non-finite logit makes the total non-finite; an overflowing total is settled entrywise
+    if not math.isfinite(np.add.reduce(Z, axis=None)) and not np.isfinite(Z).all():
         raise ContractError("non-finite attention logits")
-    Z -= Z.max(axis=1, keepdims=True)
+    Z -= np.maximum.reduce(Z, axis=1, keepdims=True)
     np.exp(Z, out=Z)
-    Z /= Z.sum(axis=1, keepdims=True)
+    Z /= np.add.reduce(Z, axis=1, keepdims=True)
     return Z
 
 
 def _check_state(params, X):
-    X = np.asarray(X, dtype=float)
+    # C order keeps every .dot on one BLAS path, so no result depends on the caller's layout
+    X = np.asarray(X, dtype=float, order="C")
     if X.ndim != 2 or X.shape[0] < 1:
         raise ShapeError("token state must be a nonempty (L, D) array")
     if X.shape[1] != params.D:
@@ -34,8 +38,8 @@ def _check_state(params, X):
 def rhs_vanilla(params: ModelParams, X) -> np.ndarray:
     """dx_l = V^T sum_i softmax_i(x_l^T W x_.) x_i with W = Q K^T / sqrt(Dk)."""
     X = _check_state(params, X)
-    P = _softmax_rows(X @ params.W @ X.T)
-    return (P @ X) @ params.V
+    P = _softmax_rows(X.dot(params.W).dot(X.T))
+    return P.dot(X).dot(params.V)
 
 
 def sinusoidal_encoding(L: int, D: int, offset: int = 0) -> np.ndarray:
@@ -62,31 +66,11 @@ def rhs_absolute(params: ModelParams, P, X) -> np.ndarray:
 
 
 def _rope_angles(D: int, theta_base: float, m) -> np.ndarray:
-    """The angles m * theta_k of rotation_matrix, shaped m.shape + (D/2,)."""
+    """The rotary angles m * theta_k, theta_k = theta_base^(-2(k-1)/D), shaped m.shape + (D/2,)."""
     if D % 2 != 0:
         raise DomainError("rotary rotations require even D")
     k = np.arange(D // 2)
     return np.multiply.outer(np.asarray(m, dtype=float), theta_base ** (-2.0 * k / D))
-
-
-def rotation_matrix(D: int, theta_base: float, m) -> np.ndarray:
-    """Block-diagonal rotary matrix: 2x2 rotations by m * theta_k with
-    theta_k = theta_base^(-2(k-1)/D), k = 1..D/2."""
-    theta = _rope_angles(D, theta_base, float(m))
-    k = np.arange(D // 2)
-    c, s = np.cos(theta), np.sin(theta)
-    R = np.zeros((D, D))
-    R[2 * k, 2 * k] = c
-    R[2 * k, 2 * k + 1] = -s
-    R[2 * k + 1, 2 * k] = s
-    R[2 * k + 1, 2 * k + 1] = c
-    return R
-
-
-def _require_rope(params):
-    if params.rope is None:
-        raise ContractError("rotary dynamics need rope parameters (Qbar, Kbar)")
-    return params.rope
 
 
 def rhs_rotary(params: ModelParams, X) -> np.ndarray:
@@ -99,22 +83,24 @@ def rhs_rotary(params: ModelParams, X) -> np.ndarray:
     L x L product.
     """
     X = _check_state(params, X)
-    rope = _require_rope(params)
+    rope = params.rope
+    if rope is None:
+        raise ContractError("rotary dynamics need rope parameters (Qbar, Kbar)")
     W = params.W
     mod = rope.lambda_mod
     if mod is not None:
         W = W + mod.lam * (np.eye(params.D) if mod.kind is LambdaKind.IDENTITY_SCALED else np.diag(mod.diag))
     theta = _rope_angles(params.D, rope.theta_base, np.arange(X.shape[0]))
     c, s = np.cos(theta), np.sin(theta)
-    Y = np.stack((X @ rope.Qbar, X @ rope.Kbar))  # queries and keys, (2, L, D)
+    Y = np.stack((X.dot(rope.Qbar), X.dot(rope.Kbar)))  # queries and keys, (2, L, D)
     rot = np.empty_like(Y)  # row l turned by R(l), feature pair by pair
     rot[..., 0::2] = c * Y[..., 0::2] - s * Y[..., 1::2]
     rot[..., 1::2] = s * Y[..., 0::2] + c * Y[..., 1::2]
-    Z = rot[0] @ rot[1].T  # plus X @ W @ X.T, summed in place: two L x L arrays at most
+    Z = rot[0].dot(rot[1].T)  # plus X W X^T, summed in place: two L x L arrays at most
     Z /= np.sqrt(params.Dk)
-    Z += X @ W @ X.T
+    Z += X.dot(W).dot(X.T)
     P = _softmax_rows(Z)
-    return (P @ X) @ params.V
+    return P.dot(X).dot(params.V)
 
 
 def rhs_for(params: ModelParams, P=None):

@@ -549,6 +549,23 @@ def test_sweep_out_of_range_value_exits_2(tmp_path, capsys, bad):
     assert code == 2 and capsys.readouterr().err.startswith("error: sweep")
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("tokens", [{"kind": "bogus"}, {"kind": "cluster", "L": 3, "D": 4}], ids=["bad_kind", "unknown_key"])
+def test_sweep_tokens_checked_before_any_run(tmp_path, monkeypatch, capsys, tokens, jobs):
+    # the section is built once with the plan, before a seed's parameters are
+    # drawn, a step is taken or a worker is started
+    import concurrent.futures
+
+    steps, drawn, pools, rk4_step = [], [], [], integrate_module.rk4_step
+    monkeypatch.setattr(integrate_module, "rk4_step", lambda *args: steps.append(1) or rk4_step(*args))
+    monkeypatch.setattr(cli, "random_params", lambda *args, **kwargs: drawn.append(1) or random_params(*args, **kwargs))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", lambda *args, **kwargs: pools.append(1))
+    cfg = {"schema_version": 1, "mode": "sweep", "sweep": {"D": 2, "seed_count": 2, "horizon": 1.0, "tokens": tokens}}
+    code, _ = run_cli(tmp_path, cfg, jobs=jobs)
+    assert code == 2 and capsys.readouterr().err.startswith("error: sweep.tokens")
+    assert steps == [] and drawn == [] and pools == []
+
+
 def test_omitted_keys_take_library_defaults(monkeypatch):
     # move every library default a config may leave out: a CLI that kept a
     # copy of one would not follow

@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 from attnsim import quadspace
 from attnsim.dynamics import (
+    _rope_angles,
     _softmax_rows,
     rhs_absolute,
     rhs_rotary,
     rhs_vanilla,
-    rotation_matrix,
     sinusoidal_encoding,
 )
 from attnsim.errors import ContractError, DomainError, ShapeError
@@ -62,6 +62,29 @@ def test_softmax_in_place_bitwise_equal_oracle(shape, seed, scale):
     got = _softmax_rows(Z)
     assert got is Z  # the logits' own memory
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "row", [[1.0, np.nan, 2.0], [1.0, np.inf, 2.0], [1.0, -np.inf, 2.0], [np.nan, np.nan, np.nan], [np.inf, -np.inf, 0.0]],
+    ids=["nan", "inf", "one_minus_inf", "all_nan", "inf_and_minus_inf"],
+)
+def test_softmax_rejects_any_non_finite_logit(row):
+    # the first row is finite, so only the row above can trip the check
+    with pytest.raises(ContractError):
+        _softmax_rows(np.array([[0.5, -1.0, 3.0], row]))
+
+
+@pytest.mark.parametrize(
+    "Z", [[[1e308, 1e308]], [[-1e308, -1e308, 0.0]], [[1e308, 1e308], [1.0, -1e308]], [[1.7e308, 1.7e308, -1.0, 1.7e308]]],
+    ids=["two_max", "two_min", "two_rows", "three_max"],
+)
+def test_softmax_accepts_finite_logits_whose_sum_overflows(Z):
+    # the total is infinite, so the entrywise test decides, and lets them through
+    Z = np.array(Z)
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(Z.sum())
+    want = _softmax_out_of_place(Z)
+    assert _softmax_rows(Z).tobytes() == want.tobytes()
 
 
 def test_rhs_vanilla_peak_memory_below_one_and_a_half_logit_arrays():
@@ -207,6 +230,20 @@ def test_rotation_rejects_odd_dimension():
         rotation_matrix(3, 10000.0, 1)
 
 
+def rotation_matrix(D: int, theta_base: float, m) -> np.ndarray:
+    """Block-diagonal rotary matrix: 2x2 rotations by m * theta_k with
+    theta_k = theta_base^(-2(k-1)/D), k = 1..D/2."""
+    theta = _rope_angles(D, theta_base, float(m))
+    k = np.arange(D // 2)
+    c, s = np.cos(theta), np.sin(theta)
+    R = np.zeros((D, D))
+    R[2 * k, 2 * k] = c
+    R[2 * k, 2 * k + 1] = -s
+    R[2 * k + 1, 2 * k] = s
+    R[2 * k + 1, 2 * k + 1] = c
+    return R
+
+
 # Reference for the factorised rotary field: the offset matrices
 # W_m = (Q K^T + Qbar R(m) Kbar^T) / sqrt(Dk) + lambda term, built directly.
 def _rope_offset_matrix(params, m):
@@ -327,6 +364,70 @@ def test_rhs_rotary_matches_offset_oracle(seed, L, half_D, Dk, theta_base, lam_k
     X = rng.standard_normal((L, D))
     expected = _rhs_rotary_offsets(p, X)
     assert np.abs(rhs_rotary(p, X) - expected).max() <= 1e-12 * max(1.0, np.abs(expected).max())
+
+
+# The kernels as they were written with @: the oracle for the .dot kernels.
+def _rhs_vanilla_matmul(params, X):
+    return (_softmax_out_of_place(X @ params.W @ X.T) @ X) @ params.V
+
+
+def _rhs_rotary_matmul(params, X):
+    rope, W = params.rope, params.W
+    mod = rope.lambda_mod
+    if mod is not None:
+        W = W + mod.lam * (np.eye(params.D) if mod.kind is LambdaKind.IDENTITY_SCALED else np.diag(mod.diag))
+    theta = _rope_angles(params.D, rope.theta_base, np.arange(X.shape[0]))
+    c, s = np.cos(theta), np.sin(theta)
+    Y = np.stack((X @ rope.Qbar, X @ rope.Kbar))
+    rot = np.empty_like(Y)
+    rot[..., 0::2] = c * Y[..., 0::2] - s * Y[..., 1::2]
+    rot[..., 1::2] = s * Y[..., 0::2] + c * Y[..., 1::2]
+    Z = rot[0] @ rot[1].T
+    Z /= np.sqrt(params.Dk)
+    Z += X @ W @ X.T
+    return (_softmax_out_of_place(Z) @ X) @ params.V
+
+
+def _layouts(X):
+    """The same values C-ordered, F-ordered and as a strided view into a larger array."""
+    big = np.full((2 * X.shape[0], 3 * X.shape[1]), np.nan)
+    big[::2, ::3] = X
+    return {"C": np.ascontiguousarray(X), "F": np.asfortranarray(X), "strided": big[::2, ::3]}
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    L=st.integers(1, 40),
+    D=st.integers(1, 16),
+    scale=st.sampled_from([1e-3, 0.1, 1.0, 10.0, 1e3]),
+    rotary=st.booleans(),
+    lam_kind=st.sampled_from([None, LambdaKind.IDENTITY_SCALED, LambdaKind.DIAG_SCALED]),
+)
+@settings(max_examples=300, deadline=None)
+def test_dot_kernels_bitwise_equal_matmul_oracle(seed, L, D, scale, rotary, lam_kind):
+    # @ itself is not layout-free: on about 3 % of shapes an F-ordered X
+    # rounds differently from its C-ordered copy (OpenBLAS takes another
+    # kernel for the transposed operand). The .dot kernels copy X to C order,
+    # so every layout gets the oracle's result on the C-ordered values.
+    rng = generator(seed)
+    if rotary:
+        D += D % 2
+    Q, K, V, Qb, Kb = D**-0.5 * rng.standard_normal((5, D, D))
+    if rotary:
+        mod = None
+        if lam_kind is LambdaKind.IDENTITY_SCALED:
+            mod = LambdaMod(kind=lam_kind, lam=-rng.uniform(0.1, 2.0))
+        elif lam_kind is LambdaKind.DIAG_SCALED:
+            mod = LambdaMod(kind=lam_kind, lam=-rng.uniform(0.1, 2.0), diag=rng.uniform(0.1, 2.0, D))
+        p = ModelParams(D=D, Q=Q, K=K, V=V, rope=RopeParams(Qbar=Qb, Kbar=Kb, lambda_mod=mod))
+        kernel, oracle = rhs_rotary, _rhs_rotary_matmul
+    else:
+        p = ModelParams(D=D, Q=Q, K=K, V=V)
+        kernel, oracle = rhs_vanilla, _rhs_vanilla_matmul
+    X = scale * rng.standard_normal((L, D))
+    want = oracle(p, np.ascontiguousarray(X)).tobytes()
+    for name, Y in _layouts(X).items():
+        assert kernel(p, Y).tobytes() == want, name
 
 
 def _rhs_recomputing_W(p, X):

@@ -98,6 +98,30 @@ def test_blow_up_guard_decides_as_linalg_norm(X0, row, nudge, scale):
     assert (traj.terminated is Termination.BLOW_UP) == expected
 
 
+@pytest.mark.parametrize("bound", [1.0, 3e-7, 1e150, 1e-150, 1e154, 2.0**-537, 1e200, 1e-200])
+def test_blow_up_guard_quick_total_decides_as_linalg_norm(bound):
+    # integrate settles a step on one total of squares when it is below
+    # bound^2 / 2; rows at the bound, at sqrt(1/2) of it, one ulp either side,
+    # alone or beside other rows, must get the row check's decision. bound^2
+    # overflows at 1e154 and 1e200 and underflows at 1e-200; 2^-537 squares
+    # to a subnormal.
+    with np.errstate(over="ignore", under="ignore"):
+        for L, D in [(1, 1), (1, 3), (2, 2), (5, 3)]:
+            for factor in (1.0, 0.5**0.5, 0.5):
+                for nudge in (-np.inf, 0.0, np.inf):
+                    b = factor * bound
+                    b = np.nextafter(b, nudge) if nudge else b
+                    for others in (0.0, 0.5, 1.0):
+                        X0 = np.zeros((L, D))
+                        X0[:, 0] = others * b
+                        X0[0, 0] = b
+                        if D > 1:  # a row whose norm rounds: b split over two entries
+                            X0[-1, :2] = b * 0.6, b * 0.8
+                        expected = np.linalg.norm(X0, axis=1).max() > bound
+                        traj = integrate(lambda X: np.zeros_like(X), X0, IntegratorConfig(h=1.0, T=1.0, blowup_norm=bound))
+                        assert (traj.terminated is Termination.BLOW_UP) == expected, (L, D, factor, nudge, others)
+
+
 def test_blow_up_paths_stop_and_record():
     # a non-finite step stops at its start and keeps the samples recorded
     # so far; the norm guard stops at the end of its step and records that

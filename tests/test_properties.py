@@ -5,8 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from attnsim import quadspace
-from attnsim.dynamics import rhs_absolute, rhs_vanilla, rotation_matrix
+from attnsim.dynamics import rhs_absolute, rhs_vanilla
 from attnsim.params import generator, random_params, softplus
+
+from test_dynamics import rotation_matrix
 
 dims = st.integers(min_value=2, max_value=32)
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
