@@ -23,8 +23,8 @@ from .params import ModelParams, derive_W_A
 CONVERGED_RATIO = 1e-3
 DIVERGED_RATIO = 1e3
 EXP_CLIP = 700.0  # keeps margins finite when q_W is very negative
+EIGEN_TOL = 1e-8  # relative imaginary part and residual a real eigenpair may carry
 HULL_BLOCK_ENTRIES = 2**18  # hull queries x hull points per simplex_distance call
-MATEXP_BLOCK_ENTRIES = 2**18  # matrix entries per stacked matexp call
 PAIR_BLOCK_ENTRIES = 2**18  # samples x token pairs (or x one token's differences) per block
 
 
@@ -212,9 +212,12 @@ def check_divergence_projection(traj: Trajectory, V, n, eigenvalue: float, tol: 
     """Invariant-projection bounds of the divergence theorem.
 
     Checks min_i n.x_i(0) - tol <= n^T e^{-tV^T} x_l(t) <= max_i + tol at
-    every sample. When the initial projections are strictly one-sided and V
-    has only positive eigenvalues, additionally reports whether the run
-    exceeded the blow-up guard (the norm-divergence consequence).
+    every sample. As V n = lam n, e^{-tV} n is e^{-lam t} n exactly; no
+    matrix exponential is taken, so rounding in n along a contracting mode
+    mu < 0 is not amplified by e^{|mu| t}. When the initial projections are
+    strictly one-sided and V has only positive eigenvalues, additionally
+    reports whether the run exceeded the blow-up guard (the
+    norm-divergence consequence).
     """
     V = np.asarray(V, dtype=float)
     n = np.asarray(n, dtype=float)
@@ -226,12 +229,7 @@ def check_divergence_projection(traj: Trajectory, V, n, eigenvalue: float, tol: 
 
     y0 = traj.initial @ n
     lo, hi = float(y0.min()), float(y0.max())
-    N, _, D = traj.states.shape
-    per_block = max(1, MATEXP_BLOCK_ENTRIES // (D * D))
-    w = np.empty((N, D))  # e^{-tV} n at every sample time
-    for start in range(0, N, per_block):
-        t = traj.times[start:start + per_block]
-        w[start:start + per_block] = quadspace.matexp(-t[:, None, None] * V) @ n
+    w = np.exp(-traj.times * eigenvalue)[:, None] * n  # e^{-tV} n at every sample time
     y = (traj.states @ w[:, :, None])[:, :, 0]
     margins = np.minimum((y - lo).min(axis=1), (hi - y).min(axis=1))
     k = int(np.argmin(margins))  # first worst sample; a nan margin is worst and fails
@@ -319,17 +317,17 @@ def classify_regime(traj: Trajectory) -> Regime:
     return Regime.UNDECIDED
 
 
-def dominant_eigenvector(V, tol: float = 1e-8):
+def dominant_eigenvector(V):
     """Real dominant eigenpair of a square matrix.
 
     Raises NoRealDominantError when the largest-modulus eigenvalue is part
-    of a complex pair (relative imaginary part above tol).
+    of a complex pair (relative imaginary part above EIGEN_TOL).
     """
     V = np.asarray(V, dtype=float)
     values, vectors = np.linalg.eig(V)
     idx = int(np.argmax(np.abs(values)))
     lam = values[idx]
-    if abs(lam.imag) > tol * max(1.0, abs(lam)):
+    if abs(lam.imag) > EIGEN_TOL * max(1.0, abs(lam)):
         raise NoRealDominantError(f"dominant eigenvalue {lam:.6g} is complex")
     v = vectors[:, idx]
     j = int(np.argmax(np.abs(v)))
@@ -337,12 +335,12 @@ def dominant_eigenvector(V, tol: float = 1e-8):
     vr = np.real(v)
     vr = vr / np.linalg.norm(vr)
     lam_r = float(lam.real)
-    if np.linalg.norm(V @ vr - lam_r * vr) > max(tol, 1e-8) * max(1.0, abs(lam_r)):
+    if np.linalg.norm(V @ vr - lam_r * vr) > EIGEN_TOL * max(1.0, abs(lam_r)):
         raise NoRealDominantError("no real eigenvector for the dominant eigenvalue")
     return lam_r, vr
 
 
-def positive_eigenpair(V, tol: float = 1e-8):
+def positive_eigenpair(V):
     """A (eigenvalue, unit eigenvector) pair of V with positive eigenvalue,
     for the divergence-projection check. Symmetric V goes through the exact
     symmetric solver; otherwise the dominant pair is used if positive."""
@@ -353,7 +351,7 @@ def positive_eigenpair(V, tol: float = 1e-8):
         if lam <= 0:
             raise HypothesisError("V has no positive eigenvalue")
         return lam, eig.vectors[:, -1]
-    lam, v = dominant_eigenvector(V, tol=tol)
+    lam, v = dominant_eigenvector(V)
     if lam <= 0:
         raise HypothesisError("dominant eigenvalue of V is not positive")
     return lam, v

@@ -25,7 +25,7 @@ import numpy as np
 from . import analyze, quadspace
 from .analyze import run_checks  # by name: perfbench's `cli.run_checks` span wraps it here
 from .dynamics import rhs_for, rhs_vanilla, sinusoidal_encoding
-from .errors import AttnSimError, ConfigError, DomainError
+from .errors import AttnSimError, ConfigError
 from .integrate import IntegratorConfig, integrate, stable_step
 from .params import (
     LambdaKind,
@@ -71,10 +71,8 @@ def _require_keys(d: dict, allowed: set[str], required: set[str], where: str):
 
 
 def _matrix(value, where: str) -> np.ndarray:
-    try:
+    with _section(where):
         M = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: not a numeric matrix") from exc
     if M.ndim != 2:
         raise ConfigError(f"{where}: expected a 2-d matrix")
     if not np.isfinite(M).all():
@@ -84,12 +82,13 @@ def _matrix(value, where: str) -> np.ndarray:
 
 @contextlib.contextmanager
 def _section(where: str):
-    """Turn a ValueError or TypeError raised while a config section is built into ConfigError."""
+    """Turn a ValueError, TypeError or OSError raised while a config section
+    is read or built into ConfigError, the one path to exit 2."""
     try:
         yield
     except ConfigError:
         raise
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OSError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
@@ -208,13 +207,8 @@ def build_integrator(cfg: dict) -> IntegratorConfig:
 
 
 def load_config(path: str) -> dict:
-    try:
-        with open(path) as fh:
-            cfg = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    with _section("config"), open(path) as fh:
+        cfg = json.load(fh)
     _require_keys(
         cfg,
         {"schema_version", "mode", "params", "posenc", "tokens", "integrator", "verify", "sweep", "spectra"},
@@ -465,10 +459,8 @@ def run_spectra(cfg: dict, out_dir: str) -> int:
     triples = []
     for i, entry in enumerate(sets):
         _require_keys(entry, {"Q", "K", "V"}, {"Q", "K", "V"}, f"spectra.sets[{i}]")
-        try:
+        with _section(f"spectra.sets[{i}]"):
             triples.append(tuple(load_matrix(entry[k]) for k in ("Q", "K", "V")))
-        except (DomainError, OSError) as exc:
-            raise ConfigError(f"spectra.sets[{i}]: {exc}") from exc
 
     per_set = [eigen_stats([q], [k], [v], **options) for q, k, v in triples]
     # the aggregates are over the per-set percentages; A_sym has none where V is singular

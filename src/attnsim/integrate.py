@@ -11,6 +11,7 @@ import numpy as np
 from .errors import DomainError, IntegrationError
 
 DEFAULT_BLOWUP_NORM = 1e8
+STABLE_STEP_MARGIN = 0.5  # h * rho(V) at the largest step stable_step allows
 
 
 class Termination(Enum):
@@ -136,10 +137,10 @@ def integrate(rhs, X0, config: IntegratorConfig, sink=None) -> Trajectory:
     return Trajectory(np.array(times), np.array(states), terminated, config, blowup_time)
 
 
-def stable_step(V, cap: float = 1e-2, margin: float = 0.5) -> float:
+def stable_step(V, cap: float = 1e-2) -> float:
     """Step size keeping RK4 stable for the mean-mode linearization
-    dx = V^T x: h <= margin / rho(V). Returns min(cap, that bound)."""
+    dx = V^T x: h <= STABLE_STEP_MARGIN / rho(V). Returns min(cap, that bound)."""
     rho = float(np.abs(np.linalg.eigvals(np.asarray(V, dtype=float))).max())
     if rho == 0.0:
         return cap
-    return min(cap, margin / rho)
+    return min(cap, STABLE_STEP_MARGIN / rho)

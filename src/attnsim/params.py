@@ -37,7 +37,8 @@ class LambdaKind(Enum):
 @dataclass(frozen=True, eq=False)
 class LambdaMod:
     """Learned regularizer added to the rotary interaction matrix:
-    lam * I for IDENTITY_SCALED, lam * diag(diag) for DIAG_SCALED."""
+    lam * I for IDENTITY_SCALED, lam * diag(diag) for DIAG_SCALED. diag is
+    kept as a read-only float copy."""
 
     kind: LambdaKind
     lam: float
@@ -49,9 +50,10 @@ class LambdaMod:
         if self.kind is LambdaKind.DIAG_SCALED:
             if self.diag is None:
                 raise DomainError("diag_scaled requires a diag vector")
-            d = np.asarray(self.diag, dtype=float)
+            d = np.array(self.diag, dtype=float)
             if d.ndim != 1 or not np.all((d > 0) & (d < np.inf)):
                 raise DomainError("diag entries must be strictly positive and finite")
+            d.flags.writeable = False
             object.__setattr__(self, "diag", d)
         elif self.diag is not None:
             raise DomainError("identity_scaled takes no diag vector")
@@ -59,6 +61,8 @@ class LambdaMod:
 
 @dataclass(frozen=True, eq=False)
 class RopeParams:
+    """Rotary query/key matrices, kept as read-only float copies."""
+
     Qbar: np.ndarray
     Kbar: np.ndarray
     theta_base: float = 10000.0
@@ -67,6 +71,10 @@ class RopeParams:
     def __post_init__(self):
         if not 0 < self.theta_base < np.inf:
             raise DomainError("theta_base must be positive and finite")
+        for name in ("Qbar", "Kbar"):
+            m = np.array(getattr(self, name), dtype=float)  # a copy, in the input's memory order
+            m.flags.writeable = False
+            object.__setattr__(self, name, m)
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,9 +112,9 @@ class ModelParams:
             if self.D % 2 != 0:
                 raise DomainError("rotary parameters require even D")
             for name in ("Qbar", "Kbar"):
-                m = np.asarray(getattr(self.rope, name), dtype=float)
-                if m.shape != (self.D, self.D):
-                    raise ShapeError(f"{name} must be {self.D}x{self.D}, got {m.shape}")
+                shape = getattr(self.rope, name).shape
+                if shape != (self.D, self.D):
+                    raise ShapeError(f"{name} must be {self.D}x{self.D}, got {shape}")
 
 
 class Scenario(Enum):

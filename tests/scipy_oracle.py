@@ -2,9 +2,10 @@
 
 The package computes with numpy alone. invert_lu is the inverse through
 scipy's LU factorisation (getrf, then getrs on the identity) with the
-package's pivot rule; projection_band_loop is the per-sample loop of the
-divergence-projection check, one scipy.linalg.expm per sample, that
-analyze.check_divergence_projection replaces with stacked matexp calls.
+package's pivot rule; projection_band_loop is the divergence-projection
+check taken literally, one scipy.linalg.expm(-tV) per sample, against
+which analyze.check_divergence_projection's closed form e^{-lam t} n is
+compared.
 """
 
 import warnings

@@ -751,6 +751,41 @@ def test_spectra_from_files(tmp_path):
     assert row2[0] == "2" and float(row2[3]) == 100.0 and row2[4] == "1"
 
 
+def test_unreadable_inputs_exit_2_without_traceback(tmp_path, capsys):
+    # each failure is one "error: <section>: ..." line from main, not an exception
+    (tmp_path / "bad.json").write_text('{"schema_version": 1,')
+    (tmp_path / "latin1.json").write_bytes(b'{"mode": "\xff"}')
+    (tmp_path / "q.txt").mkdir()  # a directory where a matrix file is expected
+    save_matrix(tmp_path / "k.txt", np.eye(2))
+    spectra = {"schema_version": 1, "mode": "spectra",
+               "spectra": {"sets": [{"Q": str(tmp_path / "q.txt"), "K": str(tmp_path / "k.txt"), "V": str(tmp_path / "k.txt")}]}}
+    (tmp_path / "spectra.json").write_text(json.dumps(spectra))
+    for name, prefix in (("missing.json", "error: config: "), ("bad.json", "error: config: "),
+                         ("latin1.json", "error: config: "), ("spectra.json", "error: spectra.sets[0]: ")):
+        assert main(["--config", str(tmp_path / name), "--out", str(tmp_path / "out")]) == 2, name
+        err = capsys.readouterr().err
+        assert err.startswith(prefix) and err.count("\n") == 1 and "Traceback" not in err, (name, err)
+
+
+# V has eigenvalues 0.5, -2 and -3: a matrix exponential e^{-tV} n would grow
+# the rounding of the computed eigenvector along the contracting modes by
+# up to e^{3t}, enough to fail the band (margin -78 at t = 11.95)
+CONTRACTING_VERIFY = {
+    "schema_version": 1, "mode": "verify",
+    "params": {"kind": "effective", "W": [[0.3, 0.1, 0.0], [0.0, 0.2, 0.1], [0.1, 0.0, 0.3]],
+               "V": [[-0.952557, 1.724537, 0.0], [1.724537, -1.547443, 0.0], [0.0, 0.0, -2.0]]},
+    "tokens": {"kind": "explicit", "rows": [[1.0, 0.2, 0.5], [-0.4, 0.9, -0.3]]},
+    "integrator": {"h": 0.01, "T": 12.0},
+}
+
+
+def test_verify_projection_band_passes_with_contracting_modes(tmp_path, capsys):
+    code, out = run_cli(tmp_path, CONTRACTING_VERIFY)
+    assert code == 0
+    assert "PASS projection_band" in capsys.readouterr().out
+    assert (out / "report.csv").read_text().splitlines()[1].startswith("projection_band,pass,")
+
+
 def test_spectra_missing_file_exits_2(tmp_path):
     cfg = {
         "schema_version": 1,

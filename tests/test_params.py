@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from attnsim import quadspace
+from attnsim.dynamics import rhs_rotary
 from attnsim.errors import DomainError, ShapeError
 from attnsim.params import (
     LambdaKind,
@@ -168,6 +169,25 @@ def test_model_params_arrays_are_read_only_copies():
     np.testing.assert_array_equal(p.W, W0)
     with pytest.raises(dataclasses.FrozenInstanceError):
         p.W = np.zeros((3, 3))
+
+
+def test_rope_arrays_are_read_only_copies():
+    rng = np.random.default_rng(5)
+    Q, K, V, Qb, Kb = rng.standard_normal((5, 2, 2))
+    d = np.array([1.0, 3.0])
+    mod = LambdaMod(kind=LambdaKind.DIAG_SCALED, lam=-0.5, diag=d)
+    p = ModelParams(D=2, Q=Q, K=K, V=V, rope=RopeParams(Qbar=Qb, Kbar=Kb, lambda_mod=mod))
+    X = rng.standard_normal((3, 2))
+    before = rhs_rotary(p, X)
+    assert p.rope.Qbar is not Qb and p.rope.Kbar is not Kb and mod.diag is not d
+    Qb[0, 0], Kb[1, 1], d[0] = 50.0, -50.0, 9.0  # the caller's arrays change; the params do not
+    np.testing.assert_array_equal(rhs_rotary(p, X), before)
+    for arr in (p.rope.Qbar, p.rope.Kbar, mod.diag):
+        with pytest.raises(ValueError):
+            arr[0] = 1.0
+    assert p.rope.Qbar.dtype == p.rope.Kbar.dtype == mod.diag.dtype == float
+    fortran = RopeParams(Qbar=np.asfortranarray(Qb), Kbar=Kb)  # the copy keeps the input's memory order
+    assert fortran.Qbar.flags.f_contiguous
 
 
 def test_model_params_replace_rebinds_W():
