@@ -266,6 +266,28 @@ def test_projection_band_matches_per_sample_oracle(seed, D, L, scaled_identity, 
         assert abs(got.worst_margin - want.worst_margin) <= 1e-12 * abs(want.worst_margin)
 
 
+def test_projection_band_blocks_match_one_call():
+    # each sample is checked on its own: the band over blocks of samples,
+    # each behind the initial sample that fixes the band, gives the one
+    # call's result, and the first block with the worst margin its location
+    rng = generator(77)
+    S = np.eye(3) + 0.2 * rng.standard_normal((3, 3))
+    V = S @ np.diag([1.2, 0.4, -0.7]) @ np.linalg.inv(S)
+    lam, n = positive_eigenpair(V)
+    times = np.linspace(0.0, 1.0, 51)
+    states = np.exp(lam * times)[:, None, None] * rng.standard_normal((51, 4, 3))
+    whole = check_divergence_projection(make_traj(times, states), V, n, lam, tol=1e-6)
+    for size in (3, 1):  # blocks of three samples, then of one
+        blocks = [
+            check_divergence_projection(
+                make_traj(np.r_[0.0, times[s : s + size]], np.concatenate([states[:1], states[s : s + size]])),
+                V, n, lam, tol=1e-6,
+            )[0]
+            for s in range(1, len(times), size)
+        ]
+        assert [min(blocks, key=lambda r: r.worst_margin)] == whole
+
+
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=40, deadline=None)
 def test_projection_band_holds_with_contracting_modes(seed):
