@@ -18,14 +18,13 @@ from . import quadspace
 from .dynamics import _softmax_rows
 from .errors import ConfigError, DomainError, HypothesisError, NoRealDominantError, SingularMatrixError
 from .integrate import Termination, Trajectory
-from .params import ModelParams, derive_W_A
+from .params import FLOAT_FORMAT, ModelParams, derive_W_A
 
 CONVERGED_RATIO = 1e-3
 DIVERGED_RATIO = 1e3
 EXP_CLIP = 700.0  # keeps margins finite when q_W is very negative
 EIGEN_TOL = 1e-8  # relative imaginary part and residual a real eigenpair may carry
-HULL_BLOCK_ENTRIES = 2**18  # hull queries x hull points per simplex_distance call
-PAIR_BLOCK_ENTRIES = 2**18  # samples x token pairs (or x one token's differences) per block
+BLOCK_ENTRIES = 2**18  # float64 entries per block: samples x token pairs (metrics), queries x hull points (hull)
 
 
 class Direction(Enum):
@@ -76,7 +75,7 @@ class VerificationReport:
     def to_records(self) -> list[str]:
         """One check per line: name, pass/fail/skip, margin, time."""
         recs = [
-            f"{c.name},{'pass' if c.passed else 'fail'},{c.worst_margin:.17g},{c.location:.17g}"
+            f"{c.name},{'pass' if c.passed else 'fail'},{FLOAT_FORMAT % c.worst_margin},{FLOAT_FORMAT % c.location}"
             for c in self.checks
         ]
         recs += [f"{s.name},skip,,{s.reason}" for s in self.skipped]
@@ -92,8 +91,8 @@ class MetricSeries:
 
 def metrics_block_samples(L: int, D: int) -> int:
     """Whole samples per metrics block: neither the pair rows, nor one
-    token's differences, nor (at L = 1) the samples outgrow PAIR_BLOCK_ENTRIES."""
-    return max(1, PAIR_BLOCK_ENTRIES // max(L * (L - 1) // 2, (L - 1) * D, D))
+    token's differences, nor (at L = 1) the samples outgrow BLOCK_ENTRIES."""
+    return max(1, BLOCK_ENTRIES // max(L * (L - 1) // 2, (L - 1) * D, D))
 
 
 def trajectory_metrics(traj: Trajectory) -> MetricSeries:
@@ -257,7 +256,7 @@ def check_hull_containment(traj: Trajectory, V, lam: float, tol: float) -> Check
         raise HypothesisError("V is not a positive multiple of the identity")
     X0 = traj.initial
     N, L, _ = traj.states.shape
-    per_block = max(1, HULL_BLOCK_ENTRIES // (L * L))  # whole samples, L queries each against L points
+    per_block = max(1, BLOCK_ENTRIES // (L * L))  # whole samples, L queries each against L points
     worst, loc = np.inf, float(traj.times[0])
     for start in range(0, N, per_block):
         block = slice(start, start + per_block)

@@ -28,6 +28,7 @@ from .dynamics import rhs_for, rhs_vanilla, sinusoidal_encoding
 from .errors import AttnSimError, ConfigError
 from .integrate import IntegratorConfig, integrate, stable_step
 from .params import (
+    FLOAT_FORMAT,
     LambdaKind,
     LambdaMod,
     ModelParams,
@@ -47,7 +48,6 @@ from .params import (
 
 SCHEMA_VERSION = 1
 MODES = ("simulate", "verify", "sweep", "spectra")
-FLOAT_FORMAT = "%.17g"  # 17 significant digits: every double reads back exactly
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -459,6 +459,8 @@ def run_spectra(cfg: dict, out_dir: str) -> int:
     triples = []
     for i, entry in enumerate(sets):
         _require_keys(entry, {"Q", "K", "V"}, {"Q", "K", "V"}, f"spectra.sets[{i}]")
+        if not all(isinstance(entry[k], str) for k in ("Q", "K", "V")):
+            raise ConfigError(f"spectra.sets[{i}]: Q, K and V must be file paths")
         with _section(f"spectra.sets[{i}]"):
             triples.append(tuple(load_matrix(entry[k]) for k in ("Q", "K", "V")))
 
@@ -489,7 +491,8 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(args.config)
-        os.makedirs(args.out, exist_ok=True)
+        with _section("--out"):
+            os.makedirs(args.out, exist_ok=True)
         if cfg["mode"] == "simulate":
             return run_simulate(cfg, args.out)
         if cfg["mode"] == "verify":

@@ -17,6 +17,7 @@ from .errors import DomainError, GenerationError, ShapeError, SingularMatrixErro
 
 MAX_RESAMPLE = 100
 SKEW_SCALE = 0.1  # std-dev of the antisymmetric factors T_w, T_a (see note in build_scenario)
+FLOAT_FORMAT = "%.17g"  # 17 significant digits: every double reads back exactly
 
 
 def generator(seed: int) -> np.random.Generator:
@@ -313,7 +314,7 @@ def save_matrix(path, M):
     with open(path, "w") as fh:
         fh.write(f"{M.shape[0]} {M.shape[1]}\n")
         for row in M:
-            fh.write(" ".join(format(x, ".17g") for x in row) + "\n")
+            fh.write(" ".join(FLOAT_FORMAT % x for x in row) + "\n")
 
 
 def load_matrix(path) -> np.ndarray:

@@ -1,8 +1,8 @@
 """Dense quadratic-space primitives.
 
-Everything operates on plain float64 numpy arrays: matrices are (n, n)
-(matexp also takes stacks), vectors are (n,). All functions are pure;
-nothing mutates its inputs.
+Everything operates on plain float64 numpy arrays: matrices are (n, n),
+vectors are (n,), and simplex_distance takes its queries as a (Q, d)
+batch. All functions are pure; nothing mutates its inputs.
 """
 
 from __future__ import annotations
@@ -97,19 +97,16 @@ def eig_sym(S) -> EigSym:
     return EigSym(values=values, vectors=vectors)
 
 
-def classify_definiteness(B, tol: float | None = None) -> Definiteness:
+def classify_definiteness(B) -> Definiteness:
     """Classify sym(B) by its spectrum.
 
-    NEAR_SINGULAR wins whenever some |eigenvalue| <= tol. The default tol is
-    1e-9 times the spectral radius, floored at 1e-12.
+    NEAR_SINGULAR wins whenever some |eigenvalue| <= tol, where tol is 1e-9
+    times the spectral radius, floored at 1e-12.
     """
     B = _as_square(B)
     values = np.linalg.eigvalsh(sym(B))
-    if tol is None:
-        radius = np.abs(values).max() if values.size else 0.0
-        tol = max(DEFINITENESS_FLOOR, DEFINITENESS_RTOL * radius)
-    elif tol < 0:
-        raise DomainError("tol must be nonnegative")
+    radius = np.abs(values).max() if values.size else 0.0
+    tol = max(DEFINITENESS_FLOOR, DEFINITENESS_RTOL * radius)
     if np.abs(values).min() <= tol:
         return Definiteness.NEAR_SINGULAR
     if np.all(values > tol):
@@ -152,66 +149,50 @@ def invert(M) -> np.ndarray:
 
 
 def matexp(M) -> np.ndarray:
-    """e^M for one (n, n) matrix or for each matrix of an (..., n, n) stack.
+    """e^M for one (n, n) matrix.
 
-    Pade-13 scaling and squaring (Higham 2005), each matrix scaled by its
-    own power of two; a diagonal matrix gets exp of its diagonal exactly.
-    Raises ValueError when a non-diagonal matrix is not finite.
+    Pade-13 scaling and squaring (Higham 2005); a matrix whose off-diagonal
+    entries are all zero gets exp of its diagonal exactly, infinite entries
+    included. Raises ValueError when a non-diagonal matrix is not finite.
     """
-    M = np.asarray(M, dtype=float)
-    if M.ndim < 2 or M.shape[-1] != M.shape[-2]:
-        raise ShapeError(f"matrix must be square, got shape {M.shape}")
-    n = M.shape[-1]
-    A = M.reshape((int(np.prod(M.shape[:-2])), n, n))
-    E = np.zeros_like(A)
-    diagonal = ~A[:, ~np.eye(n, dtype=bool)].any(axis=1)
-    # fill the diagonal: exp(d) * I would turn an infinite exp into nan off it
-    np.einsum("kii->ki", E)[diagonal] = np.exp(np.einsum("kii->ki", A[diagonal]))
-    if not diagonal.all():
-        E[~diagonal] = _pade13_scaling_squaring(A[~diagonal])
-    return E.reshape(M.shape)
-
-
-def _pade13_scaling_squaring(A):
-    # e^A for a (k, n, n) stack of finite matrices
-    if not np.isfinite(A).all():
+    M = _as_square(M)
+    n = M.shape[0]
+    if not M[~np.eye(n, dtype=bool)].any():
+        return np.diag(np.exp(np.diag(M)))  # exp(d) * I would turn an infinite exp into nan off the diagonal
+    if not np.isfinite(M).all():
         raise ValueError("matrix must not contain infs or NaNs")
-    norm1 = np.abs(A).sum(axis=1).max(axis=1)
-    s = np.maximum(0, np.ceil(np.log2(norm1 / THETA13))).astype(int)
-    A = np.ldexp(A, -s[:, None, None])
+    s = max(0, int(np.ceil(np.log2(np.abs(M).sum(axis=0).max() / THETA13))))
+    A = np.ldexp(M, -s)
     b = PADE13
-    I = np.eye(A.shape[-1])
+    I = np.eye(n)
     A2 = A @ A
     A4 = A2 @ A2
     A6 = A4 @ A2
     U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2) + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * I)
     V = A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2) + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * I
     E = np.linalg.solve(V - U, V + U)
-    for i in range(int(s.max(initial=0))):
-        square = s > i
-        E[square] = E[square] @ E[square]
+    for _ in range(s):
+        E = E @ E
     return E
 
 
 def simplex_distance(points, p, tol: float = 1e-8, max_iter: int = HULL_MAX_ITER):
     """Distance from each query to the convex hull of the given points.
 
-    p is one query of shape (d,) or a batch of shape (Q, d). Minimizes
-    ||sum_i w_i points_i - p|| over simplex weights w with accelerated
-    projected gradient, all queries in one (Q, n) weight matrix. Returns
-    (distance_upper, distance_lower): the achieved distance, never above the
-    distance to the nearest point, and a certified lower bound from the
-    Frank-Wolfe gap; floats for one query, (Q,) arrays for a batch. A query
-    leaves the batch once either of its bounds settles the tol question.
+    p is a (Q, d) batch of queries. Minimizes ||sum_i w_i points_i - p||
+    over simplex weights w with accelerated projected gradient, all queries
+    in one (Q, n) weight matrix. Returns (distance_upper, distance_lower),
+    two (Q,) arrays: the achieved distance, never above the distance to the
+    nearest point, and a certified lower bound from the Frank-Wolfe gap. A
+    query leaves the batch once either of its bounds settles the tol
+    question.
     """
     P = np.asarray(points, dtype=float)
     if P.ndim != 2 or P.shape[0] < 1:
         raise ShapeError("points must be a nonempty (n, d) array")
     p = np.asarray(p, dtype=float)
-    if p.ndim not in (1, 2) or p.shape[-1] != P.shape[1]:
-        raise ShapeError("query point dimension mismatch")
-    single = p.ndim == 1
-    p = p.reshape(-1, P.shape[1])
+    if p.ndim != 2 or p.shape[1] != P.shape[1]:
+        raise ShapeError(f"queries must be a (Q, {P.shape[1]}) array, got shape {p.shape}")
 
     n = P.shape[0]
     # every input point lies in the hull, so the nearest one bounds the distance
@@ -258,8 +239,6 @@ def simplex_distance(points, p, tol: float = 1e-8, max_iter: int = HULL_MAX_ITER
             keep = (best_upper > tol) & (best_lower <= tol)
             if not keep.all():
                 act, q, B, w, y, t_acc = act[keep], q[keep], B[keep], w[keep], y[keep], t_acc[keep]
-    if single:
-        return float(upper[0]), float(lower[0])
     return upper, lower
 
 
@@ -313,11 +292,12 @@ def in_convex_hull(points, p, tol: float = 1e-8) -> bool:
     certified within the iteration cap.
     """
     P = np.asarray(points, dtype=float)
-    upper, lower = simplex_distance(P, p, tol=tol)
+    p = np.asarray(p, dtype=float)
+    (upper,), (lower,) = simplex_distance(P, p[None], tol=tol)
     margin = tol + np.sqrt(np.finfo(float).eps) * max(np.linalg.norm(P, axis=1).max(), np.linalg.norm(p))
     if tol < lower <= margin:
         # the query left the solver on a lower bound within its resolution
-        upper, lower = simplex_distance(P, p, tol=margin)
+        (upper,), (lower,) = simplex_distance(P, p[None], tol=margin)
     if upper <= tol:
         return True
     if lower > margin:

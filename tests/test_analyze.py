@@ -118,7 +118,7 @@ def test_metrics_bitwise_equal_loop_oracle(N, L, D, log_scale, tokens, block, la
     entries = {"one_sample": sample, "two_samples": 2 * sample, "part_of_a_sample": max(1, pairs - 1)}
     with pytest.MonkeyPatch.context() as mp:
         if block != "default":
-            mp.setattr(analyze, "PAIR_BLOCK_ENTRIES", entries[block])
+            mp.setattr(analyze, "BLOCK_ENTRIES", entries[block])
         m = trajectory_metrics(make_traj(np.arange(float(N)), states))
     mean_norm, dists = metrics_loop(states)
     assert m.mean_token_norm.tobytes() == mean_norm.tobytes()
@@ -132,7 +132,7 @@ def test_metrics_memory_bounded_by_pair_block():
     states = np.random.default_rng(5).standard_normal((N, L, D))
     traj = make_traj(np.arange(float(N)), states)
     pairs = L * (L - 1) // 2
-    per_block = analyze.PAIR_BLOCK_ENTRIES // pairs  # whole samples per block
+    per_block = analyze.BLOCK_ENTRIES // pairs  # whole samples per block
     assert 1 <= per_block < N
     # the pair rows of a block, plus one token's differences, their squares and their norms
     bound = 8 * per_block * (pairs + 2 * (L - 1) * D + (L - 1))
@@ -343,7 +343,7 @@ def test_hull_containment_matches_per_query_loop(monkeypatch):
     ref = hull_containment_loop(traj, lam, tol)
     results = [check_hull_containment(traj, p.V, lam, tol)]
     for entries in (50, 1):  # blocks of two samples (10 queries), then of one
-        monkeypatch.setattr(analyze, "HULL_BLOCK_ENTRIES", entries)
+        monkeypatch.setattr(analyze, "BLOCK_ENTRIES", entries)
         results.append(check_hull_containment(traj, p.V, lam, tol))
     for res in results:
         for want in (ref, results[0]):

@@ -312,7 +312,7 @@ def test_non_finite_config_values_exit_2(tmp_path, capsys, case):
 
 
 def _block_entries(L, D, samples):
-    """The PAIR_BLOCK_ENTRIES that makes a metrics block hold `samples` samples."""
+    """The BLOCK_ENTRIES that makes a metrics block hold `samples` samples."""
     return samples * max(L * (L - 1) // 2, (L - 1) * D, D)
 
 
@@ -342,7 +342,7 @@ def test_streamed_simulate_matches_whole_trajectory(tmp_path, monkeypatch, capsy
     summary = {"mode": "simulate", "terminated": traj.terminated.value, "blowup_time": traj.blowup_time,
                "regime": analyze.classify_regime(traj).value, "samples": len(traj.times)}
     if block is not None:  # 8 leaves a partial last block on every run (51, 140 or 18 samples)
-        monkeypatch.setattr(analyze, "PAIR_BLOCK_ENTRIES", _block_entries(*X0.shape, block))
+        monkeypatch.setattr(analyze, "BLOCK_ENTRIES", _block_entries(*X0.shape, block))
     capsys.readouterr()
     code, out = run_cli(tmp_path, cfg)
     assert code == 0
@@ -363,7 +363,7 @@ def test_simulate_rhs_error_mid_run_leaves_no_csv(tmp_path, monkeypatch, capsys)
         return rhs_vanilla(params, X)
 
     monkeypatch.setattr(dynamics, "rhs_vanilla", failing)
-    monkeypatch.setattr(analyze, "PAIR_BLOCK_ENTRIES", _block_entries(3, 2, 2))  # blocks were written before the failure
+    monkeypatch.setattr(analyze, "BLOCK_ENTRIES", _block_entries(3, 2, 2))  # blocks were written before the failure
     code, out = run_cli(tmp_path, simulate_cfg())
     assert code == 3 and "rhs evaluation failed at t=0.1" in capsys.readouterr().err
     assert os.listdir(out) == []
@@ -760,9 +760,18 @@ def test_unreadable_inputs_exit_2_without_traceback(tmp_path, capsys):
     spectra = {"schema_version": 1, "mode": "spectra",
                "spectra": {"sets": [{"Q": str(tmp_path / "q.txt"), "K": str(tmp_path / "k.txt"), "V": str(tmp_path / "k.txt")}]}}
     (tmp_path / "spectra.json").write_text(json.dumps(spectra))
-    for name, prefix in (("missing.json", "error: config: "), ("bad.json", "error: config: "),
-                         ("latin1.json", "error: config: "), ("spectra.json", "error: spectra.sets[0]: ")):
-        assert main(["--config", str(tmp_path / name), "--out", str(tmp_path / "out")]) == 2, name
+    for path in (0, 7):  # not paths: 0 would read stdin, 7 a file descriptor that is not open
+        spectra["spectra"]["sets"][0]["Q"] = path
+        (tmp_path / f"spectra_{path}.json").write_text(json.dumps(spectra))
+    (tmp_path / "simulate.json").write_text(json.dumps(simulate_cfg()))
+    (tmp_path / "file").write_text("")  # a file where the output directory is expected
+    out = str(tmp_path / "out")
+    for name, out_dir, prefix in (("missing.json", out, "error: config: "), ("bad.json", out, "error: config: "),
+                                  ("latin1.json", out, "error: config: "), ("spectra.json", out, "error: spectra.sets[0]: "),
+                                  ("spectra_0.json", out, "error: spectra.sets[0]: "),
+                                  ("spectra_7.json", out, "error: spectra.sets[0]: "),
+                                  ("simulate.json", str(tmp_path / "file"), "error: --out: ")):
+        assert main(["--config", str(tmp_path / name), "--out", out_dir]) == 2, name
         err = capsys.readouterr().err
         assert err.startswith(prefix) and err.count("\n") == 1 and "Traceback" not in err, (name, err)
 

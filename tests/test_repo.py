@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from attnsim import analyze, cli, dynamics, integrate
+from attnsim import analyze, cli, dynamics, integrate, quadspace
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -68,6 +68,10 @@ TRACED_RUNS = {
               ["integrate.rk4_step", "dynamics.rhs_vanilla", "analyze.trajectory_metrics"]),
     "sweep": ({"schema_version": 1, "mode": "sweep", "sweep": {"scenario": "convergence", "D": 4, "seed_count": 1, "horizon": 1.0}},
               ["integrate.rk4_step", "cli.rhs_vanilla"]),
+    # configs/verify_divergence.json (V = 2I), blowing up at t = 0.21 so that norm_divergence passes; the hull check runs
+    "verify": ({**json.loads((ROOT / "configs" / "verify_divergence.json").read_text()),
+                "integrator": {"h": 0.01, "T": 1.0, "blowup_norm": 2.0}},
+               ["integrate.rk4_step", "cli.run_checks", "quadspace.simplex_distance"]),
 }
 
 
@@ -77,7 +81,7 @@ def test_cli_runs_through_traced_names(tmp_path, monkeypatch, run):
     # a CLI path that bypasses them would leave those rows at 0
     counts = {}
     for module, name in ((integrate, "rk4_step"), (dynamics, "rhs_vanilla"), (cli, "rhs_vanilla"), (dynamics, "rhs_rotary"),
-                         (analyze, "trajectory_metrics")):
+                         (analyze, "trajectory_metrics"), (cli, "run_checks"), (quadspace, "simplex_distance")):
         key = f"{module.__name__.split('.')[-1]}.{name}"
 
         def counted(*args, _fn=getattr(module, name), _key=key, **kwargs):
