@@ -37,10 +37,8 @@ from .params import (
 )
 from .quadspace import (
     Definiteness,
-    EigSym,
     a_norm,
     classify_definiteness,
-    eig_sym,
     in_convex_hull,
     invert,
     matexp,

@@ -15,7 +15,7 @@ from enum import Enum
 import numpy as np
 
 from . import quadspace
-from .dynamics import _softmax_rows
+from .dynamics import _attention_average
 from .errors import ConfigError, DomainError, HypothesisError, NoRealDominantError, SingularMatrixError
 from .integrate import Termination, Trajectory
 from .params import FLOAT_FORMAT, ModelParams, derive_W_A
@@ -270,11 +270,10 @@ def check_hull_containment(traj: Trajectory, V, lam: float, tol: float) -> Check
 
 
 def stationarity_residual(params: ModelParams, X) -> float:
-    """max_l || sum_j softmax_j(x_l^T W x_.) x_j ||: zero exactly at the
-    all-zero stationary state and, unlike the unnormalised weights
-    e^{x_l^T W x_j}, unable to underflow to a false zero far from it."""
-    X = np.asarray(X, dtype=float)
-    return float(np.linalg.norm(_softmax_rows(X @ params.W @ X.T) @ X, axis=1).max())
+    """max_l || sum_j softmax_j(x_l^T W x_.) x_j ||, by the vanilla field's
+    kernel: zero exactly at the all-zero stationary state and, unlike the
+    weights e^{x_l^T W x_j}, unable to underflow to a false zero far from it."""
+    return float(np.linalg.norm(_attention_average(params, X), axis=1).max())
 
 
 def check_stationarity(traj: Trajectory, params: ModelParams, tol: float) -> CheckResult:
@@ -345,11 +344,11 @@ def positive_eigenpair(V):
     symmetric solver; otherwise the dominant pair is used if positive."""
     V = np.asarray(V, dtype=float)
     if quadspace.is_symmetric(V, 1e-10):
-        eig = quadspace.eig_sym(quadspace.sym(V))
-        lam = float(eig.values[-1])
+        values, vectors = np.linalg.eigh(quadspace.sym(V))
+        lam = float(values[-1])
         if lam <= 0:
             raise HypothesisError("V has no positive eigenvalue")
-        return lam, eig.vectors[:, -1]
+        return lam, vectors[:, -1]
     lam, v = dominant_eigenvector(V)
     if lam <= 0:
         raise HypothesisError("dominant eigenvalue of V is not positive")

@@ -35,11 +35,15 @@ def _check_state(params, X):
     return X
 
 
+def _attention_average(params, X):
+    """Row l is sum_i softmax_i(x_l^T W x_.) x_i, on the C-ordered state."""
+    X = _check_state(params, X)
+    return _softmax_rows(X.dot(params.W).dot(X.T)).dot(X)
+
+
 def rhs_vanilla(params: ModelParams, X) -> np.ndarray:
     """dx_l = V^T sum_i softmax_i(x_l^T W x_.) x_i with W = Q K^T / sqrt(Dk)."""
-    X = _check_state(params, X)
-    P = _softmax_rows(X.dot(params.W).dot(X.T))
-    return P.dot(X).dot(params.V)
+    return _attention_average(params, X).dot(params.V)
 
 
 def sinusoidal_encoding(L: int, D: int, offset: int = 0) -> np.ndarray:

@@ -141,8 +141,6 @@ class SpectrumStats:
     pct_pos_Wsym: float
     pct_pos_Asym: float
     pct_near_zero_V: float
-    eps: float
-    n_sets: int = 0
     n_singular_V: int = 0
 
 
@@ -222,8 +220,7 @@ def _sample_scenario_targets(rng, spec: ScenarioSpec):
     L_a, d_a = _unit_lower(rng, D), rng.standard_normal(D)
     T_a = SKEW_SCALE * rng.standard_normal((D, D))
     if spec.symmetric:
-        T_w = np.zeros((D, D))
-        T_a = np.zeros((D, D))
+        T_w = T_a = np.zeros((D, D))
     W_target = L_w @ np.diag(s_w * softplus(d_w)) @ L_w.T + T_w - T_w.T
     A_target = L_a @ np.diag(s_a * softplus(d_a)) @ L_a.T + T_a - T_a.T
     return Q, W_target, A_target
@@ -299,8 +296,6 @@ def eigen_stats(Qs, Ks, Vs, eps: float = 1e-3) -> SpectrumStats:
         pct_pos_Wsym=float(np.mean(pw)),
         pct_pos_Asym=float(np.mean(pa)) if pa else float("nan"),
         pct_near_zero_V=float(np.mean(pv)),
-        eps=eps,
-        n_sets=len(pw),
         n_singular_V=singular,
     )
 

@@ -7,13 +7,11 @@ batch. All functions are pure; nothing mutates its inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .errors import (
-    ContractError,
     DomainError,
     HullUndecidedError,
     ShapeError,
@@ -21,7 +19,6 @@ from .errors import (
 )
 
 PIVOT_RTOL = 1e-12          # pivot threshold, relative to max |entry|
-SYMMETRY_RTOL = 1e-12       # eig_sym admission threshold
 DEFINITENESS_RTOL = 1e-9    # default definiteness tolerance vs spectral radius
 DEFINITENESS_FLOOR = 1e-12
 HULL_MAX_ITER = 10_000
@@ -41,17 +38,6 @@ class Definiteness(Enum):
     NEGATIVE_DEFINITE = "negative_definite"
     INDEFINITE = "indefinite"
     NEAR_SINGULAR = "near_singular"
-
-
-@dataclass(frozen=True)
-class EigSym:
-    """Full symmetric eigendecomposition, eigenvalues ascending.
-
-    vectors[:, k] is the unit eigenvector for values[k].
-    """
-
-    values: np.ndarray
-    vectors: np.ndarray
 
 
 def _as_square(B, name="matrix"):
@@ -82,19 +68,6 @@ def quad_form(B, u) -> float | np.ndarray:
         raise ShapeError(f"vector shape {u.shape} does not match matrix {B.shape}")
     q = np.einsum("...d,de,...e->...", u, B, u)
     return float(q) if q.ndim == 0 else q
-
-
-def eig_sym(S) -> EigSym:
-    """Orthonormal eigendecomposition of a symmetric matrix, values ascending.
-
-    Rejects inputs whose asymmetry exceeds SYMMETRY_RTOL relative to the
-    largest entry.
-    """
-    S = _as_square(S)
-    if not is_symmetric(S, SYMMETRY_RTOL):
-        raise ContractError("matrix is not symmetric within tolerance")
-    values, vectors = np.linalg.eigh(S)
-    return EigSym(values=values, vectors=vectors)
 
 
 def classify_definiteness(B) -> Definiteness:
@@ -151,9 +124,9 @@ def invert(M) -> np.ndarray:
 def matexp(M) -> np.ndarray:
     """e^M for one (n, n) matrix.
 
-    Pade-13 scaling and squaring (Higham 2005); a matrix whose off-diagonal
-    entries are all zero gets exp of its diagonal exactly, infinite entries
-    included. Raises ValueError when a non-diagonal matrix is not finite.
+    Pade-13 scaling and squaring (Higham 2005); a diagonal matrix gets exp
+    of its diagonal exactly, infinite entries included. A non-diagonal M
+    raises ValueError when not finite, DomainError when its 1-norm overflows.
     """
     M = _as_square(M)
     n = M.shape[0]
@@ -161,7 +134,11 @@ def matexp(M) -> np.ndarray:
         return np.diag(np.exp(np.diag(M)))  # exp(d) * I would turn an infinite exp into nan off the diagonal
     if not np.isfinite(M).all():
         raise ValueError("matrix must not contain infs or NaNs")
-    s = max(0, int(np.ceil(np.log2(np.abs(M).sum(axis=0).max() / THETA13))))
+    with np.errstate(over="ignore"):
+        norm = np.abs(M).sum(axis=0).max()
+    if norm == np.inf:
+        raise DomainError("matrix 1-norm overflows float64")
+    s = max(0, int(np.ceil(np.log2(norm / THETA13))))
     A = np.ldexp(M, -s)
     b = PADE13
     I = np.eye(n)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from attnsim import quadspace
+from attnsim.analyze import stationarity_residual
 from attnsim.dynamics import (
     _rope_angles,
     _softmax_rows,
@@ -388,6 +389,10 @@ def _rhs_rotary_matmul(params, X):
     return (_softmax_out_of_place(Z) @ X) @ params.V
 
 
+def _stationarity_residual_matmul(params, X):
+    return float(np.linalg.norm(_softmax_out_of_place(X @ params.W @ X.T) @ X, axis=1).max())
+
+
 def _layouts(X):
     """The same values C-ordered, F-ordered and as a strided view into a larger array."""
     big = np.full((2 * X.shape[0], 3 * X.shape[1]), np.nan)
@@ -408,7 +413,9 @@ def test_dot_kernels_bitwise_equal_matmul_oracle(seed, L, D, scale, rotary, lam_
     # @ itself is not layout-free: on about 3 % of shapes an F-ordered X
     # rounds differently from its C-ordered copy (OpenBLAS takes another
     # kernel for the transposed operand). The .dot kernels copy X to C order,
-    # so every layout gets the oracle's result on the C-ordered values.
+    # so every layout gets the oracle's result on the C-ordered values. The
+    # stationarity residual shares rhs_vanilla's kernel and is held to the
+    # same standard on every example, through the plain W of p.
     rng = generator(seed)
     if rotary:
         D += D % 2
@@ -426,8 +433,10 @@ def test_dot_kernels_bitwise_equal_matmul_oracle(seed, L, D, scale, rotary, lam_
         kernel, oracle = rhs_vanilla, _rhs_vanilla_matmul
     X = scale * rng.standard_normal((L, D))
     want = oracle(p, np.ascontiguousarray(X)).tobytes()
+    want_residual = np.float64(_stationarity_residual_matmul(p, np.ascontiguousarray(X))).tobytes()
     for name, Y in _layouts(X).items():
         assert kernel(p, Y).tobytes() == want, name
+        assert np.float64(stationarity_residual(p, Y)).tobytes() == want_residual, name
 
 
 def _rhs_recomputing_W(p, X):

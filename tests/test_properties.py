@@ -10,7 +10,6 @@ from attnsim.params import generator, random_params, softplus
 
 from test_dynamics import rotation_matrix
 
-dims = st.integers(min_value=2, max_value=32)
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
 
@@ -32,17 +31,6 @@ def test_classification_matches_symmetric_part(seed, D):
     rng = generator(seed)
     B = rng.standard_normal((D, D))
     assert quadspace.classify_definiteness(B) is quadspace.classify_definiteness(quadspace.sym(B))
-
-
-@given(seeds, dims)
-@settings(max_examples=30, deadline=None)
-def test_eig_sym_reconstruction(seed, D):
-    rng = generator(seed)
-    S = quadspace.sym(rng.standard_normal((D, D)))
-    eig = quadspace.eig_sym(S)
-    scale = max(np.linalg.norm(S), 1e-30)
-    assert np.linalg.norm(eig.vectors @ np.diag(eig.values) @ eig.vectors.T - S) <= 1e-10 * scale
-    assert np.linalg.norm(eig.vectors.T @ eig.vectors - np.eye(D)) <= 1e-10
 
 
 @given(seeds, st.integers(2, 6))

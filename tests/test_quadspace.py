@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -5,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from attnsim import quadspace
-from attnsim.errors import ContractError, DomainError, HullUndecidedError, ShapeError, SingularMatrixError
+from attnsim.errors import DomainError, HullUndecidedError, ShapeError, SingularMatrixError
 from attnsim.params import generator
 from attnsim.quadspace import PIVOT_RTOL, Definiteness
 
@@ -75,44 +77,6 @@ def test_quad_form_dim_mismatch():
         quadspace.quad_form(np.eye(2), np.ones((4, 3)))
     with pytest.raises(ShapeError):
         quadspace.quad_form(np.eye(1), 1.0)
-
-
-def test_eig_sym_identity():
-    eig = quadspace.eig_sym(np.eye(2))
-    np.testing.assert_allclose(eig.values, [1.0, 1.0])
-
-
-def test_eig_sym_reference_matrix():
-    eig = quadspace.eig_sym(quadspace.sym(GROW_A))
-    np.testing.assert_allclose(eig.values, [0.0959758, 5.12809], atol=1e-4)
-
-
-def test_eig_sym_2x2_quadratic_root_oracle():
-    rng = np.random.default_rng(3)
-    for _ in range(25):
-        S = quadspace.sym(rng.normal(size=(2, 2)))
-        a, b, c = S[0, 0], S[0, 1], S[1, 1]
-        # roots of lambda^2 - tr lambda + det
-        disc = np.sqrt(((a - c) / 2) ** 2 + b * b)
-        expected = np.array([(a + c) / 2 - disc, (a + c) / 2 + disc])
-        np.testing.assert_allclose(quadspace.eig_sym(S).values, expected, atol=1e-12)
-
-
-def test_eig_sym_reconstruction_and_orthonormality():
-    rng = np.random.default_rng(4)
-    for D in (2, 8, 32):
-        S = quadspace.sym(rng.normal(size=(D, D)))
-        eig = quadspace.eig_sym(S)
-        scale = np.linalg.norm(S)
-        recon = eig.vectors @ np.diag(eig.values) @ eig.vectors.T
-        assert np.linalg.norm(recon - S) <= 1e-10 * scale
-        assert np.linalg.norm(eig.vectors.T @ eig.vectors - np.eye(D)) <= 1e-10
-        assert np.all(np.diff(eig.values) >= 0)
-
-
-def test_eig_sym_rejects_asymmetric():
-    with pytest.raises(ContractError):
-        quadspace.eig_sym(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_classify_basics():
@@ -287,6 +251,10 @@ def test_matexp_rejects_non_finite_and_non_square():
     M[0, 0] = np.nan
     with pytest.raises(ValueError):
         quadspace.matexp(M)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="1-norm"):
+            quadspace.matexp(np.full((2, 2), 1e308))  # finite, but its 1-norm overflows
     with pytest.raises(ShapeError):
         quadspace.matexp(np.ones((2, 3)))
     with pytest.raises(ShapeError):
