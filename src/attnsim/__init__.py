@@ -18,7 +18,7 @@ from .dynamics import (
     rhs_vanilla,
     sinusoidal_encoding,
 )
-from .integrate import IntegratorConfig, Termination, Trajectory, integrate as integrate_rhs, rk4_step, stable_step
+from .integrate import IntegratorConfig, Termination, Trajectory, integrate as integrate_rhs, region_step, rk4_step, stable_step
 from .params import (
     LambdaKind,
     LambdaMod,

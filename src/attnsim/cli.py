@@ -26,7 +26,7 @@ from . import analyze, quadspace
 from .analyze import run_checks  # by name: perfbench's `cli.run_checks` span wraps it here
 from .dynamics import rhs_for, rhs_vanilla, sinusoidal_encoding
 from .errors import AttnSimError, ConfigError
-from .integrate import IntegratorConfig, integrate, stable_step
+from .integrate import IntegratorConfig, integrate, region_step, stable_step  # stable_step unused: perfbench's span wraps `cli.stable_step`
 from .params import (
     FLOAT_FORMAT,
     LambdaKind,
@@ -395,9 +395,10 @@ def _sweep_one(args):
     pos_a = int(np.sum(np.linalg.eigvalsh(quadspace.sym(A)) > 0))
     X0 = build_tokens({"seed": token_seed, **plan.tokens}, plan.D, "sweep.tokens")
 
-    h = stable_step(params.V, cap=plan.h_cap)
+    h = region_step(params.V, cap=plan.h_cap)
+    growth = np.linalg.eigvals(params.V.T).real  # the mean mode's rates
     if plan.horizon is None:
-        rate = float(np.abs(np.linalg.eigvals(params.V.T).real).min())
+        rate = float(np.abs(growth).min())
         T = float(np.clip(9.0 / max(rate, 1e-9), 10.0, plan.t_max))
     else:
         T = plan.horizon
@@ -413,6 +414,7 @@ def _sweep_one(args):
         "terminated": traj.terminated.value,
         "T": T,
         "h": h,
+        "max_re_eig_V": float(growth.max()),
     }
 
 
@@ -427,11 +429,11 @@ def run_sweep(cfg: dict, out_dir: str, jobs: int) -> int:
         rows = [_sweep_one(w) for w in work]
 
     with open(os.path.join(out_dir, "seeds.csv"), "w") as fh:
-        fh.write("seed,pos_eigs_Wsym,pos_eigs_Asym,regime,mean_norm_ratio,terminated,T,h\n")
+        fh.write("seed,pos_eigs_Wsym,pos_eigs_Asym,regime,mean_norm_ratio,terminated,T,h,max_re_eig_V\n")
         for r in rows:
             fh.write(
                 f"{r['seed']},{r['pos_eigs_Wsym']},{r['pos_eigs_Asym']},{r['regime']},"
-                f"{_fmt(r['mean_norm_ratio'])},{r['terminated']},{_fmt(r['T'])},{_fmt(r['h'])}\n"
+                f"{_fmt(r['mean_norm_ratio'])},{r['terminated']},{_fmt(r['T'])},{_fmt(r['h'])},{_fmt(r['max_re_eig_V'])}\n"
             )
 
     cells: dict[tuple[int, int], dict[str, int]] = {}

@@ -12,6 +12,7 @@ from .errors import DomainError, IntegrationError
 
 DEFAULT_BLOWUP_NORM = 1e8
 STABLE_STEP_MARGIN = 0.5  # h * rho(V) at the largest step stable_step allows
+RK4_REGION_MARGIN = 0.8  # h / h* at the largest step region_step allows
 
 
 class Termination(Enum):
@@ -144,3 +145,25 @@ def stable_step(V, cap: float = 1e-2) -> float:
     if rho == 0.0:
         return cap
     return min(cap, STABLE_STEP_MARGIN / rho)
+
+
+def region_step(V, cap: float = 1e-2) -> float:
+    """Step size keeping RK4 stable for the decaying modes of dx = V^T x:
+    RK4_REGION_MARGIN times the largest h with |R(h lam)| <= 1, R(z) = 1 + z
+    + z^2/2 + z^3/6 + z^4/24, for each eigenvalue lam != 0 of V with Re lam
+    <= 0; only the cap bounds a growing mode. Returns min(cap, that bound)."""
+    h = math.inf
+    for lam in np.linalg.eigvals(np.asarray(V, dtype=float)).tolist():
+        if lam.real > 0 or lam == 0:
+            continue
+        # along a ray into Re z <= 0 the region is one interval [0, h*], inside |z| < 2.97
+        lo, hi = 0.0, 3.0 / abs(lam)
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            z = mid * lam
+            if abs(1 + z * (1 + z * (0.5 + z * (1 / 6 + z / 24)))) <= 1.0:
+                lo = mid
+            else:
+                hi = mid
+        h = min(h, lo)
+    return min(cap, RK4_REGION_MARGIN * h)

@@ -131,7 +131,8 @@ def matexp(M) -> np.ndarray:
     M = _as_square(M)
     n = M.shape[0]
     if not M[~np.eye(n, dtype=bool)].any():
-        return np.diag(np.exp(np.diag(M)))  # exp(d) * I would turn an infinite exp into nan off the diagonal
+        with np.errstate(over="ignore"):  # an overflowing exp(d) is exactly inf
+            return np.diag(np.exp(np.diag(M)))  # exp(d) * I would turn an infinite exp into nan off the diagonal
     if not np.isfinite(M).all():
         raise ValueError("matrix must not contain infs or NaNs")
     with np.errstate(over="ignore"):

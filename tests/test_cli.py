@@ -27,7 +27,7 @@ from attnsim.cli import (
 )
 from attnsim.dynamics import rhs_absolute, rhs_vanilla
 from attnsim.errors import ContractError
-from attnsim.integrate import IntegratorConfig, Termination, Trajectory, integrate
+from attnsim.integrate import IntegratorConfig, Termination, Trajectory, integrate, region_step, stable_step
 from attnsim.params import (
     RopeParams,
     Scenario,
@@ -621,6 +621,33 @@ def test_sweep_rows_independent_of_window(tmp_path):
     rows_tail = (out / "seeds.csv").read_text().splitlines()
     assert code_all == code_tail == 0
     assert rows_all[3:] == rows_tail[1:]
+
+
+def test_sweep_steps_from_rk4_region(tmp_path):
+    # D = 4 seed 1: the convergence draw has a stiff decaying mode (-44.9), the
+    # divergence draw none, where stable_step would still cut h to 0.012
+    for scenario, stiff in (("convergence", True), ("divergence", False)):
+        sweep = {"scenario": scenario, "D": 4, "seed_start": 1, "seed_count": 1, "horizon": 1.0}
+        code, out = run_cli(tmp_path, {"schema_version": 1, "mode": "sweep", "sweep": sweep}, name=f"{scenario}.json")
+        assert code == 0
+        with open(out / "seeds.csv") as fh:
+            (row,) = csv.DictReader(fh)
+        V = build_scenario(ScenarioSpec(Scenario(scenario), 4, 1)).V
+        assert float(row["h"]) == region_step(V, cap=5e-2)
+        assert (float(row["h"]) < 5e-2) is stiff
+        assert stable_step(V, cap=5e-2) < 5e-2
+
+
+def test_sweep_records_mean_mode_growth_rate(tmp_path):
+    sweep = {"scenario": "convergence", "D": 3, "seed_start": 0, "seed_count": 3, "horizon": 1.0}
+    code, out = run_cli(tmp_path, {"schema_version": 1, "mode": "sweep", "sweep": sweep})
+    assert code == 0
+    with open(out / "seeds.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert list(rows[0])[-1] == "max_re_eig_V"
+    for row in rows:
+        V = build_scenario(ScenarioSpec(Scenario.CONVERGENCE, 3, int(row["seed"]))).V
+        assert float(row["max_re_eig_V"]) == np.linalg.eigvals(V.T).real.max()
 
 
 def test_module_entry_point_warns_nothing():

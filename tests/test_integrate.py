@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from attnsim import quadspace
 from attnsim.dynamics import rhs_vanilla
 from attnsim.errors import DomainError, IntegrationError
-from attnsim.integrate import IntegratorConfig, Termination, integrate, rk4_step, stable_step
-from attnsim.params import ModelParams, params_from_w_and_a, random_params
+from attnsim.integrate import RK4_REGION_MARGIN, IntegratorConfig, Termination, integrate, region_step, rk4_step, stable_step
+from attnsim.params import ModelParams, generator, params_from_w_and_a, random_params
 
 from cases import SHRINK_A, SHRINK_W, SHRINK_X0
 
@@ -192,6 +192,42 @@ def test_rhs_error_carries_time():
 def test_stable_step_caps_by_spectral_radius():
     assert stable_step(np.zeros((2, 2))) == 1e-2
     assert stable_step(100.0 * np.eye(2)) == pytest.approx(0.005)
+
+
+def rk4_amplification(z):
+    """|R(z)| for RK4's stability polynomial R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24."""
+    return np.abs(1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.sampled_from([0.0, 1e-3, 0.1, 1.0]), st.floats(-2.0, 2.0))
+@settings(max_examples=200, deadline=None)
+def test_region_step_matches_dense_grid_oracle(seed, D, mix, log_scale):
+    # V mixes a skew part (eigenvalues on the imaginary axis) with a general one
+    rng = generator(seed)
+    G = rng.standard_normal((D, D))
+    V = 10.0**log_scale * (G - G.T + mix * rng.standard_normal((D, D)))
+    cap = 10.0 ** rng.uniform(-3.0, 1.0)
+    h = region_step(V, cap=cap)
+    assert 0 < h <= cap
+    lam = np.linalg.eigvals(V)
+    lam = lam[(lam.real <= 0) & (lam != 0)]
+    s = np.linspace(0.0, h, 4001)
+    assert (rk4_amplification(np.outer(s, lam)) <= 1 + 1e-12).all()
+    if h < cap:  # the margin is taken from the region's boundary, not from inside it
+        assert (rk4_amplification(h / RK4_REGION_MARGIN * (1 + 1e-6) * lam) > 1).any()
+
+
+def test_region_step_pins():
+    # the negative real axis ends where R(z) = 1, the real root of z^3 + 4z^2 + 12z + 24
+    edge = -min(r.real for r in np.roots([1.0, 4.0, 12.0, 24.0]) if abs(r.imag) < 1e-9)
+    assert edge == pytest.approx(2.785293563405282, rel=1e-12)
+    for c in (0.5, 3.0, 700.0):
+        assert region_step(-c * np.eye(3), cap=np.inf) == pytest.approx(0.8 * edge / c, rel=1e-12)
+    for w in (0.25, 1.0, 40.0):  # the imaginary axis ends at 2 sqrt 2
+        assert region_step(np.array([[0.0, w], [-w, 0.0]]), cap=np.inf) == pytest.approx(0.8 * 2 * np.sqrt(2) / w, rel=1e-12)
+    assert region_step(-np.eye(2), cap=0.5) == 0.5
+    assert region_step(np.zeros((2, 2))) == 1e-2  # no decaying mode: the cap
+    assert region_step(100.0 * np.eye(2)) == 1e-2
 
 
 class _OracleBlowUp(IntegrationError):

@@ -246,6 +246,12 @@ def test_matexp_diagonal_is_exact_exp():
         np.testing.assert_array_equal(quadspace.matexp(np.diag(-d[::-1])), np.diag(np.exp(-d[::-1])))
 
 
+def test_matexp_diagonal_overflow_warns_nothing():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        np.testing.assert_array_equal(quadspace.matexp(np.diag([1e308, 1.0])), np.diag([np.inf, np.e]))
+
+
 def test_matexp_rejects_non_finite_and_non_square():
     M = np.ones((2, 2))
     M[0, 0] = np.nan
