@@ -369,9 +369,9 @@ def build_sweep_plan(cfg: dict) -> SweepPlan:
         raise ConfigError("sweep.seed_count must be >= 1")
     if plan.D < 2:
         raise ConfigError("sweep.D must be >= 2")
-    if not (all(v is None or v > 0 for v in (plan.h_cap, plan.t_max, plan.blowup_norm))
-            and all(v is None or 0 < v < np.inf for v in (plan.scale, plan.horizon))):
-        raise ConfigError("sweep: scale, h_cap, t_max, blowup_norm and horizon must be positive, scale and horizon finite")
+    if not (all(v is None or v > 0 for v in (plan.t_max, plan.blowup_norm))
+            and all(v is None or 0 < v < np.inf for v in (plan.scale, plan.horizon, plan.h_cap))):
+        raise ConfigError("sweep: scale, h_cap, t_max, blowup_norm and horizon must be positive, scale, h_cap and horizon finite")
     if "seed" in plan.tokens:
         raise ConfigError("sweep.tokens: no seed; each token seed is derived from its sweep seed")
     # the first seed's tokens, built here so that a bad section fails before any run

@@ -148,13 +148,14 @@ def stable_step(V, cap: float = 1e-2) -> float:
 
 
 def region_step(V, cap: float = 1e-2) -> float:
-    """Step size keeping RK4 stable for the decaying modes of dx = V^T x:
-    RK4_REGION_MARGIN times the largest h with |R(h lam)| <= 1, R(z) = 1 + z
-    + z^2/2 + z^3/6 + z^4/24, for each eigenvalue lam != 0 of V with Re lam
-    <= 0; only the cap bounds a growing mode. Returns min(cap, that bound)."""
+    """min(cap, RK4_REGION_MARGIN times the largest h with |R(h mu)| <= 1),
+    R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, over mu = each eigenvalue lam of V
+    with Re lam <= 0 and mu = i Im lam for Re lam > 0 (mu != 0): RK4 stays
+    stable on each mode of dx = V^T x, a growing one's oscillation included."""
     h = math.inf
     for lam in np.linalg.eigvals(np.asarray(V, dtype=float)).tolist():
-        if lam.real > 0 or lam == 0:
+        lam = complex(0.0, lam.imag) if lam.real > 0 else lam  # a growing mode counts by its oscillation
+        if lam == 0:
             continue
         # along a ray into Re z <= 0 the region is one interval [0, h*], inside |z| < 2.97
         lo, hi = 0.0, 3.0 / abs(lam)

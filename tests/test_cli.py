@@ -539,9 +539,9 @@ def test_sweep_unknown_scenario_exits_2(tmp_path):
 
 @pytest.mark.parametrize(
     "bad",
-    [{"D": 1}, {"h_cap": 0.0}, {"blowup_norm": -1.0}, {"horizon": 0.0}, {"t_max": float("nan")},
+    [{"D": 1}, {"h_cap": 0.0}, {"h_cap": float("inf")}, {"blowup_norm": -1.0}, {"horizon": 0.0}, {"t_max": float("nan")},
      {"tokens": {"kind": "cluster", "L": 3, "seed": 5}}],  # each sweep seed derives its own token seed
-    ids=["D_1", "h_cap_0", "blowup_norm_negative", "horizon_0", "t_max_nan", "tokens_seed"],
+    ids=["D_1", "h_cap_0", "h_cap_inf", "blowup_norm_negative", "horizon_0", "t_max_nan", "tokens_seed"],
 )
 def test_sweep_out_of_range_value_exits_2(tmp_path, capsys, bad):
     cfg = {"schema_version": 1, "mode": "sweep", "sweep": {"scenario": "convergence", "D": 2, "seed_count": 1, **bad}}

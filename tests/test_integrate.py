@@ -199,18 +199,21 @@ def rk4_amplification(z):
     return np.abs(1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24)
 
 
-@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.sampled_from([0.0, 1e-3, 0.1, 1.0]), st.floats(-2.0, 2.0))
+@given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.sampled_from([0.0, 1e-3, 0.1, 1.0]),
+       st.sampled_from([0.0, 1e-2, 1.0]), st.floats(-2.0, 2.0))
 @settings(max_examples=200, deadline=None)
-def test_region_step_matches_dense_grid_oracle(seed, D, mix, log_scale):
-    # V mixes a skew part (eigenvalues on the imaginary axis) with a general one
+def test_region_step_matches_dense_grid_oracle(seed, D, mix, shift, log_scale):
+    # V mixes a skew part (eigenvalues on the imaginary axis) with a general
+    # one; the shift moves every eigenvalue, oscillations included, to Re > 0
     rng = generator(seed)
     G = rng.standard_normal((D, D))
-    V = 10.0**log_scale * (G - G.T + mix * rng.standard_normal((D, D)))
+    V = 10.0**log_scale * (G - G.T + mix * rng.standard_normal((D, D)) + shift * np.eye(D))
     cap = 10.0 ** rng.uniform(-3.0, 1.0)
     h = region_step(V, cap=cap)
     assert 0 < h <= cap
     lam = np.linalg.eigvals(V)
-    lam = lam[(lam.real <= 0) & (lam != 0)]
+    lam = np.where(lam.real > 0, 1j * lam.imag, lam)  # a growing mode's oscillation
+    lam = lam[lam != 0]
     s = np.linspace(0.0, h, 4001)
     assert (rk4_amplification(np.outer(s, lam)) <= 1 + 1e-12).all()
     if h < cap:  # the margin is taken from the region's boundary, not from inside it
@@ -225,8 +228,13 @@ def test_region_step_pins():
         assert region_step(-c * np.eye(3), cap=np.inf) == pytest.approx(0.8 * edge / c, rel=1e-12)
     for w in (0.25, 1.0, 40.0):  # the imaginary axis ends at 2 sqrt 2
         assert region_step(np.array([[0.0, w], [-w, 0.0]]), cap=np.inf) == pytest.approx(0.8 * 2 * np.sqrt(2) / w, rel=1e-12)
+    # a growing oscillation eps +- iw steps as the neutral one; for (0.01, 60)
+    # the cap 0.05 would give h lam ~ 3i, where RK4 grows the mode 1.5-fold a step
+    for eps, w in ((1e-3, 1.0), (0.01, 60.0), (5.0, 2.0)):
+        V = np.array([[eps, w], [-w, eps]])
+        assert region_step(V, cap=np.inf) == pytest.approx(0.8 * 2 * np.sqrt(2) / w, rel=1e-12)
     assert region_step(-np.eye(2), cap=0.5) == 0.5
-    assert region_step(np.zeros((2, 2))) == 1e-2  # no decaying mode: the cap
+    assert region_step(np.zeros((2, 2))) == 1e-2  # no mode bounds the step: the cap
     assert region_step(100.0 * np.eye(2)) == 1e-2
 
 
