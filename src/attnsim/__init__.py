@@ -37,9 +37,7 @@ from .params import (
 )
 from .quadspace import (
     Definiteness,
-    a_norm,
     classify_definiteness,
-    in_convex_hull,
     invert,
     matexp,
     quad_form,

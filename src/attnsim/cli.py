@@ -92,6 +92,20 @@ def _section(where: str):
         raise ConfigError(f"{where}: {exc}") from exc
 
 
+def _integer(value) -> int:
+    """A whole number, such as 3 or 3.0; not 2.7, "3" or true."""
+    if isinstance(value, int) and not isinstance(value, bool) or isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"expected an integer, got {value!r}")
+
+
+def _boolean(value) -> bool:
+    """true or false; not "false" or 0."""
+    if not isinstance(value, bool):
+        raise ValueError(f"expected true or false, got {value!r}")
+    return value
+
+
 def _optional(cfg: dict, **convert) -> dict:
     """The keys of cfg named in convert, each converted; an absent key is
     left out, so the constructor's own default applies."""
@@ -110,11 +124,11 @@ def build_params(cfg: dict) -> ModelParams:
     with _section("params"):
         if kind == "scenario":
             _require_keys(cfg, {"kind", "scenario", "D", "seed", "symmetric"}, {"kind", "scenario", "D", "seed"}, "params")
-            spec = ScenarioSpec(scenario=Scenario(cfg["scenario"]), D=int(cfg["D"]), seed=int(cfg["seed"]), **_optional(cfg, symmetric=bool))
+            spec = ScenarioSpec(scenario=Scenario(cfg["scenario"]), D=_integer(cfg["D"]), seed=_integer(cfg["seed"]), **_optional(cfg, symmetric=_boolean))
             return build_scenario(spec)
         if kind == "random":
             _require_keys(cfg, {"kind", "D", "seed", "scale"}, {"kind", "D", "seed"}, "params")
-            return random_params(int(cfg["D"]), int(cfg["seed"]), **_optional(cfg, scale=float))
+            return random_params(_integer(cfg["D"]), _integer(cfg["seed"]), **_optional(cfg, scale=float))
         if kind == "matrices":
             _require_keys(cfg, {"kind", "Q", "K", "V", "dk", "rope"}, {"kind", "Q", "K", "V"}, "params")
             Q, K, V = (_matrix(cfg[k], f"params.{k}") for k in ("Q", "K", "V"))
@@ -127,7 +141,7 @@ def build_params(cfg: dict) -> ModelParams:
                     Kbar=_matrix(rcfg["Kbar"], "params.rope.Kbar"),
                     **_optional(rcfg, theta_base=float, lambda_mod=_build_lambda_mod),
                 )
-            return ModelParams(D=Q.shape[0], Q=Q, K=K, V=V, Dk=int(cfg["dk"]) if "dk" in cfg else None, rope=rope)
+            return ModelParams(D=Q.shape[0], Q=Q, K=K, V=V, Dk=_integer(cfg["dk"]) if "dk" in cfg else None, rope=rope)
         if kind == "effective":
             _require_keys(cfg, {"kind", "W", "A", "V"}, {"kind", "W"}, "params")
             W = _matrix(cfg["W"], "params.W")
@@ -172,13 +186,13 @@ def build_tokens(cfg: dict, D: int, where: str = "tokens") -> np.ndarray:
             X0 = _matrix(cfg["rows"], f"{where}.rows")
         elif kind == "random":
             _require_keys(cfg, {"kind", "L", "seed", "scale"}, {"kind", "L", "seed"}, where)
-            rng = generator(int(cfg["seed"]))
-            X0 = float(cfg.get("scale", 1.0)) * rng.standard_normal((int(cfg["L"]), D))
+            rng = generator(_integer(cfg["seed"]))
+            X0 = float(cfg.get("scale", 1.0)) * rng.standard_normal((_integer(cfg["L"]), D))
         elif kind == "cluster":
             # tight cluster: seeded mean direction scaled to mean_norm, plus
             # Gaussian offsets of std spread * mean_norm
             _require_keys(cfg, {"kind", "L", "seed", "mean_norm", "spread", "direction"}, {"kind", "L", "seed"}, where)
-            rng = generator(int(cfg["seed"]))
+            rng = generator(_integer(cfg["seed"]))
             mean_norm = float(cfg.get("mean_norm", 1.0))
             spread = float(cfg.get("spread", 1e-4))
             if "direction" in cfg:
@@ -188,7 +202,7 @@ def build_tokens(cfg: dict, D: int, where: str = "tokens") -> np.ndarray:
             else:
                 m = rng.standard_normal(D)
             m = m * (mean_norm / np.linalg.norm(m))
-            X0 = m + spread * mean_norm * rng.standard_normal((int(cfg["L"]), D))
+            X0 = m + spread * mean_norm * rng.standard_normal((_integer(cfg["L"]), D))
         else:
             raise ConfigError(f"{where}.kind must be explicit/random/cluster, got {kind!r}")
     if X0.shape[1] != D:
@@ -203,7 +217,7 @@ def build_tokens(cfg: dict, D: int, where: str = "tokens") -> np.ndarray:
 def build_integrator(cfg: dict) -> IntegratorConfig:
     _require_keys(cfg, {"h", "T", "record_stride", "blowup_norm"}, set(), "integrator")
     with _section("integrator"):
-        return IntegratorConfig(**_optional(cfg, h=float, T=float, record_stride=int, blowup_norm=float))
+        return IntegratorConfig(**_optional(cfg, h=float, T=float, record_stride=_integer, blowup_norm=float))
 
 
 def load_config(path: str) -> dict:
@@ -361,14 +375,13 @@ def build_sweep_plan(cfg: dict) -> SweepPlan:
     _require_keys(cfg, {f.name for f in fields(SweepPlan)}, {"D", "seed_count"}, "sweep")
     with _section("sweep"):
         plan = SweepPlan(**_optional(
-            cfg, D=int, seed_count=int, seed_start=int, scale=float, symmetric=bool, tokens=dict,
+            cfg, D=_integer, seed_count=_integer, seed_start=_integer, scale=float, symmetric=_boolean, tokens=dict,
             scenario=lambda s: None if s == "random" else Scenario(s), horizon=lambda v: None if v == "auto" else float(v),
             h_cap=float, t_max=float, blowup_norm=float,
         ))
-    if plan.seed_count < 1:
-        raise ConfigError("sweep.seed_count must be >= 1")
-    if plan.D < 2:
-        raise ConfigError("sweep.D must be >= 2")
+    for key, least in (("seed_count", 1), ("seed_start", 0), ("D", 2)):
+        if getattr(plan, key) < least:
+            raise ConfigError(f"sweep.{key} must be >= {least}")
     if not (all(v is None or v > 0 for v in (plan.t_max, plan.blowup_norm))
             and all(v is None or 0 < v < np.inf for v in (plan.scale, plan.horizon, plan.h_cap))):
         raise ConfigError("sweep: scale, h_cap, t_max, blowup_norm and horizon must be positive, scale, h_cap and horizon finite")
@@ -391,8 +404,6 @@ def _sweep_one(args):
     else:
         params = build_scenario(ScenarioSpec(scenario=plan.scenario, D=plan.D, seed=seed, **_given(symmetric=plan.symmetric)))
     W, A = derive_W_A(params)
-    pos_w = int(np.sum(np.linalg.eigvalsh(quadspace.sym(W)) > 0))
-    pos_a = int(np.sum(np.linalg.eigvalsh(quadspace.sym(A)) > 0))
     X0 = build_tokens({"seed": token_seed, **plan.tokens}, plan.D, "sweep.tokens")
 
     h = region_step(params.V, cap=plan.h_cap)
@@ -407,8 +418,8 @@ def _sweep_one(args):
     start, end = analyze.endpoint_mean_norms(traj)
     return {
         "seed": seed,
-        "pos_eigs_Wsym": pos_w,
-        "pos_eigs_Asym": pos_a,
+        "pos_eigs_Wsym": quadspace.count_positive_eigs(W),
+        "pos_eigs_Asym": quadspace.count_positive_eigs(A),
         "regime": analyze.classify_regime(traj).value,
         "mean_norm_ratio": end / start if start > 0 else float("nan"),
         "terminated": traj.terminated.value,

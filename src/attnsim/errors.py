@@ -25,10 +25,6 @@ class GenerationError(AttnSimError):
     """Random construction exhausted its retry budget."""
 
 
-class HullUndecidedError(AttnSimError):
-    """Hull membership could not be certified within the iteration cap."""
-
-
 class HypothesisError(AttnSimError):
     """A theorem checker's hypothesis does not hold for the given inputs."""
 

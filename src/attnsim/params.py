@@ -259,13 +259,11 @@ def _assert_scenario(params: ModelParams, scenario: Scenario):
     w_kind = quadspace.classify_definiteness(W)
     if w_kind is not quadspace.Definiteness.POSITIVE_DEFINITE:
         raise GenerationError(f"W_sym came out {w_kind.value}")
-    a_vals = np.linalg.eigvalsh(quadspace.sym(A))
-    n_pos = int(np.sum(a_vals > 0))
-    D = params.D
+    n_pos = quadspace.count_positive_eigs(A)
     expect = {
         Scenario.CONVERGENCE: 0,
-        Scenario.DIVERGENCE: D,
-        Scenario.INTERMEDIATE: (D + 1) // 2,
+        Scenario.DIVERGENCE: params.D,
+        Scenario.INTERMEDIATE: (params.D + 1) // 2,
     }[scenario]
     if n_pos != expect:
         raise GenerationError(f"A_sym has {n_pos} positive eigenvalues, expected {expect}")
@@ -284,14 +282,14 @@ def eigen_stats(Qs, Ks, Vs, eps: float = 1e-3) -> SpectrumStats:
     singular = 0
     for Q, K, V in zip(Qs, Ks, Vs):
         p = ModelParams(D=len(Q), Q=Q, K=K, V=V)
-        pw.append(100.0 * np.mean(np.linalg.eigvalsh(quadspace.sym(p.W)) > 0))
+        pw.append(100.0 * (quadspace.count_positive_eigs(p.W) / p.D))
         pv.append(100.0 * np.mean(np.abs(np.linalg.eigvals(p.V)) <= eps))
         try:
             _, A = derive_W_A(p)
         except SingularMatrixError:
             singular += 1
             continue
-        pa.append(100.0 * np.mean(np.linalg.eigvalsh(quadspace.sym(A)) > 0))
+        pa.append(100.0 * (quadspace.count_positive_eigs(A) / p.D))
     return SpectrumStats(
         pct_pos_Wsym=float(np.mean(pw)),
         pct_pos_Asym=float(np.mean(pa)) if pa else float("nan"),

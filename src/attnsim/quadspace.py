@@ -1,8 +1,9 @@
 """Dense quadratic-space primitives.
 
 Everything operates on plain float64 numpy arrays: matrices are (n, n),
-vectors are (n,), and simplex_distance takes its queries as a (Q, d)
-batch. All functions are pure; nothing mutates its inputs.
+vectors are (n,). All functions are pure; nothing mutates its inputs.
+Hull membership has one rule: a query in simplex_distance's (Q, d) batch
+is in when its upper bound is <= tol, and out when its lower bound is > tol.
 """
 
 from __future__ import annotations
@@ -11,12 +12,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    HullUndecidedError,
-    ShapeError,
-    SingularMatrixError,
-)
+from .errors import DomainError, ShapeError, SingularMatrixError
 
 PIVOT_RTOL = 1e-12          # pivot threshold, relative to max |entry|
 DEFINITENESS_RTOL = 1e-9    # default definiteness tolerance vs spectral radius
@@ -89,17 +85,9 @@ def classify_definiteness(B) -> Definiteness:
     return Definiteness.INDEFINITE
 
 
-def a_norm(B, u) -> float:
-    """Norm induced by a definite quadratic form: sqrt(|q_B(u)|) with the
-    sign fixed by the definiteness of sym(B)."""
-    kind = classify_definiteness(B)
-    if kind is Definiteness.POSITIVE_DEFINITE:
-        q = quad_form(B, u)
-    elif kind is Definiteness.NEGATIVE_DEFINITE:
-        q = -quad_form(B, u)
-    else:
-        raise DomainError(f"sym part is {kind.value}; the form induces no norm")
-    return float(np.sqrt(max(q, 0.0)))
+def count_positive_eigs(B) -> int:
+    """Number of eigenvalues of sym(B) above 0."""
+    return int(np.sum(np.linalg.eigvalsh(sym(B)) > 0))
 
 
 def invert(M) -> np.ndarray:
@@ -260,26 +248,3 @@ def _project_simplex(z):
     theta = css[np.arange(z.shape[0]), rho] / (rho + 1.0)
     return np.maximum(z - theta[:, None], 0.0)
 
-
-def in_convex_hull(points, p, tol: float = 1e-8) -> bool:
-    """True iff p lies within tol of the convex hull of points.
-
-    False needs the certified lower bound to exceed tol by more than its
-    rounding resolution, about sqrt(eps) times the largest norm among the
-    points and p. Raises HullUndecidedError when neither answer is
-    certified within the iteration cap.
-    """
-    P = np.asarray(points, dtype=float)
-    p = np.asarray(p, dtype=float)
-    (upper,), (lower,) = simplex_distance(P, p[None], tol=tol)
-    margin = tol + np.sqrt(np.finfo(float).eps) * max(np.linalg.norm(P, axis=1).max(), np.linalg.norm(p))
-    if tol < lower <= margin:
-        # the query left the solver on a lower bound within its resolution
-        (upper,), (lower,) = simplex_distance(P, p[None], tol=margin)
-    if upper <= tol:
-        return True
-    if lower > margin:
-        return False
-    raise HullUndecidedError(
-        f"hull membership undecided: distance in [{lower:.3e}, {upper:.3e}], tol {tol:.3e}"
-    )

@@ -299,9 +299,22 @@ NON_FINITE = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(NON_FINITE))
-def test_non_finite_config_values_exit_2(tmp_path, capsys, case):
-    section, value = NON_FINITE[case]
+# a bool must be a JSON boolean, and an integer a whole number that is not a bool
+NOT_STRICT = {
+    "params_symmetric_string": ("params", {"kind": "scenario", "scenario": "convergence", "D": 2, "seed": 1, "symmetric": "false"}),
+    "params_D_fractional": ("params", {"kind": "random", "D": 2.7, "seed": 1}),
+    "params_seed_bool": ("params", {"kind": "random", "D": 2, "seed": True}),
+    "params_dk_string": ("params", {"kind": "matrices", "Q": np.eye(2).tolist(), "K": np.eye(2).tolist(), "V": np.eye(2).tolist(), "dk": "2"}),
+    "tokens_L_string": ("tokens", {"kind": "random", "L": "3", "seed": 2}),
+    "tokens_seed_fractional": ("tokens", {"kind": "cluster", "L": 3, "seed": 2.5}),
+    "integrator_record_stride_fractional": ("integrator", {"h": 0.01, "T": 0.5, "record_stride": 1.5}),
+    "sweep_symmetric_string": ("sweep", {"scenario": "convergence", "D": 2, "seed_count": 1, "symmetric": "false", "horizon": 1.0}),
+    "sweep_D_fractional": ("sweep", {"D": 2.7, "seed_count": 1, "horizon": 1.0}),
+    "sweep_seed_count_bool": ("sweep", {"D": 2, "seed_count": True, "horizon": 1.0}),
+}
+
+
+def _assert_section_exits_2(tmp_path, capsys, section, value):
     cfg = {"schema_version": 1, "mode": "sweep", "sweep": value} if section == "sweep" else simulate_cfg(**{section: value})
     if section == "params" and "rope" in value:
         cfg["posenc"] = {"kind": "rotary"}
@@ -309,6 +322,22 @@ def test_non_finite_config_values_exit_2(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert code == 2 and err.startswith(f"error: {section}") and "Traceback" not in err
     assert os.listdir(out) == []
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE))
+def test_non_finite_config_values_exit_2(tmp_path, capsys, case):
+    _assert_section_exits_2(tmp_path, capsys, *NON_FINITE[case])
+
+
+@pytest.mark.parametrize("case", sorted(NOT_STRICT))
+def test_lenient_bool_or_integer_exits_2(tmp_path, capsys, case):
+    _assert_section_exits_2(tmp_path, capsys, *NOT_STRICT[case])
+
+
+def test_integral_float_reads_as_integer(tmp_path):
+    cfg = simulate_cfg(params={"kind": "random", "D": 2.0, "seed": 1.0}, integrator={"h": 0.01, "T": 0.5, "record_stride": 2.0})
+    code, out = run_cli(tmp_path, cfg)
+    assert code == 0 and json.loads((out / "summary.json").read_text())["samples"] == 26
 
 
 def _block_entries(L, D, samples):
@@ -540,8 +569,10 @@ def test_sweep_unknown_scenario_exits_2(tmp_path):
 @pytest.mark.parametrize(
     "bad",
     [{"D": 1}, {"h_cap": 0.0}, {"h_cap": float("inf")}, {"blowup_norm": -1.0}, {"horizon": 0.0}, {"t_max": float("nan")},
-     {"tokens": {"kind": "cluster", "L": 3, "seed": 5}}],  # each sweep seed derives its own token seed
-    ids=["D_1", "h_cap_0", "h_cap_inf", "blowup_norm_negative", "horizon_0", "t_max_nan", "tokens_seed"],
+     {"tokens": {"kind": "cluster", "L": 3, "seed": 5}},  # each sweep seed derives its own token seed
+     {"seed_start": -1}, {"seed_start": -8_000_000}],  # seeds and token seeds must be >= 0
+    ids=["D_1", "h_cap_0", "h_cap_inf", "blowup_norm_negative", "horizon_0", "t_max_nan", "tokens_seed",
+         "seed_start_negative", "seed_start_below_token_offset"],
 )
 def test_sweep_out_of_range_value_exits_2(tmp_path, capsys, bad):
     cfg = {"schema_version": 1, "mode": "sweep", "sweep": {"scenario": "convergence", "D": 2, "seed_count": 1, **bad}}

@@ -537,4 +537,5 @@ def test_rhs_image_lies_in_value_mapped_hull():
     dX = rhs_vanilla(p, X)
     for l in range(5):
         c = Vt_inv @ dX[l]
-        assert quadspace.in_convex_hull(X, c, tol=1e-8)
+        upper, _ = quadspace.simplex_distance(X, c[None], tol=1e-8)
+        assert upper[0] <= 1e-8

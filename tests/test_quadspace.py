@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from attnsim import quadspace
-from attnsim.errors import DomainError, HullUndecidedError, ShapeError, SingularMatrixError
+from attnsim.errors import DomainError, ShapeError, SingularMatrixError
 from attnsim.params import generator
 from attnsim.quadspace import PIVOT_RTOL, Definiteness
 
@@ -92,15 +92,15 @@ def test_classify_reference_W():
     assert quadspace.classify_definiteness(COLLAPSE_W) is Definiteness.POSITIVE_DEFINITE
 
 
-def test_a_norm_euclidean_branches():
-    assert quadspace.a_norm(np.eye(2), [3.0, 4.0]) == pytest.approx(5.0)
-    assert quadspace.a_norm(-np.eye(2), [3.0, 4.0]) == pytest.approx(5.0)
-    assert quadspace.a_norm(np.diag([4.0, 9.0]), [1.0, 1.0]) == pytest.approx(np.sqrt(13.0))
-
-
-def test_a_norm_rejects_indefinite():
-    with pytest.raises(DomainError):
-        quadspace.a_norm(np.diag([1.0, -1.0]), [1.0, 1.0])
+def test_count_positive_eigs_matches_eigvalsh():
+    rng = np.random.default_rng(14)
+    for D in range(1, 9):
+        k = int(rng.integers(0, D + 1))
+        Qo, _ = np.linalg.qr(rng.normal(size=(D, D)))
+        signs = np.r_[np.ones(k), -np.ones(D - k)]
+        S = rng.normal(size=(D, D))
+        B = Qo @ np.diag(signs * rng.uniform(0.5, 2.0, D)) @ Qo.T + (S - S.T)  # sym(B) has k positive eigenvalues
+        assert quadspace.count_positive_eigs(B) == k == np.sum(np.linalg.eigvalsh(0.5 * (B + B.T)) > 0)
 
 
 def test_norm_equivalence_bounds():
@@ -111,7 +111,7 @@ def test_norm_equivalence_bounds():
     for _ in range(20):
         u = rng.normal(size=4)
         nu = np.linalg.norm(u)
-        an = quadspace.a_norm(B, u)
+        an = np.sqrt(quadspace.quad_form(B, u))
         assert np.sqrt(vals[0]) * nu - 1e-9 <= an <= np.sqrt(vals[-1]) * nu + 1e-9
 
 
@@ -269,45 +269,50 @@ def test_matexp_rejects_non_finite_and_non_square():
         quadspace.matexp(np.ones((2, 3, 3)))
 
 
+def _in_hull(pts, p, tol=1e-8):
+    # the library's one hull rule: in when the upper bound is within tol
+    return quadspace.simplex_distance(pts, np.asarray(p)[None], tol)[0][0] <= tol
+
+
+def _outside_hull(pts, p, tol=1e-8):
+    # certified out: the solver's lower bound exceeds tol
+    return quadspace.simplex_distance(pts, np.asarray(p)[None], tol)[1][0] > tol
+
+
 def test_hull_vertex_and_centroid():
     rng = np.random.default_rng(9)
     pts = rng.normal(size=(5, 3))
-    assert quadspace.in_convex_hull(pts, pts[0], tol=1e-8)
-    assert quadspace.in_convex_hull(pts, pts.mean(axis=0), tol=1e-8)
+    assert _in_hull(pts, pts[0])
+    assert _in_hull(pts, pts.mean(axis=0))
 
 
 def test_hull_outside_bounding_box():
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    assert not quadspace.in_convex_hull(pts, np.array([5.0, 5.0]), tol=1e-8)
+    assert _outside_hull(pts, [5.0, 5.0])
 
 
 def test_hull_single_point():
     pts = np.array([[1.0, 2.0]])
-    assert quadspace.in_convex_hull(pts, np.array([1.0, 2.0]), tol=1e-10)
-    assert not quadspace.in_convex_hull(pts, np.array([1.1, 2.0]), tol=1e-3)
+    assert _in_hull(pts, [1.0, 2.0], tol=1e-10)
+    assert _outside_hull(pts, [1.1, 2.0], tol=1e-3)
 
 
 def test_hull_outside_needs_lower_bound_beyond_its_resolution():
-    # the Frank-Wolfe lower bound resolves distances to about sqrt(eps) times
-    # the scale, 1.5e-8 here: 1.01e-8 from an edge is outside the default
-    # tol only by rounding
+    # near an edge the answer rests on which bound crosses tol first
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    with pytest.raises(HullUndecidedError):
-        quadspace.in_convex_hull(pts, np.array([0.5, -1.01e-8]))
-    assert quadspace.in_convex_hull(pts, np.array([0.5, -2e-9]))
-    # the first solve leaves this query at a lower bound of 2.1e-8, inside
-    # the resolution; solving on to tol + resolution certifies it outside
-    assert not quadspace.in_convex_hull(pts, np.array([0.5, -3e-8]))
-    assert not quadspace.in_convex_hull(pts, np.array([0.5, -1e-6]))
+    assert _in_hull(pts, [0.5, -2e-9])
+    # the solver stops at a certified lower bound of 2.1e-8 > tol
+    assert _outside_hull(pts, [0.5, -3e-8])
+    assert _outside_hull(pts, [0.5, -1e-6])
 
 
 def test_hull_monotone_under_extra_point():
     rng = np.random.default_rng(10)
     pts = rng.normal(size=(4, 2))
     p = pts.mean(axis=0)
-    assert quadspace.in_convex_hull(pts, p, tol=1e-8)
+    assert _in_hull(pts, p)
     more = np.vstack([pts, rng.normal(size=2)])
-    assert quadspace.in_convex_hull(more, p, tol=1e-8)
+    assert _in_hull(more, p)
 
 
 def test_simplex_distance_certifies_input_point():

@@ -1,0 +1,169 @@
+"""Record, or check, the digest of every benchmark and configs/*.json run.
+
+    python3 tools/digests.py            # write DIGESTS.json
+    python3 tools/digests.py --check    # rerun and compare with DIGESTS.json
+
+Run from anywhere in a full checkout; attnsim is imported from its src/.
+The runs are every operation of every perfbench member (perfbench/
+reference.json; configs from perfbench/workloads.py) plus the three
+configs/*.json, each one in-process call of attnsim.cli.main with
+--jobs 1 into a fresh directory, hashed by workloads.digest (exit code,
+stdout and every output file). A split check then runs one sweep member's
+seed window at --jobs 1 and --jobs 2, and as two windows, and requires the
+same seeds.csv rows from all three.
+
+BLAS runs on one thread unless OPENBLAS_NUM_THREADS (or OMP_/MKL_/
+BLIS_NUM_THREADS) says otherwise; the digests must not depend on it.
+--check exits 0 when every digest matches, 1 when a run changed or the
+split check fails, and 2 when runs changed in an environment (numpy, BLAS,
+CPU features) other than the recorded one: those changes are reported,
+not blamed on the code. It takes a few minutes on two cores.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import platform
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+DIGESTS = os.path.join(ROOT, "DIGESTS.json")
+for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS"):
+    os.environ.setdefault(var, "1")  # before numpy loads
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
+
+import numpy as np  # noqa: E402
+import workloads as wl  # noqa: E402
+from attnsim import cli  # noqa: E402
+from attnsim.params import Scenario, ScenarioSpec, build_scenario  # noqa: E402
+
+SPLIT_MEMBER = 0  # the sweep member whose seed window the split check runs
+
+
+def environment() -> dict:
+    """What the digests may depend on besides the code."""
+    config = np.show_config(mode="dicts")
+    blas = config.get("Build Dependencies", {}).get("blas", {})
+    simd = config.get("SIMD Extensions", {})
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": f"{blas.get('name')} {blas.get('version')}",
+        "machine": platform.machine(),
+        "simd": sorted(simd.get("baseline", []) + simd.get("found", [])),
+    }
+
+
+def run(cfg_path: str, jobs: int = 1) -> tuple[str, str]:
+    """Digest and seeds.csv text (empty when absent) of one CLI run."""
+    with tempfile.TemporaryDirectory() as out:
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = cli.main(["--config", cfg_path, "--out", out, "--jobs", str(jobs)])
+        seeds = os.path.join(out, "seeds.csv")
+        rows = ""
+        if os.path.exists(seeds):
+            with open(seeds) as fh:
+                rows = fh.read()
+        return wl.digest(out, code, buf.getvalue()), rows
+
+
+def _write_config(workdir: str, name: str, cfg: dict) -> str:
+    path = os.path.join(workdir, f"{name.replace('/', '-')}.json")
+    with open(path, "w") as fh:
+        json.dump(cfg, fh)
+    return path
+
+
+def member_runs(workdir: str) -> dict[str, str]:
+    """Config path of every perfbench operation, keyed workload/member/operation."""
+    with open(os.path.join(ROOT, "perfbench", "reference.json")) as fh:
+        reference = json.load(fh)
+    scenario_V = lambda D, s: build_scenario(  # noqa: E731
+        ScenarioSpec(scenario=Scenario.CONVERGENCE, D=D, seed=s, symmetric=True)
+    ).V
+    paths = {}
+    for workload in wl.WORKLOADS:
+        for index, m in enumerate(reference[workload]["members"]):
+            for op, cfg in wl.configs(workload, m, scenario_V).items():
+                key = f"{workload}/{index}/{op}"
+                paths[key] = _write_config(workdir, key, cfg)
+    return paths
+
+
+def split_check(workdir: str) -> tuple[str, list[str]]:
+    """Digest of one sweep member's seeds.csv, and the ways of splitting the
+    run that did not reproduce it."""
+    with open(os.path.join(ROOT, "perfbench", "reference.json")) as fh:
+        m = json.load(fh)["sweep"]["members"][SPLIT_MEMBER]
+    start, count = m["seed_start"], m["seed_count"]
+
+    def window(first: int, n: int) -> str:
+        sweep = {"scenario": "convergence", "D": wl.SWEEP_D, "seed_start": first, "seed_count": n, "horizon": "auto"}
+        return _write_config(workdir, f"split_{first}_{n}", {"schema_version": 1, "mode": "sweep", "sweep": sweep})
+
+    whole = run(window(start, count))[1]
+    half = count // 2
+    head, tail = run(window(start, half))[1], run(window(start + half, count - half))[1]
+    ways = {
+        "--jobs 2": run(window(start, count), jobs=2)[1],
+        f"windows of {half} and {count - half} seeds": head + tail.split("\n", 1)[1],
+    }
+    failed = [way for way, rows in ways.items() if rows != whole]
+    return hashlib.sha256(whole.encode()).hexdigest(), failed
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--check", action="store_true", help="compare with DIGESTS.json instead of writing it")
+    args = parser.parse_args(argv)
+
+    with tempfile.TemporaryDirectory() as workdir:
+        paths = member_runs(workdir)
+        for name in sorted(os.listdir(os.path.join(ROOT, "configs"))):
+            if name.endswith(".json"):
+                paths[f"configs/{name}"] = os.path.join(ROOT, "configs", name)
+        runs = {}
+        for i, (key, path) in enumerate(sorted(paths.items()), 1):
+            runs[key] = run(path)[0]
+            print(f"\r{i}/{len(paths)} runs", end="", file=sys.stderr, flush=True)
+        print(file=sys.stderr)
+        split, split_failed = split_check(workdir)
+
+    record = {"environment": environment(), "runs": runs, "split_sweep_member": SPLIT_MEMBER, "split_seeds_csv": split}
+    for way in split_failed:
+        print(f"split check: seeds.csv rows differ from one --jobs 1 window when run as {way}")
+    if not args.check:
+        if split_failed:
+            return 1
+        with open(DIGESTS, "w") as fh:
+            json.dump(record, fh, indent=1, sort_keys=True)
+            fh.write("\n")
+        print(f"wrote {len(runs)} run digests to {os.path.relpath(DIGESTS)}")
+        return 0
+
+    with open(DIGESTS) as fh:
+        want = json.load(fh)
+    changed = sorted(key for key in want["runs"].keys() | runs.keys() if want["runs"].get(key) != runs.get(key))
+    if want["split_seeds_csv"] != split:
+        changed.append(f"split check (sweep member {SPLIT_MEMBER} seeds.csv)")
+    for key in changed:
+        print(f"changed: {key}")
+    env_diff = {k: (want["environment"].get(k), v) for k, v in record["environment"].items() if want["environment"].get(k) != v}
+    for k, (was, now) in env_diff.items():
+        print(f"environment differs: {k} recorded {was!r}, now {now!r}")
+    print(f"{len(changed)} of {len(runs) + 1} digests changed")
+    if changed and env_diff:
+        print("the environment differs from the recorded one, so these changes need not come from the code")
+        return 2
+    return 1 if changed or split_failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
