@@ -16,7 +16,7 @@ import numpy as np
 
 from . import quadspace
 from .dynamics import _attention_average
-from .errors import ConfigError, DomainError, HypothesisError, NoRealDominantError, SingularMatrixError
+from .errors import ConfigError, DomainError, HypothesisError, SingularMatrixError
 from .integrate import Termination, Trajectory
 from .params import FLOAT_FORMAT, ModelParams, derive_W_A
 
@@ -184,7 +184,7 @@ def check_quadratic_form_bounds(
     ]
 
     a_kind = quadspace.classify_definiteness(A)
-    w_kind = quadspace.classify_definiteness(quadspace.sym(W))
+    w_kind = quadspace.classify_definiteness(W)
     if a_kind is quadspace.Definiteness.NEGATIVE_DEFINITE and w_kind is quadspace.Definiteness.POSITIVE_DEFINITE:
         c = float(np.linalg.eigvalsh(quadspace.sym(W)).min() / np.linalg.eigvalsh(-quadspace.sym(A)).max())
         na = -qA  # squared A-norm, A < 0
@@ -315,33 +315,12 @@ def classify_regime(traj: Trajectory) -> Regime:
     return Regime.UNDECIDED
 
 
-def dominant_eigenvector(V):
-    """Real dominant eigenpair of a square matrix.
-
-    Raises NoRealDominantError when the largest-modulus eigenvalue is part
-    of a complex pair (relative imaginary part above EIGEN_TOL).
-    """
-    V = np.asarray(V, dtype=float)
-    values, vectors = np.linalg.eig(V)
-    idx = int(np.argmax(np.abs(values)))
-    lam = values[idx]
-    if abs(lam.imag) > EIGEN_TOL * max(1.0, abs(lam)):
-        raise NoRealDominantError(f"dominant eigenvalue {lam:.6g} is complex")
-    v = vectors[:, idx]
-    j = int(np.argmax(np.abs(v)))
-    v = v * np.conj(v[j]) / abs(v[j])  # rotate the phase so v is real
-    vr = np.real(v)
-    vr = vr / np.linalg.norm(vr)
-    lam_r = float(lam.real)
-    if np.linalg.norm(V @ vr - lam_r * vr) > EIGEN_TOL * max(1.0, abs(lam_r)):
-        raise NoRealDominantError("no real eigenvector for the dominant eigenvalue")
-    return lam_r, vr
-
-
 def positive_eigenpair(V):
     """A (eigenvalue, unit eigenvector) pair of V with positive eigenvalue,
     for the divergence-projection check. Symmetric V goes through the exact
-    symmetric solver; otherwise the dominant pair is used if positive."""
+    symmetric solver; otherwise the dominant (largest-modulus) pair is used
+    if it is real (imaginary part at most EIGEN_TOL relative) and positive.
+    Raises HypothesisError when neither gives such a pair."""
     V = np.asarray(V, dtype=float)
     if quadspace.is_symmetric(V, 1e-10):
         values, vectors = np.linalg.eigh(quadspace.sym(V))
@@ -349,15 +328,26 @@ def positive_eigenpair(V):
         if lam <= 0:
             raise HypothesisError("V has no positive eigenvalue")
         return lam, vectors[:, -1]
-    lam, v = dominant_eigenvector(V)
+    values, vectors = np.linalg.eig(V)
+    idx = int(np.argmax(np.abs(values)))
+    lam = values[idx]
+    if abs(lam.imag) > EIGEN_TOL * max(1.0, abs(lam)):
+        raise HypothesisError(f"dominant eigenvalue {lam:.6g} is complex")
+    v = vectors[:, idx]
+    j = int(np.argmax(np.abs(v)))
+    v = v * np.conj(v[j]) / abs(v[j])  # rotate the phase so v is real
+    v = np.real(v) / np.linalg.norm(np.real(v))
+    lam = float(lam.real)
+    if np.linalg.norm(V @ v - lam * v) > EIGEN_TOL * max(1.0, abs(lam)):
+        raise HypothesisError("no real eigenvector for the dominant eigenvalue")
     if lam <= 0:
         raise HypothesisError("dominant eigenvalue of V is not positive")
     return lam, v
 
 
 VERIFY_TOLERANCES = {
-    "monotonicity_tol": None,  # 1e-6 + 100 h^4 when None
-    "qa_rate_tol": None,  # 10 h^3 when None
+    "monotonicity_tol": None,  # 1e-6 + 100 h^4 when None, h the integrator step (traj.config.h)
+    "qa_rate_tol": None,  # 10 h^3 when None, h the median spacing of the recorded samples
     "qa_envelope_tol": 1e-4,
     "convergence_rel_threshold": 1e-2,
     "projection_tol": 1e-4,
@@ -413,7 +403,7 @@ def run_checks(traj: Trajectory, params: ModelParams, P=None, tolerances: dict |
     try:
         lam, n = positive_eigenpair(params.V)
         report.checks.extend(check_divergence_projection(traj, params.V, n, lam, tol["projection_tol"]))
-    except (HypothesisError, NoRealDominantError) as exc:
+    except HypothesisError as exc:
         report.skipped.append(SkippedCheck("projection_band", str(exc)))
     try:
         report.checks.append(check_hull_containment(traj, params.V, params.V[0, 0], tol["hull_tol"]))
@@ -441,7 +431,7 @@ def _check_plain_field_laws(traj: Trajectory, params: ModelParams, P, tol: dict,
     for r in check_quadratic_form_bounds(y, params, tol["qa_rate_tol"], tol["qa_envelope_tol"]):
         (report.checks if isinstance(r, CheckResult) else report.skipped).append(r)
 
-    w_kind = quadspace.classify_definiteness(quadspace.sym(W))
+    w_kind = quadspace.classify_definiteness(W)
     if a_kind is not quadspace.Definiteness.NEGATIVE_DEFINITE or w_kind is not quadspace.Definiteness.POSITIVE_DEFINITE:
         report.skipped.append(SkippedCheck("norm_collapse", "not in the A_sym < 0, W_sym > 0 regime"))
         return

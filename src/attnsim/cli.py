@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 import numpy as np
@@ -59,37 +60,50 @@ def _fmt(x: float) -> str:
     return FLOAT_FORMAT % float(x)
 
 
-def _require_keys(d: dict, allowed: set[str], required: set[str], where: str):
-    if not isinstance(d, dict):
-        raise ConfigError(f"{where} must be an object")
-    unknown = set(d) - allowed
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
-    missing = required - set(d)
-    if missing:
-        raise ConfigError(f"{where}: missing keys {sorted(missing)}")
-
-
-def _matrix(value, where: str) -> np.ndarray:
-    with _section(where):
-        M = np.asarray(value, dtype=float)
-    if M.ndim != 2:
-        raise ConfigError(f"{where}: expected a 2-d matrix")
-    if not np.isfinite(M).all():
-        raise ConfigError(f"{where}: entries must be finite")
-    return M
-
-
 @contextlib.contextmanager
 def _section(where: str):
-    """Turn a ValueError, TypeError or OSError raised while a config section
-    is read or built into ConfigError, the one path to exit 2."""
+    """Turn a ValueError, TypeError, OverflowError or OSError raised while a
+    config section is read or built into ConfigError, the one path to exit 2."""
     try:
         yield
     except ConfigError:
         raise
-    except (ValueError, TypeError, OSError) as exc:
+    except (ValueError, TypeError, OverflowError, OSError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _read(cfg, where: str, required: set[str], **convert) -> dict:
+    """One config section's keys, each converted by convert[key] under its own
+    path (where.key). convert names every key the section may have, required
+    those it must have; an absent key is left out, so the callee's default applies."""
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{where} must be an object")
+    unknown = set(cfg) - set(convert)
+    if unknown:
+        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
+    missing = required - set(cfg)
+    if missing:
+        raise ConfigError(f"{where}: missing keys {sorted(missing)}")
+    read = {}
+    for key, fn in convert.items():
+        if key in cfg:
+            with _section(f"{where}.{key}"):
+                read[key] = fn(cfg[key])
+    return read
+
+
+def _kind(cfg, where: str, kinds: tuple[str, ...]) -> tuple[str, dict]:
+    """The kind a section names, one of kinds, and the section's other keys."""
+    rest = _read(cfg, where, {"kind"}, **dict.fromkeys(cfg if isinstance(cfg, dict) else (), _as_is))
+    kind = rest.pop("kind")
+    if kind not in kinds:
+        raise ConfigError(f"{where}.kind must be one of {'/'.join(kinds)}, got {kind!r}")
+    return kind, rest
+
+
+def _as_is(value):
+    """A value checked where it is used: a section, the mode or a kind."""
+    return value
 
 
 def _integer(value) -> int:
@@ -99,6 +113,13 @@ def _integer(value) -> int:
     raise ValueError(f"expected an integer, got {value!r}")
 
 
+def _real(value) -> float:
+    """A number, such as 0.05 or 1; not "0.05" or true."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    raise ValueError(f"expected a number, got {value!r}")
+
+
 def _boolean(value) -> bool:
     """true or false; not "false" or 0."""
     if not isinstance(value, bool):
@@ -106,105 +127,89 @@ def _boolean(value) -> bool:
     return value
 
 
-def _optional(cfg: dict, **convert) -> dict:
-    """The keys of cfg named in convert, each converted; an absent key is
-    left out, so the constructor's own default applies."""
-    return {key: fn(cfg[key]) for key, fn in convert.items() if key in cfg}
+def _object(value) -> dict:
+    """A JSON object; not a list of pairs."""
+    if not isinstance(value, dict):
+        raise ValueError(f"expected an object, got {value!r}")
+    return value
 
 
-def _build_lambda_mod(cfg: dict) -> LambdaMod:
-    _require_keys(cfg, {"kind", "lambda", "diag"}, {"kind", "lambda"}, "params.rope.lambda_mod")
-    with _section("params.rope.lambda_mod"):
-        return LambdaMod(kind=LambdaKind(cfg["kind"]), lam=float(cfg["lambda"]), **_optional(cfg, diag=np.asarray))
+def _array(value, ndim: int) -> np.ndarray:
+    """An ndim-deep JSON array of finite numbers, rows of one length; no strings or booleans."""
+    A = np.array(value, dtype=object)
+    if A.ndim != ndim or not all(issubclass(t, (int, float)) and t is not bool for t in set(map(type, A.flat))):
+        raise ValueError(f"expected a {ndim}-d array of numbers")
+    A = A.astype(float)
+    if not np.isfinite(A).all():
+        raise ValueError("entries must be finite")
+    return A
+
+
+_matrix = functools.partial(_array, ndim=2)
+_vector = functools.partial(_array, ndim=1)
+
+
+def _lambda_mod(cfg) -> LambdaMod:
+    read = _read(cfg, "params.rope.lambda_mod", {"kind", "lambda"}, kind=LambdaKind, diag=_vector, **{"lambda": _real})
+    return LambdaMod(lam=read.pop("lambda"), **read)
+
+
+def _rope(cfg) -> RopeParams:
+    read = _read(cfg, "params.rope", {"Qbar", "Kbar"}, Qbar=_matrix, Kbar=_matrix, theta_base=_real, lambda_mod=_lambda_mod)
+    return RopeParams(**read)
 
 
 def build_params(cfg: dict) -> ModelParams:
-    _require_keys(cfg, set(cfg) if isinstance(cfg, dict) else set(), {"kind"}, "params")
-    kind = cfg["kind"]
+    kind, cfg = _kind(cfg, "params", ("scenario", "random", "matrices", "effective"))
     with _section("params"):
         if kind == "scenario":
-            _require_keys(cfg, {"kind", "scenario", "D", "seed", "symmetric"}, {"kind", "scenario", "D", "seed"}, "params")
-            spec = ScenarioSpec(scenario=Scenario(cfg["scenario"]), D=_integer(cfg["D"]), seed=_integer(cfg["seed"]), **_optional(cfg, symmetric=_boolean))
-            return build_scenario(spec)
+            spec = _read(cfg, "params", {"scenario", "D", "seed"}, scenario=Scenario, D=_integer, seed=_integer, symmetric=_boolean)
+            return build_scenario(ScenarioSpec(**spec))
         if kind == "random":
-            _require_keys(cfg, {"kind", "D", "seed", "scale"}, {"kind", "D", "seed"}, "params")
-            return random_params(_integer(cfg["D"]), _integer(cfg["seed"]), **_optional(cfg, scale=float))
+            return random_params(**_read(cfg, "params", {"D", "seed"}, D=_integer, seed=_integer, scale=_real))
         if kind == "matrices":
-            _require_keys(cfg, {"kind", "Q", "K", "V", "dk", "rope"}, {"kind", "Q", "K", "V"}, "params")
-            Q, K, V = (_matrix(cfg[k], f"params.{k}") for k in ("Q", "K", "V"))
-            rope = None
-            if "rope" in cfg:
-                rcfg = cfg["rope"]
-                _require_keys(rcfg, {"Qbar", "Kbar", "theta_base", "lambda_mod"}, {"Qbar", "Kbar"}, "params.rope")
-                rope = RopeParams(
-                    Qbar=_matrix(rcfg["Qbar"], "params.rope.Qbar"),
-                    Kbar=_matrix(rcfg["Kbar"], "params.rope.Kbar"),
-                    **_optional(rcfg, theta_base=float, lambda_mod=_build_lambda_mod),
-                )
-            return ModelParams(D=Q.shape[0], Q=Q, K=K, V=V, Dk=_integer(cfg["dk"]) if "dk" in cfg else None, rope=rope)
-        if kind == "effective":
-            _require_keys(cfg, {"kind", "W", "A", "V"}, {"kind", "W"}, "params")
-            W = _matrix(cfg["W"], "params.W")
-            if ("A" in cfg) == ("V" in cfg):
-                raise ConfigError("params.effective: give exactly one of A or V")
-            if "A" in cfg:
-                return params_from_w_and_a(W, _matrix(cfg["A"], "params.A"))
-            return params_from_w_and_v(W, _matrix(cfg["V"], "params.V"))
-    raise ConfigError(f"params.kind must be one of scenario/random/matrices/effective, got {kind!r}")
+            read = _read(cfg, "params", {"Q", "K", "V"}, Q=_matrix, K=_matrix, V=_matrix, dk=_integer, rope=_rope)
+            return ModelParams(D=read["Q"].shape[0], Dk=read.pop("dk", None), **read)
+        read = _read(cfg, "params", {"W"}, W=_matrix, A=_matrix, V=_matrix)
+        if ("A" in read) == ("V" in read):
+            raise ConfigError("params.effective: give exactly one of A or V")
+        return params_from_w_and_a(read["W"], read["A"]) if "A" in read else params_from_w_and_v(read["W"], read["V"])
 
 
 def build_positions(cfg: dict | None, params: ModelParams, L: int) -> np.ndarray | None:
     """The absolute position table the posenc section names, or None for
     the vanilla and rotary fields. Rotary encoding comes with rope
     parameters, and rope parameters only with rotary encoding."""
-    kind = "none"
-    if cfg is not None:
-        _require_keys(cfg, {"kind", "rows"}, {"kind"}, "posenc")
-        kind = cfg["kind"]
-        if kind not in ("given", "none", "rotary", "sinusoidal"):
-            raise ConfigError(f"posenc.kind must be one of given/none/rotary/sinusoidal, got {kind!r}")
-        if ("rows" in cfg) != (kind == "given"):
-            raise ConfigError("posenc.rows is required with kind = given and valid only there")
+    kind, cfg = _kind({"kind": "none"} if cfg is None else cfg, "posenc", ("given", "none", "rotary", "sinusoidal"))
+    P = _read(cfg, "posenc", set(), rows=_matrix).get("rows")
+    if (P is None) == (kind == "given"):
+        raise ConfigError("posenc.rows is required with kind = given and valid only there")
+    if P is not None and P.shape != (L, params.D):
+        raise ConfigError(f"posenc.rows {P.shape} do not match (L, D) = ({L}, {params.D})")
     if (kind == "rotary") != (params.rope is not None):
         raise ConfigError("posenc: rope parameters must be present exactly when posenc is rotary")
-    if kind == "sinusoidal":
-        return sinusoidal_encoding(L, params.D)
-    if kind == "given":
-        P = _matrix(cfg["rows"], "posenc.rows")
-        if P.shape != (L, params.D):
-            raise ConfigError(f"posenc.rows {P.shape} do not match (L, D) = ({L}, {params.D})")
-        return P
-    return None
+    return sinusoidal_encoding(L, params.D) if kind == "sinusoidal" else P
 
 
 def build_tokens(cfg: dict, D: int, where: str = "tokens") -> np.ndarray:
-    _require_keys(cfg, {"kind", "rows", "L", "seed", "scale", "mean_norm", "spread", "direction"}, {"kind"}, where)
-    kind = cfg["kind"]
+    kind, cfg = _kind(cfg, where, ("explicit", "random", "cluster"))
     with _section(where):
         if kind == "explicit":
-            _require_keys(cfg, {"kind", "rows"}, {"kind", "rows"}, where)
-            X0 = _matrix(cfg["rows"], f"{where}.rows")
+            X0 = _read(cfg, where, {"rows"}, rows=_matrix)["rows"]
         elif kind == "random":
-            _require_keys(cfg, {"kind", "L", "seed", "scale"}, {"kind", "L", "seed"}, where)
-            rng = generator(_integer(cfg["seed"]))
-            X0 = float(cfg.get("scale", 1.0)) * rng.standard_normal((_integer(cfg["L"]), D))
-        elif kind == "cluster":
+            read = _read(cfg, where, {"L", "seed"}, L=_integer, seed=_integer, scale=_real)
+            X0 = read.get("scale", 1.0) * generator(read["seed"]).standard_normal((read["L"], D))
+        else:
             # tight cluster: seeded mean direction scaled to mean_norm, plus
             # Gaussian offsets of std spread * mean_norm
-            _require_keys(cfg, {"kind", "L", "seed", "mean_norm", "spread", "direction"}, {"kind", "L", "seed"}, where)
-            rng = generator(_integer(cfg["seed"]))
-            mean_norm = float(cfg.get("mean_norm", 1.0))
-            spread = float(cfg.get("spread", 1e-4))
-            if "direction" in cfg:
-                m = np.asarray(cfg["direction"], dtype=float)
-                if m.shape != (D,) or not np.isfinite(m).all() or not m.any():
-                    raise ConfigError(f"{where}.direction must have {D} finite entries, not all zero")
-            else:
-                m = rng.standard_normal(D)
+            read = _read(cfg, where, {"L", "seed"}, L=_integer, seed=_integer, mean_norm=_real, spread=_real, direction=_vector)
+            rng = generator(read["seed"])
+            mean_norm = read.get("mean_norm", 1.0)
+            m = read["direction"] if "direction" in read else rng.standard_normal(D)
+            if m.shape != (D,) or not m.any():
+                raise ConfigError(f"{where}.direction must have {D} entries, not all zero")
             m = m * (mean_norm / np.linalg.norm(m))
-            X0 = m + spread * mean_norm * rng.standard_normal((_integer(cfg["L"]), D))
-        else:
-            raise ConfigError(f"{where}.kind must be explicit/random/cluster, got {kind!r}")
+            X0 = m + read.get("spread", 1e-4) * mean_norm * rng.standard_normal((read["L"], D))
     if X0.shape[1] != D:
         raise ConfigError(f"{where} have dimension {X0.shape[1]}, params have D={D}")
     if X0.shape[0] < 1:
@@ -215,20 +220,14 @@ def build_tokens(cfg: dict, D: int, where: str = "tokens") -> np.ndarray:
 
 
 def build_integrator(cfg: dict) -> IntegratorConfig:
-    _require_keys(cfg, {"h", "T", "record_stride", "blowup_norm"}, set(), "integrator")
     with _section("integrator"):
-        return IntegratorConfig(**_optional(cfg, h=float, T=float, record_stride=_integer, blowup_norm=float))
+        return IntegratorConfig(**_read(cfg, "integrator", set(), h=_real, T=_real, record_stride=_integer, blowup_norm=_real))
 
 
 def load_config(path: str) -> dict:
     with _section("config"), open(path) as fh:
-        cfg = json.load(fh)
-    _require_keys(
-        cfg,
-        {"schema_version", "mode", "params", "posenc", "tokens", "integrator", "verify", "sweep", "spectra"},
-        {"schema_version", "mode"},
-        "config",
-    )
+        cfg = _read(json.load(fh), "config", {"schema_version", "mode"}, schema_version=_integer,
+                    **dict.fromkeys(("mode", "params", "posenc", "tokens", "integrator", "verify", "sweep", "spectra"), _as_is))
     if cfg["schema_version"] != SCHEMA_VERSION:
         raise ConfigError(f"config: unsupported schema_version {cfg['schema_version']!r} (expected {SCHEMA_VERSION})")
     if cfg["mode"] not in MODES:
@@ -372,13 +371,11 @@ def _given(**kwargs) -> dict:
 
 
 def build_sweep_plan(cfg: dict) -> SweepPlan:
-    _require_keys(cfg, {f.name for f in fields(SweepPlan)}, {"D", "seed_count"}, "sweep")
-    with _section("sweep"):
-        plan = SweepPlan(**_optional(
-            cfg, D=_integer, seed_count=_integer, seed_start=_integer, scale=float, symmetric=_boolean, tokens=dict,
-            scenario=lambda s: None if s == "random" else Scenario(s), horizon=lambda v: None if v == "auto" else float(v),
-            h_cap=float, t_max=float, blowup_norm=float,
-        ))
+    plan = SweepPlan(**_read(
+        cfg, "sweep", {"D", "seed_count"}, D=_integer, seed_count=_integer, seed_start=_integer, scale=_real, symmetric=_boolean,
+        tokens=_object, scenario=lambda s: None if s == "random" else Scenario(s),
+        horizon=lambda v: None if v == "auto" else _real(v), h_cap=_real, t_max=_real, blowup_norm=_real,
+    ))
     for key, least in (("seed_count", 1), ("seed_start", 0), ("D", 2)):
         if getattr(plan, key) < least:
             raise ConfigError(f"sweep.{key} must be >= {least}")
@@ -461,23 +458,25 @@ def run_sweep(cfg: dict, out_dir: str, jobs: int) -> int:
     return EXIT_OK
 
 
-def run_spectra(cfg: dict, out_dir: str) -> int:
-    pcfg = cfg.get("spectra", {})
-    _require_keys(pcfg, {"sets", "eps"}, {"sets"}, "spectra")
-    with _section("spectra"):
-        options = _optional(pcfg, eps=float)
-    sets = pcfg["sets"]
-    if not isinstance(sets, list) or not sets:
-        raise ConfigError("spectra.sets must be a nonempty list")
-    triples = []
-    for i, entry in enumerate(sets):
-        _require_keys(entry, {"Q", "K", "V"}, {"Q", "K", "V"}, f"spectra.sets[{i}]")
-        if not all(isinstance(entry[k], str) for k in ("Q", "K", "V")):
-            raise ConfigError(f"spectra.sets[{i}]: Q, K and V must be file paths")
-        with _section(f"spectra.sets[{i}]"):
-            triples.append(tuple(load_matrix(entry[k]) for k in ("Q", "K", "V")))
+def _matrix_file(path) -> np.ndarray:
+    """The matrix in the file a JSON string names."""
+    if not isinstance(path, str):
+        raise ValueError(f"expected a file path, got {path!r}")
+    return load_matrix(path)
 
-    per_set = [eigen_stats([q], [k], [v], **options) for q, k, v in triples]
+
+def _matrix_sets(sets) -> list[dict]:
+    """spectra.sets: a nonempty list of {Q, K, V} file paths, each matrix loaded."""
+    if not isinstance(sets, list) or not sets:
+        raise ValueError("expected a nonempty list")
+    return [_read(entry, f"spectra.sets[{i}]", {"Q", "K", "V"}, Q=_matrix_file, K=_matrix_file, V=_matrix_file)
+            for i, entry in enumerate(sets)]
+
+
+def run_spectra(cfg: dict, out_dir: str) -> int:
+    options = _read(cfg.get("spectra", {}), "spectra", {"sets"}, eps=_real, sets=_matrix_sets)
+    sets = options.pop("sets")
+    per_set = [eigen_stats([s["Q"]], [s["K"]], [s["V"]], **options) for s in sets]
     # the aggregates are over the per-set percentages; A_sym has none where V is singular
     summary = {"mode": "spectra", "n_sets": len(per_set)}
     with open(os.path.join(out_dir, "spectra.csv"), "w") as fh:

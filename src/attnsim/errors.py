@@ -29,10 +29,6 @@ class HypothesisError(AttnSimError):
     """A theorem checker's hypothesis does not hold for the given inputs."""
 
 
-class NoRealDominantError(AttnSimError):
-    """The dominant eigenvalue is a complex pair; no real eigenpair returned."""
-
-
 class IntegrationError(AttnSimError):
     """Right-hand-side evaluation failed during integration."""
 

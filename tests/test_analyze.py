@@ -19,13 +19,12 @@ from attnsim.analyze import (
     check_quadratic_form_bounds,
     check_stationarity,
     classify_regime,
-    dominant_eigenvector,
     positive_eigenpair,
     stationarity_residual,
     trajectory_metrics,
 )
 from attnsim.dynamics import rhs_vanilla
-from attnsim.errors import ConfigError, HypothesisError, NoRealDominantError, SingularMatrixError
+from attnsim.errors import ConfigError, HypothesisError, SingularMatrixError
 from attnsim.integrate import IntegratorConfig, Termination, Trajectory, integrate, stable_step
 from attnsim.params import ModelParams, generator, params_from_w_and_a, params_from_w_and_v, random_params
 
@@ -388,22 +387,23 @@ def test_classify_regime_frozen_and_blowup():
     assert classify_regime(make_traj([0.0, 1.0], small)) is Regime.CONVERGED
 
 
-def test_dominant_eigenvector_diagonal():
-    lam, v = dominant_eigenvector(np.diag([3.0, 1.0]))
+def test_positive_eigenpair_non_symmetric_real_dominant():
+    V = np.array([[3.0, 1.0], [0.0, 1.0]])  # eigenvalues 3 and 1; (1, 0) belongs to 3
+    lam, v = positive_eigenpair(V)
     assert lam == pytest.approx(3.0)
-    assert abs(abs(v[0]) - 1.0) < 1e-12
+    assert abs(abs(v[0]) - 1.0) < 1e-12 and np.linalg.norm(v) == pytest.approx(1.0)
+    np.testing.assert_allclose(V @ v, lam * v, atol=1e-12)
 
 
-def test_dominant_eigenvector_scaled_identity():
-    lam, v = dominant_eigenvector(2.0 * np.eye(3))
-    assert lam == pytest.approx(2.0)
-    assert np.linalg.norm(v) == pytest.approx(1.0)
+def test_positive_eigenpair_non_symmetric_negative_dominant():
+    with pytest.raises(HypothesisError, match="dominant eigenvalue of V is not positive"):
+        positive_eigenpair(np.array([[-3.0, 1.0], [0.5, 1.0]]))
 
 
-def test_dominant_eigenvector_rotation_rejected():
+def test_positive_eigenpair_rotation_rejected():
     R = np.array([[0.0, -1.0], [1.0, 0.0]])
-    with pytest.raises(NoRealDominantError):
-        dominant_eigenvector(R)
+    with pytest.raises(HypothesisError, match="is complex"):
+        positive_eigenpair(R)
 
 
 def test_positive_eigenpair_symmetric_and_failure():

@@ -296,10 +296,14 @@ NON_FINITE = {
     "rope_theta_base_nan": ("params", {**STREAMED_ROTARY, "rope": {**STREAMED_ROTARY["rope"], "theta_base": float("nan")}}),
     "sweep_horizon_inf": ("sweep", {"scenario": "convergence", "D": 2, "seed_count": 1, "horizon": float("inf")}),
     "sweep_scale_inf": ("sweep", {"D": 2, "seed_count": 1, "scale": float("inf"), "horizon": 1.0}),
+    # JSON integers too large for a float
+    "integrator_T_int_overflow": ("integrator", {"h": 0.01, "T": 10**400}),
+    "params_W_int_overflow": ("params", {"kind": "effective", "W": [[10**400, 0], [0, 1]], "V": np.eye(2).tolist()}),
 }
 
 
-# a bool must be a JSON boolean, and an integer a whole number that is not a bool
+# a bool must be a JSON boolean, an integer a whole number that is not a bool,
+# a real or an array entry a number that is not a bool, and sweep.tokens an object
 NOT_STRICT = {
     "params_symmetric_string": ("params", {"kind": "scenario", "scenario": "convergence", "D": 2, "seed": 1, "symmetric": "false"}),
     "params_D_fractional": ("params", {"kind": "random", "D": 2.7, "seed": 1}),
@@ -311,6 +315,14 @@ NOT_STRICT = {
     "sweep_symmetric_string": ("sweep", {"scenario": "convergence", "D": 2, "seed_count": 1, "symmetric": "false", "horizon": 1.0}),
     "sweep_D_fractional": ("sweep", {"D": 2.7, "seed_count": 1, "horizon": 1.0}),
     "sweep_seed_count_bool": ("sweep", {"D": 2, "seed_count": True, "horizon": 1.0}),
+    "integrator_h_string": ("integrator", {"h": "0.05", "T": 0.5}),
+    "sweep_horizon_string": ("sweep", {"D": 2, "seed_count": 1, "horizon": "5"}),
+    "params_scale_bool": ("params", {"kind": "random", "D": 2, "seed": 1, "scale": True}),
+    "integrator_T_bool": ("integrator", {"h": 0.01, "T": True}),
+    "params_W_string_entry": ("params", {"kind": "effective", "W": [["0.5", 0.1], [0.0, 1.0]], "V": np.eye(2).tolist()}),
+    "params_W_bool_entry": ("params", {"kind": "effective", "W": [[0.5, True], [0.0, 1.0]], "V": np.eye(2).tolist()}),
+    "direction_string_entry": ("tokens", {"kind": "cluster", "L": 3, "seed": 1, "direction": ["1", 0.0]}),
+    "sweep_tokens_pairs": ("sweep", {"D": 2, "seed_count": 1, "horizon": 1.0, "tokens": [["kind", "cluster"], ["L", 3]]}),
 }
 
 
@@ -322,6 +334,7 @@ def _assert_section_exits_2(tmp_path, capsys, section, value):
     err = capsys.readouterr().err
     assert code == 2 and err.startswith(f"error: {section}") and "Traceback" not in err
     assert os.listdir(out) == []
+    return err
 
 
 @pytest.mark.parametrize("case", sorted(NON_FINITE))
@@ -334,10 +347,26 @@ def test_lenient_bool_or_integer_exits_2(tmp_path, capsys, case):
     _assert_section_exits_2(tmp_path, capsys, *NOT_STRICT[case])
 
 
+@pytest.mark.parametrize("case, key", [("params_scale_bool", "params.scale"), ("sweep_tokens_pairs", "sweep.tokens")])
+def test_wrong_json_type_names_its_key(tmp_path, capsys, case, key):
+    err = _assert_section_exits_2(tmp_path, capsys, *NOT_STRICT[case])
+    assert err.startswith(f"error: {key}: expected ") and err.count("\n") == 1
+
+
 def test_integral_float_reads_as_integer(tmp_path):
     cfg = simulate_cfg(params={"kind": "random", "D": 2.0, "seed": 1.0}, integrator={"h": 0.01, "T": 0.5, "record_stride": 2.0})
     code, out = run_cli(tmp_path, cfg)
     assert code == 0 and json.loads((out / "summary.json").read_text())["samples"] == 26
+
+
+def test_integer_reads_as_real(tmp_path):
+    outputs = []
+    for name, T, scale in (("integers.json", 1, 1), ("reals.json", 1.0, 1.0)):
+        code, out = run_cli(tmp_path, simulate_cfg(params={"kind": "random", "D": 2, "seed": 1, "scale": scale},
+                                                   integrator={"h": 0.01, "T": T}), name=name)
+        assert code == 0 and json.loads((out / "summary.json").read_text())["samples"] == 101
+        outputs.append((out / "trajectory.csv").read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def _block_entries(L, D, samples):
@@ -810,7 +839,7 @@ def test_spectra_from_files(tmp_path):
 
 
 def test_unreadable_inputs_exit_2_without_traceback(tmp_path, capsys):
-    # each failure is one "error: <section>: ..." line from main, not an exception
+    # each failure is one "error: <section or key>: ..." line from main, not an exception
     (tmp_path / "bad.json").write_text('{"schema_version": 1,')
     (tmp_path / "latin1.json").write_bytes(b'{"mode": "\xff"}')
     (tmp_path / "q.txt").mkdir()  # a directory where a matrix file is expected
@@ -825,9 +854,9 @@ def test_unreadable_inputs_exit_2_without_traceback(tmp_path, capsys):
     (tmp_path / "file").write_text("")  # a file where the output directory is expected
     out = str(tmp_path / "out")
     for name, out_dir, prefix in (("missing.json", out, "error: config: "), ("bad.json", out, "error: config: "),
-                                  ("latin1.json", out, "error: config: "), ("spectra.json", out, "error: spectra.sets[0]: "),
-                                  ("spectra_0.json", out, "error: spectra.sets[0]: "),
-                                  ("spectra_7.json", out, "error: spectra.sets[0]: "),
+                                  ("latin1.json", out, "error: config: "), ("spectra.json", out, "error: spectra.sets[0].Q: "),
+                                  ("spectra_0.json", out, "error: spectra.sets[0].Q: "),
+                                  ("spectra_7.json", out, "error: spectra.sets[0].Q: "),
                                   ("simulate.json", str(tmp_path / "file"), "error: --out: ")):
         assert main(["--config", str(tmp_path / name), "--out", out_dir]) == 2, name
         err = capsys.readouterr().err

@@ -1,6 +1,6 @@
 """Checks that tie the package to the files around it: the README's library
-session, the attribute names perfbench's tracer wraps, and the builders
-perfbench's set-up child calls."""
+session, the attribute names perfbench's tracer wraps, the builders
+perfbench's set-up child calls, and a sample of the committed run digests."""
 
 import ast
 import contextlib
@@ -95,3 +95,25 @@ def test_cli_runs_through_traced_names(tmp_path, monkeypatch, run):
         assert cli.main(["--config", str(tmp_path / "run.json"), "--out", str(tmp_path / "out")]) == 0
     for key in expected:
         assert counts.get(key, 0) > 0, f"{run}: no call went through {key}"
+
+
+def test_committed_digests_hold_for_a_sample(tmp_path, monkeypatch):
+    # perfbench member 0 of each workload and the two short configs/*.json,
+    # rerun in process as tools/digests.py --check reruns all 523 runs (that
+    # takes about a minute; this, a few seconds)
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the module puts src/ and perfbench/ first
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS"):
+        monkeypatch.setenv(var, os.environ.get(var, "1"))  # the module sets unset ones to 1; undone after the test
+    spec = importlib.util.spec_from_file_location("digests", ROOT / "tools" / "digests.py")
+    digests = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digests)
+    want = json.loads((ROOT / "DIGESTS.json").read_text())
+    env = digests.environment()
+    differing = sorted(key for key in env.keys() | want["environment"].keys() if env.get(key) != want["environment"].get(key))
+    if differing:
+        pytest.skip(f"environment differs from the recorded one in {', '.join(differing)}")
+    paths = digests.member_runs(str(tmp_path), member=0)
+    for name in ("simulate_collapse.json", "verify_divergence.json"):
+        paths[f"configs/{name}"] = str(ROOT / "configs" / name)
+    changed = [key for key, path in sorted(paths.items()) if digests.run(path)[0] != want["runs"][key]]
+    assert changed == []

@@ -17,7 +17,7 @@ BLIS_NUM_THREADS) says otherwise; the digests must not depend on it.
 --check exits 0 when every digest matches, 1 when a run changed or the
 split check fails, and 2 when runs changed in an environment (numpy, BLAS,
 CPU features) other than the recorded one: those changes are reported,
-not blamed on the code. It takes a few minutes on two cores.
+not blamed on the code. It takes about a minute on two cores.
 """
 
 from __future__ import annotations
@@ -81,8 +81,9 @@ def _write_config(workdir: str, name: str, cfg: dict) -> str:
     return path
 
 
-def member_runs(workdir: str) -> dict[str, str]:
-    """Config path of every perfbench operation, keyed workload/member/operation."""
+def member_runs(workdir: str, member: int | None = None) -> dict[str, str]:
+    """Config path of every perfbench operation, keyed workload/member/operation;
+    with member, only those of that member of each workload."""
     with open(os.path.join(ROOT, "perfbench", "reference.json")) as fh:
         reference = json.load(fh)
     scenario_V = lambda D, s: build_scenario(  # noqa: E731
@@ -91,6 +92,8 @@ def member_runs(workdir: str) -> dict[str, str]:
     paths = {}
     for workload in wl.WORKLOADS:
         for index, m in enumerate(reference[workload]["members"]):
+            if member is not None and index != member:
+                continue
             for op, cfg in wl.configs(workload, m, scenario_V).items():
                 key = f"{workload}/{index}/{op}"
                 paths[key] = _write_config(workdir, key, cfg)
