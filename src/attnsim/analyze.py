@@ -362,7 +362,6 @@ def resolve_tolerances(tolerances) -> dict:
     """VERIFY_TOLERANCES updated by the overrides, each of which must name a
     known tolerance and be a finite non-negative number (not a bool), or
     None where the default is a formula in h."""
-    tolerances = {} if tolerances is None else tolerances
     if not isinstance(tolerances, dict):
         raise ConfigError("verify must be an object")
     unknown = set(tolerances) - set(VERIFY_TOLERANCES)
@@ -386,7 +385,7 @@ def run_checks(traj: Trajectory, params: ModelParams, P=None, tolerances: dict |
     gating all_passed. tolerances override VERIFY_TOLERANCES; a malformed
     override raises ConfigError before any check runs.
     """
-    tol = resolve_tolerances(tolerances)
+    tol = resolve_tolerances({} if tolerances is None else tolerances)
     report = VerificationReport()
     if params.rope is not None:
         report.skipped.extend(

@@ -176,11 +176,11 @@ def build_params(cfg: dict) -> ModelParams:
         return params_from_w_and_a(read["W"], read["A"]) if "A" in read else params_from_w_and_v(read["W"], read["V"])
 
 
-def build_positions(cfg: dict | None, params: ModelParams, L: int) -> np.ndarray | None:
+def build_positions(cfg: dict, params: ModelParams, L: int) -> np.ndarray | None:
     """The absolute position table the posenc section names, or None for
     the vanilla and rotary fields. Rotary encoding comes with rope
     parameters, and rope parameters only with rotary encoding."""
-    kind, cfg = _kind({"kind": "none"} if cfg is None else cfg, "posenc", ("given", "none", "rotary", "sinusoidal"))
+    kind, cfg = _kind(cfg, "posenc", ("given", "none", "rotary", "sinusoidal"))
     P = _read(cfg, "posenc", set(), rows=_matrix).get("rows")
     if (P is None) == (kind == "given"):
         raise ConfigError("posenc.rows is required with kind = given and valid only there")
@@ -238,7 +238,7 @@ def load_config(path: str) -> dict:
 def _prepare_run(cfg: dict):
     params = build_params(cfg.get("params", {}))
     X0 = build_tokens(cfg.get("tokens", {}), params.D)
-    P = build_positions(cfg.get("posenc"), params, X0.shape[0])
+    P = build_positions(cfg.get("posenc", {"kind": "none"}), params, X0.shape[0])
     icfg = build_integrator(cfg.get("integrator", {}))
     return params, X0, icfg, rhs_for(params, P), P
 
@@ -331,7 +331,7 @@ def run_simulate(cfg: dict, out_dir: str) -> int:
 
 
 def run_verify(cfg: dict, out_dir: str) -> int:
-    tolerances = analyze.resolve_tolerances(cfg.get("verify"))
+    tolerances = analyze.resolve_tolerances(cfg.get("verify", {}))
     params, X0, icfg, rhs, P = _prepare_run(cfg)
     traj = integrate(rhs, X0, icfg)
     report = run_checks(traj, params, P, tolerances)
@@ -384,6 +384,8 @@ def build_sweep_plan(cfg: dict) -> SweepPlan:
         raise ConfigError("sweep: scale, h_cap, t_max, blowup_norm and horizon must be positive, scale, h_cap and horizon finite")
     if "seed" in plan.tokens:
         raise ConfigError("sweep.tokens: no seed; each token seed is derived from its sweep seed")
+    if plan.tokens.get("kind") == "explicit":
+        raise ConfigError("sweep.tokens: kind explicit takes no seed, but a sweep draws each seed's tokens (random or cluster)")
     # the first seed's tokens, built here so that a bad section fails before any run
     build_tokens({"seed": _token_seed(plan.seed_start), **plan.tokens}, plan.D, "sweep.tokens")
     return plan

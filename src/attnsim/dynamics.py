@@ -13,11 +13,17 @@ import numpy as np
 from .errors import ContractError, DomainError, ShapeError
 from .params import LambdaKind, ModelParams
 
+# ones by size, to total an L x L logit block with L <= 16 by one BLAS dot; a larger block,
+# whose ones would take as much memory as the block itself, is totalled by a reduction
+_ONES = {L * L: np.ones(L * L) for L in range(1, 17)}
+
 
 def _softmax_rows(Z):
     """Row softmax of the logits Z, computed in Z's own memory: Z is consumed."""
     # a non-finite logit makes the total non-finite; an overflowing total is settled entrywise
-    if not math.isfinite(np.add.reduce(Z, axis=None)) and not np.isfinite(Z).all():
+    ones = _ONES.get(Z.size)
+    total = np.add.reduce(Z, axis=None) if ones is None else Z.ravel().dot(ones)
+    if not math.isfinite(total) and not np.isfinite(Z).all():
         raise ContractError("non-finite attention logits")
     Z -= np.maximum.reduce(Z, axis=1, keepdims=True)
     np.exp(Z, out=Z)

@@ -101,11 +101,12 @@ def integrate(rhs, X0, config: IntegratorConfig, sink=None) -> Trajectory:
     sink(*first)
     terminated, blowup_time = Termination.HORIZON_REACHED, None
     n, h, stride, bound = config.n_steps, config.h, config.record_stride, config.blowup_norm
-    # A total of squares below quick settles a step: then no square is
-    # non-finite, and each computed row sum is at most 1 + (L + 1) D eps times
-    # the total, so below bound^2 even after quick's own rounding (subnormal
-    # included): no row norm passes bound. With bound^2 = inf no finite row
-    # sum's sqrt (< 1.4e154) passes bound; with bound^2 = 0 every step is checked.
+    # A total of squares below quick settles a step. A nan, an inf or an overflowing square makes
+    # the total nan or inf. In any summation order, fused or not, the total is at least
+    # (1 - eps)^(2 L D) times the exact sum of the rounded squares (subnormal sums are exact, fused
+    # ones round no lower), and a row sum at most (1 + eps)^D times its part of that sum: so below
+    # bound^2 even after quick's own rounding, and no row norm passes bound. With bound^2 = inf no
+    # finite row sum's sqrt (< 1.4e154) passes bound; with bound^2 = 0 every step is checked.
     quick = 0.5 * (bound * bound)
     # overflow and nan are this loop's to detect, not numpy's to warn about
     with np.errstate(all="ignore"):
@@ -114,12 +115,11 @@ def integrate(rhs, X0, config: IntegratorConfig, sink=None) -> Trajectory:
                 X = rk4_step(rhs, X, h)
             except Exception as exc:
                 raise IntegrationError(f"rhs evaluation failed at t={k * h:.6g}") from exc
-            sq = X * X
-            s = np.add.reduce(sq, axis=None)
+            s = X.ravel().dot(X.ravel())
             if not s < quick:
                 # the largest row sum s is nan iff an entry is nan, and inf iff an
                 # entry is inf or a finite square overflows; only the last is recordable
-                s = np.add.reduce(sq, axis=1).max()
+                s = np.add.reduce(X * X, axis=1).max()
                 if not math.isfinite(s) and not np.isfinite(X).all():
                     terminated, blowup_time = Termination.BLOW_UP, k * h
                     break

@@ -214,9 +214,11 @@ def _refine_on_support(G, B, w, floor=1e-12):
     # returns refined weights and the mask of rows whose refinement is feasible
     out = np.zeros_like(w)
     ok = np.zeros(w.shape[0], dtype=bool)
-    supports, which, counts = np.unique(w > floor, axis=0, return_inverse=True, return_counts=True)
-    groups = np.split(np.argsort(which.ravel(), kind="stable"), np.cumsum(counts)[:-1])
-    for support, rows in zip(supports, groups):
+    # each support as one byte string, first column in the top bit: the bytes sort as the bool rows do
+    keys = np.packbits(w > floor, axis=1)
+    _, first, which, counts = np.unique(keys.view(f"V{keys.shape[1]}").ravel(), return_index=True, return_inverse=True, return_counts=True)
+    groups = np.split(np.argsort(which, kind="stable"), np.cumsum(counts)[:-1])
+    for support, rows in zip(w[first] > floor, groups):
         S = np.nonzero(support)[0]
         if S.size == 0:
             continue

@@ -3,7 +3,9 @@
 simplex_distance_one is the per-query accelerated projected gradient that
 quadspace.simplex_distance batches; hull_containment_loop is the
 per-sample, per-token checker loop that analyze.check_hull_containment
-replaces with batched calls. Both exist only as test oracles.
+replaces with batched calls; refine_on_support_unique_rows is the batched
+refinement with its supports grouped by np.unique(axis=0). All exist only
+as test oracles.
 """
 
 import numpy as np
@@ -98,6 +100,37 @@ def _refine_on_support(G, b, w, floor=1e-12):
     out = np.zeros_like(w)
     out[S] = w_S / w_S.sum()
     return out
+
+
+def refine_on_support_unique_rows(G, B, w, floor=1e-12):
+    """quadspace._refine_on_support as it grouped the rows of w by support
+    before supports were keyed by packed bytes: np.unique over whole boolean
+    rows, which visits the supports in the same order."""
+    out = np.zeros_like(w)
+    ok = np.zeros(w.shape[0], dtype=bool)
+    supports, which, counts = np.unique(w > floor, axis=0, return_inverse=True, return_counts=True)
+    groups = np.split(np.argsort(which.ravel(), kind="stable"), np.cumsum(counts)[:-1])
+    for support, rows in zip(supports, groups):
+        S = np.nonzero(support)[0]
+        if S.size == 0:
+            continue
+        k = S.size
+        KKT = np.zeros((k + 1, k + 1))
+        KKT[:k, :k] = G[np.ix_(S, S)]
+        KKT[:k, k] = 1.0
+        KKT[k, :k] = 1.0
+        rhs = np.ones((k + 1, rows.size))
+        rhs[:k] = B[np.ix_(rows, S)].T
+        try:
+            sol = np.linalg.lstsq(KKT, rhs, rcond=None)[0]
+        except np.linalg.LinAlgError:
+            continue
+        w_S = sol[:k].T
+        feasible = w_S.min(axis=1) >= 0.0
+        rows, w_S = rows[feasible], w_S[feasible]
+        out[np.ix_(rows, S)] = w_S / w_S.sum(axis=1, keepdims=True)
+        ok[rows] = True
+    return out, ok
 
 
 def _project_simplex(z):

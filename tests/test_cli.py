@@ -303,7 +303,8 @@ NON_FINITE = {
 
 
 # a bool must be a JSON boolean, an integer a whole number that is not a bool,
-# a real or an array entry a number that is not a bool, and sweep.tokens an object
+# a real or an array entry a number that is not a bool, sweep.tokens an object,
+# and a section that is given an object, null included
 NOT_STRICT = {
     "params_symmetric_string": ("params", {"kind": "scenario", "scenario": "convergence", "D": 2, "seed": 1, "symmetric": "false"}),
     "params_D_fractional": ("params", {"kind": "random", "D": 2.7, "seed": 1}),
@@ -323,11 +324,16 @@ NOT_STRICT = {
     "params_W_bool_entry": ("params", {"kind": "effective", "W": [[0.5, True], [0.0, 1.0]], "V": np.eye(2).tolist()}),
     "direction_string_entry": ("tokens", {"kind": "cluster", "L": 3, "seed": 1, "direction": ["1", 0.0]}),
     "sweep_tokens_pairs": ("sweep", {"D": 2, "seed_count": 1, "horizon": 1.0, "tokens": [["kind", "cluster"], ["L", 3]]}),
+    "posenc_null": ("posenc", None),
+    "verify_null": ("verify", None),
 }
 
 
 def _assert_section_exits_2(tmp_path, capsys, section, value):
-    cfg = {"schema_version": 1, "mode": "sweep", "sweep": value} if section == "sweep" else simulate_cfg(**{section: value})
+    if section == "sweep":
+        cfg = {"schema_version": 1, "mode": "sweep", "sweep": value}
+    else:  # a verify section is read in verify mode only
+        cfg = simulate_cfg(**{section: value}, mode="verify" if section == "verify" else "simulate")
     if section == "params" and "rope" in value:
         cfg["posenc"] = {"kind": "rotary"}
     code, out = run_cli(tmp_path, cfg)
@@ -610,8 +616,15 @@ def test_sweep_out_of_range_value_exits_2(tmp_path, capsys, bad):
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-@pytest.mark.parametrize("tokens", [{"kind": "bogus"}, {"kind": "cluster", "L": 3, "D": 4}], ids=["bad_kind", "unknown_key"])
-def test_sweep_tokens_checked_before_any_run(tmp_path, monkeypatch, capsys, tokens, jobs):
+@pytest.mark.parametrize(
+    "tokens, message",
+    [({"kind": "bogus"}, "sweep.tokens.kind must be one of explicit/random/cluster, got 'bogus'"),
+     ({"kind": "cluster", "L": 3, "D": 4}, "sweep.tokens: unknown keys ['D']"),
+     ({"kind": "explicit", "rows": [[0.1, 0.2], [0.3, 0.4]]},
+      "sweep.tokens: kind explicit takes no seed, but a sweep draws each seed's tokens (random or cluster)")],
+    ids=["bad_kind", "unknown_key", "explicit"],
+)
+def test_sweep_tokens_checked_before_any_run(tmp_path, monkeypatch, capsys, tokens, message, jobs):
     # the section is built once with the plan, before a seed's parameters are
     # drawn, a step is taken or a worker is started
     import concurrent.futures
@@ -622,7 +635,7 @@ def test_sweep_tokens_checked_before_any_run(tmp_path, monkeypatch, capsys, toke
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", lambda *args, **kwargs: pools.append(1))
     cfg = {"schema_version": 1, "mode": "sweep", "sweep": {"D": 2, "seed_count": 2, "horizon": 1.0, "tokens": tokens}}
     code, _ = run_cli(tmp_path, cfg, jobs=jobs)
-    assert code == 2 and capsys.readouterr().err.startswith("error: sweep.tokens")
+    assert code == 2 and capsys.readouterr().err == f"error: {message}\n"
     assert steps == [] and drawn == [] and pools == []
 
 

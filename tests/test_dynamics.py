@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from attnsim import quadspace
@@ -86,6 +86,32 @@ def test_softmax_accepts_finite_logits_whose_sum_overflows(Z):
         assert not np.isfinite(Z.sum())
     want = _softmax_out_of_place(Z)
     assert _softmax_rows(Z).tobytes() == want.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 20), st.integers(1, 20)),
+    seed=st.integers(0, 2**32 - 1),
+    scale=st.sampled_from([1.0, 700.0, 1e200, 1e308]),
+    planted=st.lists(st.tuples(st.integers(0, 399), st.sampled_from([np.nan, np.inf, -np.inf])), max_size=3),
+)
+@example(shape=(16, 16), seed=0, scale=1e308, planted=[])  # the largest block the dot totals
+@example(shape=(17, 17), seed=0, scale=1e308, planted=[])  # the smallest square one the reduction totals
+@example(shape=(17, 17), seed=1, scale=1.0, planted=[(5, np.inf), (9, -np.inf)])
+@example(shape=(2, 8), seed=2, scale=1e308, planted=[])  # not square, but of a square's size: the dot
+def test_softmax_raises_exactly_on_non_finite_logits(shape, seed, scale, planted):
+    # blocks on both sides of the dot's size cap; at 1e308 most totals overflow
+    # and the entrywise test decides
+    with np.errstate(over="ignore", invalid="ignore"):  # the decision is under test here, not the warnings
+        Z = scale * np.random.default_rng(seed).standard_normal(shape)
+        for at, value in planted:
+            Z.flat[at % Z.size] = value
+        if not np.isfinite(Z).all():
+            with pytest.raises(ContractError):
+                _softmax_rows(Z)
+            return
+        want = _softmax_out_of_place(Z)
+        assert _softmax_rows(Z).tobytes() == want.tobytes()
 
 
 def test_rhs_vanilla_peak_memory_below_one_and_a_half_logit_arrays():

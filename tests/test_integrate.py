@@ -122,6 +122,55 @@ def test_blow_up_guard_quick_total_decides_as_linalg_norm(bound):
                         assert (traj.terminated is Termination.BLOW_UP) == expected, (L, D, factor, nudge, others)
 
 
+def _norm_guard_loop(rhs, X0, config):
+    """integrate's stopping rule as written in the docstring: stop unrecorded
+    at a step whose result is not finite, or recorded once the largest
+    np.linalg.norm row norm passes blowup_norm."""
+    X = np.array(X0, dtype=float)
+    times, states = [0.0], [X]
+    n, h, stride = config.n_steps, config.h, config.record_stride
+    for k in range(n):
+        X = rk4_step(rhs, X, h)
+        if not np.isfinite(X).all():
+            return times, states, Termination.BLOW_UP, k * h
+        blown = np.linalg.norm(X, axis=1).max() > config.blowup_norm
+        if blown or (k + 1) % stride == 0 or k == n - 1:
+            times.append((k + 1) * h)
+            states.append(X)
+        if blown:
+            return times, states, Termination.BLOW_UP, (k + 1) * h
+    return times, states, Termination.HORIZON_REACHED, None
+
+
+@given(
+    shape=st.tuples(st.integers(1, 6), st.integers(1, 4)),
+    seed=st.integers(0, 2**32 - 1),
+    magnitude=st.integers(-320, 200),
+    offset=st.floats(-3.0, 3.0),
+    rate=st.sampled_from([0.0, 0.05, 0.5, 3.0]),
+    stride=st.integers(1, 3),
+)
+@settings(max_examples=300, deadline=None)
+def test_small_blowup_norm_stops_as_linalg_norm_loop(shape, seed, magnitude, offset, rate, stride):
+    # tokens of like norms, from subnormal to past 1e154 (where squares
+    # overflow), under a slowly growing field and a bound within a few
+    # decades of them: the total of squares passes bound^2 / 2 well before
+    # any row norm passes the bound
+    rng = np.random.default_rng(seed)
+    X0 = 10.0**magnitude * (1.0 + 0.1 * rng.standard_normal(shape))
+    M = rate * (np.eye(shape[1]) + 0.3 * rng.standard_normal((shape[1], shape[1])))
+    bound = 10.0 ** (magnitude + offset)
+    if not 0 < bound < np.inf:
+        return
+    config = IntegratorConfig(h=0.1, T=2.0, record_stride=stride, blowup_norm=bound)
+    with np.errstate(all="ignore"):
+        got = integrate(lambda X: X.dot(M), X0, config)
+        times, states, terminated, blowup_time = _norm_guard_loop(lambda X: X.dot(M), X0, config)
+    assert (got.terminated, got.blowup_time) == (terminated, blowup_time)
+    assert got.times.tobytes() == np.array(times).tobytes()
+    assert got.states.tobytes() == np.array(states).tobytes()
+
+
 def test_blow_up_paths_stop_and_record():
     # a non-finite step stops at its start and keeps the samples recorded
     # so far; the norm guard stops at the end of its step and records that

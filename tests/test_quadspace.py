@@ -1,3 +1,4 @@
+import unittest.mock
 import warnings
 
 import numpy as np
@@ -413,6 +414,42 @@ def test_refine_on_support_solves_each_query():
         if want is not None:
             np.testing.assert_allclose(w_ref[j], want, rtol=0, atol=1e-12)
     assert ok.any() and not ok.all()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 70),
+    queries=st.integers(1, 40),
+    patterns=st.integers(1, 4),
+    density=st.floats(0.05, 0.95),
+    seed=st.integers(0, 2**32 - 1),
+    duplicate=st.booleans(),
+)
+def test_refine_on_support_matches_unique_rows_oracle(n, queries, patterns, density, seed, duplicate):
+    # supports over 1 to 70 points (keys of 1 to 9 bytes): a few shared
+    # patterns with stray flips, empty ones, weights at or just below the
+    # floor, and a duplicated point (a singular KKT block). The same systems
+    # are solved in the same order, and the results agree bit for bit.
+    rng = np.random.default_rng(seed)
+    P = rng.standard_normal((n, 3))
+    if duplicate:
+        P[-1] = P[0]
+    G = P @ P.T
+    B = rng.standard_normal((queries, 3)) @ P.T
+    mask = (rng.random((patterns, n)) < density)[rng.integers(0, patterns, queries)] ^ (rng.random((queries, n)) < 0.03)
+    w = np.where(mask, rng.uniform(0.1, 1.0, (queries, n)), rng.choice([0.0, 1e-12, 5e-13], (queries, n)))
+    solved, lstsq = [], np.linalg.lstsq
+
+    def recorded(KKT, rhs, **kwargs):
+        solved.append((KKT.tobytes(), rhs.tobytes()))
+        return lstsq(KKT, rhs, **kwargs)
+
+    with unittest.mock.patch.object(np.linalg, "lstsq", recorded):
+        out, ok = quadspace._refine_on_support(G, B, w)
+        calls = len(solved)
+        want_out, want_ok = hull_oracle.refine_on_support_unique_rows(G, B, w)
+    assert solved[:calls] == solved[calls:]
+    assert out.tobytes() == want_out.tobytes() and ok.tobytes() == want_ok.tobytes()
 
 
 def test_simplex_distance_query_leaves_batch_when_decided(monkeypatch):

@@ -12,6 +12,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -117,3 +118,25 @@ def test_committed_digests_hold_for_a_sample(tmp_path, monkeypatch):
         paths[f"configs/{name}"] = str(ROOT / "configs" / name)
     changed = [key for key, path in sorted(paths.items()) if digests.run(path)[0] != want["runs"][key]]
     assert changed == []
+
+
+def test_shipped_runs_raise_no_numpy_warning(tmp_path):
+    # the shipped simulate and verify configs, a two-seed sweep and a verify
+    # run that trips the blow-up guard, in process with every warning an
+    # error: a numpy warning on a hot path fails here instead of reaching stderr
+    verify = json.loads((ROOT / "configs" / "verify_divergence.json").read_text())
+    sweep = json.loads((ROOT / "configs" / "sweep_convergence.json").read_text())
+    runs = {
+        "simulate_collapse": json.loads((ROOT / "configs" / "simulate_collapse.json").read_text()),
+        "verify_divergence": verify,
+        "sweep_two_seeds": {**sweep, "sweep": {**sweep["sweep"], "seed_count": 2}},
+        "verify_blow_up": {**verify, "integrator": {"h": 0.01, "T": 1.0, "blowup_norm": 2.0}},
+    }
+    for name, cfg in runs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(cfg))
+        with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("error")
+            code = cli.main(["--config", str(tmp_path / f"{name}.json"), "--out", str(tmp_path / name)])
+        assert code == 0, name
+    _, X0, icfg, rhs, _ = cli._prepare_run(runs["verify_blow_up"])
+    assert integrate.integrate(rhs, X0, icfg).terminated is integrate.Termination.BLOW_UP
