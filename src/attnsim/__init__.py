@@ -4,7 +4,6 @@ token dynamics."""
 from . import analyze, dynamics, integrate, params, quadspace
 from .analyze import (
     CheckResult,
-    Direction,
     MetricSeries,
     Regime,
     SkippedCheck,

@@ -27,11 +27,6 @@ EIGEN_TOL = 1e-8  # relative imaginary part and residual a real eigenpair may ca
 BLOCK_ENTRIES = 2**18  # float64 entries per block: samples x token pairs (metrics), queries x hull points (hull)
 
 
-class Direction(Enum):
-    NON_DECREASING = "non_decreasing"
-    NON_INCREASING = "non_increasing"
-
-
 class Regime(Enum):
     CONVERGED = "converged"
     DIVERGED = "diverged"
@@ -120,27 +115,26 @@ def trajectory_metrics(traj: Trajectory) -> MetricSeries:
     return MetricSeries(times=traj.times, mean_token_norm=mean_norm, mean_pairwise_dist=dists)
 
 
-def check_distance_monotonicity(traj: Trajectory, A, direction: Direction, tol: float) -> CheckResult:
-    """Step-wise monotonicity of squared A-distances between token pairs.
-
-    The monitored quantity is q_A(x_i - x_j) when sym(A) is not negative
-    definite and -q_A (the squared A-norm) when it is, so the stated
-    direction always refers to the distance the theorem speaks about.
-    Vacuously passes with margin 0 when there are no pairs.
-    """
+def check_distance_monotonicity(traj: Trajectory, A, tol: float) -> CheckResult:
+    """Step-wise monotonicity of squared A-distances between token pairs:
+    q_A(x_i - x_j) non-decreasing when sym(A) is positive definite, and the
+    squared A-norm -q_A non-increasing when it is negative definite. Raises
+    HypothesisError when sym(A) is neither. Vacuously passes with margin 0
+    when there are no pairs."""
     A = np.asarray(A, dtype=float)
+    kind = quadspace.classify_definiteness(A)
+    if kind not in (quadspace.Definiteness.POSITIVE_DEFINITE, quadspace.Definiteness.NEGATIVE_DEFINITE):
+        raise HypothesisError(f"sym(A) is {kind.value}; no monotone direction")
+    sign = 1.0 if kind is quadspace.Definiteness.POSITIVE_DEFINITE else -1.0
+    name = f"distance_monotonicity_{'non_decreasing' if sign > 0 else 'non_increasing'}"
     L = traj.states.shape[1]
-    name = f"distance_monotonicity_{direction.value}"
     if L < 2:
         return CheckResult(name, True, 0.0, float(traj.times[0]))
     iu = np.triu_indices(L, 1)
     series = np.empty((len(traj.times), len(iu[0])))
     for k, X in enumerate(traj.states):  # per sample: quad_form's einsum rounds differently on a stacked (N, pairs, D) call
         series[k] = quadspace.quad_form(A, X[iu[0]] - X[iu[1]])
-    if quadspace.classify_definiteness(A) is quadspace.Definiteness.NEGATIVE_DEFINITE:
-        series = -series
-    steps = np.diff(series, axis=0)
-    margins = steps if direction is Direction.NON_DECREASING else -steps
+    margins = sign * np.diff(sign * series, axis=0)  # steps of sign * q_A, so a zero step keeps its sign
     k, p = np.unravel_index(np.argmin(margins), margins.shape)
     worst = float(margins[k, p])
     return CheckResult(name, worst >= -tol, worst, float(traj.times[k + 1]))
@@ -375,6 +369,9 @@ def resolve_tolerances(tolerances) -> dict:
     return {**VERIFY_TOLERANCES, **tolerances}
 
 
+W_A_LAWS = ("distance_monotonicity", "qa_bounds", "norm_collapse")  # the groups that need W and A = W (V^T)^{-1}
+
+
 def run_checks(traj: Trajectory, params: ModelParams, P=None, tolerances: dict | None = None) -> VerificationReport:
     """Run every checker whose hypothesis the run satisfies; skipped checks
     carry the reason. P is the position table of an absolute-encoding run:
@@ -388,10 +385,7 @@ def run_checks(traj: Trajectory, params: ModelParams, P=None, tolerances: dict |
     tol = resolve_tolerances({} if tolerances is None else tolerances)
     report = VerificationReport()
     if params.rope is not None:
-        report.skipped.extend(
-            SkippedCheck(name, "W/A law of the plain field; not checked under rotary encoding")
-            for name in ("distance_monotonicity", "qa_bounds", "norm_collapse")
-        )
+        report.skipped.extend(SkippedCheck(name, "W/A law of the plain field; not checked under rotary encoding") for name in W_A_LAWS)
     else:
         _check_plain_field_laws(traj, params, P, tol, report)
 
@@ -416,22 +410,19 @@ def _check_plain_field_laws(traj: Trajectory, params: ModelParams, P, tol: dict,
     try:
         W, A = derive_W_A(params)
     except SingularMatrixError:
-        report.skipped.extend(SkippedCheck(name, "V singular; A undefined") for name in ("distance_monotonicity", "qa_bounds"))
+        report.skipped.extend(SkippedCheck(name, "V singular; A undefined") for name in W_A_LAWS)
         return
     y = traj if P is None else replace(traj, states=traj.states + P)
-    a_kind = quadspace.classify_definiteness(A)
-    if a_kind in (quadspace.Definiteness.POSITIVE_DEFINITE, quadspace.Definiteness.NEGATIVE_DEFINITE):
-        direction = Direction.NON_DECREASING if a_kind is quadspace.Definiteness.POSITIVE_DEFINITE else Direction.NON_INCREASING
-        mono_tol = tol["monotonicity_tol"] if tol["monotonicity_tol"] is not None else 1e-6 + 100.0 * traj.config.h**4
-        result = check_distance_monotonicity(y, A, direction, mono_tol)
-        report.checks.append(replace(result, asserted=quadspace.is_symmetric(A, 1e-8)))
-    else:
-        report.skipped.append(SkippedCheck("distance_monotonicity", f"sym(A) is {a_kind.value}; no monotone direction"))
+    mono_tol = tol["monotonicity_tol"] if tol["monotonicity_tol"] is not None else 1e-6 + 100.0 * traj.config.h**4
+    try:
+        report.checks.append(replace(check_distance_monotonicity(y, A, mono_tol), asserted=quadspace.is_symmetric(A, 1e-8)))
+    except HypothesisError as exc:
+        report.skipped.append(SkippedCheck("distance_monotonicity", str(exc)))
     for r in check_quadratic_form_bounds(y, params, tol["qa_rate_tol"], tol["qa_envelope_tol"]):
         (report.checks if isinstance(r, CheckResult) else report.skipped).append(r)
 
-    w_kind = quadspace.classify_definiteness(W)
-    if a_kind is not quadspace.Definiteness.NEGATIVE_DEFINITE or w_kind is not quadspace.Definiteness.POSITIVE_DEFINITE:
+    kinds = quadspace.classify_definiteness(A), quadspace.classify_definiteness(W)
+    if kinds != (quadspace.Definiteness.NEGATIVE_DEFINITE, quadspace.Definiteness.POSITIVE_DEFINITE):
         report.skipped.append(SkippedCheck("norm_collapse", "not in the A_sym < 0, W_sym > 0 regime"))
         return
     if P is None:

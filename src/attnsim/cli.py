@@ -48,7 +48,6 @@ from .params import (
 )
 
 SCHEMA_VERSION = 1
-MODES = ("simulate", "verify", "sweep", "spectra")
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -92,12 +91,12 @@ def _read(cfg, where: str, required: set[str], **convert) -> dict:
     return read
 
 
-def _kind(cfg, where: str, kinds: tuple[str, ...]) -> tuple[str, dict]:
-    """The kind a section names, one of kinds, and the section's other keys."""
-    rest = _read(cfg, where, {"kind"}, **dict.fromkeys(cfg if isinstance(cfg, dict) else (), _as_is))
-    kind = rest.pop("kind")
+def _kind(cfg, where: str, kinds, key: str = "kind") -> tuple[str, dict]:
+    """The kind a section names under key, one of kinds, and the section's other keys."""
+    rest = _read(cfg, where, {key}, **dict.fromkeys(cfg if isinstance(cfg, dict) else (), _as_is))
+    kind = rest.pop(key)
     if kind not in kinds:
-        raise ConfigError(f"{where}.kind must be one of {'/'.join(kinds)}, got {kind!r}")
+        raise ConfigError(f"{where}.{key} must be one of {'/'.join(kinds)}, got {kind!r}")
     return kind, rest
 
 
@@ -118,6 +117,13 @@ def _real(value) -> float:
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         return float(value)
     raise ValueError(f"expected a number, got {value!r}")
+
+
+def _tolerance(value) -> float:
+    """A finite number >= 0, such as 1e-3 or 0; not NaN, Infinity or -1."""
+    if 0 <= _real(value) < np.inf:
+        return float(value)
+    raise ValueError(f"expected a finite number >= 0, got {value!r}")
 
 
 def _boolean(value) -> bool:
@@ -225,14 +231,16 @@ def build_integrator(cfg: dict) -> IntegratorConfig:
 
 
 def load_config(path: str) -> dict:
+    """The config's root: schema_version, its mode, and any of the sections MODES lists for that mode."""
     with _section("config"), open(path) as fh:
-        cfg = _read(json.load(fh), "config", {"schema_version", "mode"}, schema_version=_integer,
-                    **dict.fromkeys(("mode", "params", "posenc", "tokens", "integrator", "verify", "sweep", "spectra"), _as_is))
+        mode, root = _kind(json.load(fh), "config", tuple(MODES), key="mode")
+    sections, _ = MODES[mode]
+    if unread := set(root) - {"schema_version", *sections}:
+        raise ConfigError(f"config: a {mode} run reads {', '.join(sections)}, not {', '.join(sorted(unread))}")
+    cfg = _read(root, "config", {"schema_version"}, schema_version=_integer, **dict.fromkeys(sections, _as_is))
     if cfg["schema_version"] != SCHEMA_VERSION:
         raise ConfigError(f"config: unsupported schema_version {cfg['schema_version']!r} (expected {SCHEMA_VERSION})")
-    if cfg["mode"] not in MODES:
-        raise ConfigError(f"config.mode must be one of {MODES}, got {cfg['mode']!r}")
-    return cfg
+    return {"mode": mode, **cfg}
 
 
 def _prepare_run(cfg: dict):
@@ -298,7 +306,7 @@ class _SampleStream:
             self.filled = 0
 
 
-def run_simulate(cfg: dict, out_dir: str) -> int:
+def run_simulate(cfg: dict, out_dir: str, jobs: int = 1) -> int:
     _, X0, icfg, rhs, _ = _prepare_run(cfg)
     L, D = X0.shape
     block = min(analyze.metrics_block_samples(L, D), icfg.n_steps // icfg.record_stride + 2)
@@ -330,7 +338,7 @@ def run_simulate(cfg: dict, out_dir: str) -> int:
     return EXIT_OK
 
 
-def run_verify(cfg: dict, out_dir: str) -> int:
+def run_verify(cfg: dict, out_dir: str, jobs: int = 1) -> int:
     tolerances = analyze.resolve_tolerances(cfg.get("verify", {}))
     params, X0, icfg, rhs, P = _prepare_run(cfg)
     traj = integrate(rhs, X0, icfg)
@@ -475,10 +483,9 @@ def _matrix_sets(sets) -> list[dict]:
             for i, entry in enumerate(sets)]
 
 
-def run_spectra(cfg: dict, out_dir: str) -> int:
-    options = _read(cfg.get("spectra", {}), "spectra", {"sets"}, eps=_real, sets=_matrix_sets)
-    sets = options.pop("sets")
-    per_set = [eigen_stats([s["Q"]], [s["K"]], [s["V"]], **options) for s in sets]
+def run_spectra(cfg: dict, out_dir: str, jobs: int = 1) -> int:
+    options = _read(cfg.get("spectra", {}), "spectra", {"sets"}, eps=_tolerance, sets=_matrix_sets)
+    per_set = [eigen_stats([s["Q"]], [s["K"]], [s["V"]], **options) for s in options.pop("sets")]  # options keep eps alone
     # the aggregates are over the per-set percentages; A_sym has none where V is singular
     summary = {"mode": "spectra", "n_sets": len(per_set)}
     with open(os.path.join(out_dir, "spectra.csv"), "w") as fh:
@@ -496,6 +503,14 @@ def run_spectra(cfg: dict, out_dir: str) -> int:
     return EXIT_OK
 
 
+MODES = {  # each mode's config sections and its runner, run(cfg, out_dir, jobs); only a sweep spreads runs over jobs
+    "simulate": (("params", "posenc", "tokens", "integrator"), run_simulate),
+    "verify": (("params", "posenc", "tokens", "integrator", "verify"), run_verify),
+    "sweep": (("sweep",), run_sweep),
+    "spectra": (("spectra",), run_spectra),
+}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="attnsim", description="Self-attention token-dynamics simulator and verifier")
     parser.add_argument("--config", required=True, help="path to the JSON run configuration")
@@ -507,13 +522,7 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         with _section("--out"):
             os.makedirs(args.out, exist_ok=True)
-        if cfg["mode"] == "simulate":
-            return run_simulate(cfg, args.out)
-        if cfg["mode"] == "verify":
-            return run_verify(cfg, args.out)
-        if cfg["mode"] == "sweep":
-            return run_sweep(cfg, args.out, max(1, args.jobs))
-        return run_spectra(cfg, args.out)
+        return MODES[cfg["mode"]][1](cfg, args.out, max(1, args.jobs))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from attnsim import analyze, quadspace
 from attnsim.analyze import (
     CheckResult,
-    Direction,
     Regime,
     SkippedCheck,
     VerificationReport,
@@ -28,6 +27,7 @@ from attnsim.errors import ConfigError, HypothesisError, SingularMatrixError
 from attnsim.integrate import IntegratorConfig, Termination, Trajectory, integrate, stable_step
 from attnsim.params import ModelParams, generator, params_from_w_and_a, params_from_w_and_v, random_params
 
+from cases import GROW_A, GROW_W, GROW_X0, SHRINK_A, SHRINK_W, SHRINK_X0
 from hull_oracle import hull_containment_loop
 from scipy_oracle import projection_band_loop
 
@@ -146,7 +146,7 @@ def test_metrics_memory_bounded_by_pair_block():
 
 def test_monotonicity_vacuous_single_token():
     traj = make_traj([0.0, 1.0], np.zeros((2, 1, 2)))
-    res = check_distance_monotonicity(traj, np.eye(2), Direction.NON_DECREASING, 1e-6)
+    res = check_distance_monotonicity(traj, np.eye(2), 1e-6)
     assert res.passed and res.worst_margin == 0.0
 
 
@@ -156,10 +156,10 @@ def test_monotonicity_synthetic_series():
         [[0.0, 0.0], [s, 0.0]] for s in (1.0, 1.1, 1.2, 1.15)
     ])
     traj = make_traj(np.arange(4.0), states)
-    res = check_distance_monotonicity(traj, np.eye(2), Direction.NON_DECREASING, 1e-9)
+    res = check_distance_monotonicity(traj, np.eye(2), 1e-9)
     assert not res.passed
     assert res.location == pytest.approx(3.0)
-    res = check_distance_monotonicity(traj, np.eye(2), Direction.NON_DECREASING, 1.0)
+    res = check_distance_monotonicity(traj, np.eye(2), 1.0)
     assert res.passed
 
 
@@ -169,8 +169,65 @@ def test_monotonicity_negative_definite_direction():
         [[0.0, 0.0], [s, 0.0]] for s in (1.0, 0.8, 0.6)
     ])
     traj = make_traj(np.arange(3.0), states)
-    res = check_distance_monotonicity(traj, -np.eye(2), Direction.NON_INCREASING, 1e-9)
+    res = check_distance_monotonicity(traj, -np.eye(2), 1e-9)
     assert res.passed
+
+
+@pytest.mark.parametrize("A, kind", [(np.diag([1.0, -2.0]), "indefinite"), (np.diag([1.0, 1e-13]), "near_singular"),
+                                     (np.array([[0.0, 1.0], [-1.0, 0.0]]), "near_singular")],
+                         ids=["indefinite", "near_singular", "skew"])
+def test_monotonicity_without_definite_sym_a_raises(A, kind):
+    traj = make_traj([0.0, 1.0], [[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [2.0, 0.0]]])
+    with pytest.raises(HypothesisError) as exc:
+        check_distance_monotonicity(traj, A, 1.0)
+    assert str(exc.value) == f"sym(A) is {kind}; no monotone direction"
+
+
+def _monotonicity_with_direction(traj, A, tol):
+    """check_distance_monotonicity as it was while each caller passed the
+    direction: picked from the sign of sym(A), with the monitored series
+    negated for a negative definite A and the steps negated again for the
+    non-increasing direction."""
+    non_decreasing = quadspace.classify_definiteness(A) is quadspace.Definiteness.POSITIVE_DEFINITE
+    name = "distance_monotonicity_" + ("non_decreasing" if non_decreasing else "non_increasing")
+    iu = np.triu_indices(traj.states.shape[1], 1)
+    series = np.array([quadspace.quad_form(A, X[iu[0]] - X[iu[1]]) for X in traj.states])
+    if not non_decreasing:
+        series = -series
+    steps = np.diff(series, axis=0)
+    margins = steps if non_decreasing else -steps
+    k, p = np.unravel_index(np.argmin(margins), margins.shape)
+    worst = float(margins[k, p])
+    return CheckResult(name, worst >= -tol, worst, float(traj.times[k + 1]))
+
+
+def _rigid_traj():
+    # three tokens translated rigidly: every pair's q_A steps by exactly zero
+    X0 = np.array([[0.0, 0.0], [1.0, 0.5], [-0.5, 2.0]])
+    return make_traj(np.arange(4.0), [X0 + s for s in (0.0, 0.25, 0.5, 1.0)])
+
+
+MONOTONICITY_RUNS = {
+    "grow": lambda: (integrate(lambda X: rhs_vanilla(params_from_w_and_a(GROW_W, quadspace.sym(GROW_A)), X), GROW_X0,
+                               IntegratorConfig(h=1e-2, T=1.0)), quadspace.sym(GROW_A)),
+    "shrink": lambda: (integrate(lambda X: rhs_vanilla(params_from_w_and_a(SHRINK_W, quadspace.sym(SHRINK_A)), X), SHRINK_X0,
+                                 IntegratorConfig(h=1e-2, T=1.0)), quadspace.sym(SHRINK_A)),
+    "rigid_positive": lambda: (_rigid_traj(), np.array([[2.0, 0.5], [0.5, 1.0]])),
+    "rigid_negative": lambda: (_rigid_traj(), -np.array([[2.0, 0.5], [0.5, 1.0]])),
+}
+
+
+@pytest.mark.parametrize("run", sorted(MONOTONICITY_RUNS))
+def test_monotonicity_direction_from_sym_a_matches_passed_direction(run):
+    # the direction now comes from sym(A) inside the checker; the result is
+    # the one the caller-chosen direction gave, bit for bit, including the
+    # sign of a zero worst margin (-0.0 on the rigid negative definite run)
+    traj, A = MONOTONICITY_RUNS[run]()
+    got, want = check_distance_monotonicity(traj, A, 1e-6), _monotonicity_with_direction(traj, A, 1e-6)
+    assert (got.name, got.passed, got.location) == (want.name, want.passed, want.location)
+    assert np.float64(got.worst_margin).tobytes() == np.float64(want.worst_margin).tobytes()
+    if run.startswith("rigid"):
+        assert got.worst_margin == 0.0 and np.signbit(got.worst_margin) == (run == "rigid_negative")
 
 
 def test_quadratic_bounds_single_token_closed_form():

@@ -296,6 +296,9 @@ NON_FINITE = {
     "rope_theta_base_nan": ("params", {**STREAMED_ROTARY, "rope": {**STREAMED_ROTARY["rope"], "theta_base": float("nan")}}),
     "sweep_horizon_inf": ("sweep", {"scenario": "convergence", "D": 2, "seed_count": 1, "horizon": float("inf")}),
     "sweep_scale_inf": ("sweep", {"D": 2, "seed_count": 1, "scale": float("inf"), "horizon": 1.0}),
+    "spectra_eps_nan": ("spectra", {"eps": float("nan")}),
+    "spectra_eps_inf": ("spectra", {"eps": float("inf")}),
+    "spectra_eps_negative": ("spectra", {"eps": -1.0}),
     # JSON integers too large for a float
     "integrator_T_int_overflow": ("integrator", {"h": 0.01, "T": 10**400}),
     "params_W_int_overflow": ("params", {"kind": "effective", "W": [[10**400, 0], [0, 1]], "V": np.eye(2).tolist()}),
@@ -332,13 +335,16 @@ NOT_STRICT = {
 def _assert_section_exits_2(tmp_path, capsys, section, value):
     if section == "sweep":
         cfg = {"schema_version": 1, "mode": "sweep", "sweep": value}
+    elif section == "spectra":  # one readable set; the value gives the other keys
+        save_matrix(tmp_path / "eye.txt", np.eye(2))
+        cfg = {"schema_version": 1, "mode": "spectra", "spectra": {"sets": [dict.fromkeys("QKV", str(tmp_path / "eye.txt"))], **value}}
     else:  # a verify section is read in verify mode only
         cfg = simulate_cfg(**{section: value}, mode="verify" if section == "verify" else "simulate")
     if section == "params" and "rope" in value:
         cfg["posenc"] = {"kind": "rotary"}
     code, out = run_cli(tmp_path, cfg)
     err = capsys.readouterr().err
-    assert code == 2 and err.startswith(f"error: {section}") and "Traceback" not in err
+    assert code == 2 and err.startswith(f"error: {section}") and err.count("\n") == 1 and "Traceback" not in err
     assert os.listdir(out) == []
     return err
 
@@ -353,10 +359,42 @@ def test_lenient_bool_or_integer_exits_2(tmp_path, capsys, case):
     _assert_section_exits_2(tmp_path, capsys, *NOT_STRICT[case])
 
 
-@pytest.mark.parametrize("case, key", [("params_scale_bool", "params.scale"), ("sweep_tokens_pairs", "sweep.tokens")])
+@pytest.mark.parametrize("case, key", [("params_scale_bool", "params.scale"), ("sweep_tokens_pairs", "sweep.tokens"),
+                                       ("spectra_eps_nan", "spectra.eps"), ("spectra_eps_inf", "spectra.eps"),
+                                       ("spectra_eps_negative", "spectra.eps")])
 def test_wrong_json_type_names_its_key(tmp_path, capsys, case, key):
-    err = _assert_section_exits_2(tmp_path, capsys, *NOT_STRICT[case])
+    err = _assert_section_exits_2(tmp_path, capsys, *{**NOT_STRICT, **NON_FINITE}[case])
     assert err.startswith(f"error: {key}: expected ") and err.count("\n") == 1
+
+
+# configs with a section their mode does not read, named mode_section
+UNREAD_SECTIONS = {
+    "simulate_sweep": simulate_cfg(sweep=5),
+    "simulate_verify_null": simulate_cfg(verify=None),
+    "simulate_verify_bogus": simulate_cfg(verify={"bogus": 1}),
+    "simulate_spectra_null": simulate_cfg(spectra=None),
+    "verify_sweep": simulate_cfg(mode="verify", sweep={"D": 2, "seed_count": 1, "horizon": 1.0}),
+    "sweep_params": {"schema_version": 1, "mode": "sweep", "sweep": {"D": 2, "seed_count": 1, "horizon": 1.0},
+                     "params": {"kind": "nonsense"}},
+    "spectra_tokens": {"schema_version": 1, "mode": "spectra", "spectra": {}, "tokens": {"kind": "random", "L": 3, "seed": 2}},
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREAD_SECTIONS))
+def test_section_the_mode_does_not_read_exits_2(tmp_path, monkeypatch, capsys, case):
+    cfg = UNREAD_SECTIONS[case]
+    if cfg["mode"] == "spectra":
+        save_matrix(tmp_path / "eye.txt", np.eye(2))
+        cfg = {**cfg, "spectra": {"sets": [dict.fromkeys("QKV", str(tmp_path / "eye.txt"))]}}
+    section = case.split("_")[1]
+    steps, rk4_step = [], integrate_module.rk4_step
+    monkeypatch.setattr(integrate_module, "rk4_step", lambda *args: steps.append(1) or rk4_step(*args))
+    (tmp_path / "out").mkdir()
+    code, out = run_cli(tmp_path, cfg)
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("error: config: ") and err.count("\n") == 1 and "Traceback" not in err, err
+    assert f"a {cfg['mode']} run" in err and section in err.split(", not ")[1], err
+    assert os.listdir(out) == [] and steps == []
 
 
 def test_integral_float_reads_as_integer(tmp_path):
@@ -563,6 +601,7 @@ def test_verify_singular_value_matrix_skip_reasons(tmp_path):
     assert (out / "report.csv").read_text().splitlines()[2:] == [
         "distance_monotonicity,skip,,V singular; A undefined",
         "qa_bounds,skip,,V singular; A undefined",
+        "norm_collapse,skip,,V singular; A undefined",
         "rescaled_hull_containment,skip,,V is not a positive multiple of the identity",
     ]
 

@@ -98,32 +98,40 @@ def test_cli_runs_through_traced_names(tmp_path, monkeypatch, run):
         assert counts.get(key, 0) > 0, f"{run}: no call went through {key}"
 
 
-def test_committed_digests_hold_for_a_sample(tmp_path, monkeypatch):
-    # perfbench member 0 of each workload and the two short configs/*.json,
-    # rerun in process as tools/digests.py --check reruns all 523 runs (that
-    # takes about a minute; this, a few seconds)
+def _digests_module(monkeypatch):
+    """tools/digests.py, loaded with its changes to sys.path and the BLAS
+    thread variables undone after the test."""
     monkeypatch.setattr(sys, "path", list(sys.path))  # the module puts src/ and perfbench/ first
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS"):
-        monkeypatch.setenv(var, os.environ.get(var, "1"))  # the module sets unset ones to 1; undone after the test
+        monkeypatch.setenv(var, os.environ.get(var, "1"))  # the module sets unset ones to 1
     spec = importlib.util.spec_from_file_location("digests", ROOT / "tools" / "digests.py")
     digests = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(digests)
+    return digests
+
+
+def test_committed_digests_hold_for_a_sample(tmp_path, monkeypatch):
+    # perfbench member 0 of each workload, the two short configs/*.json and
+    # the coverage runs, rerun in process as tools/digests.py --check reruns
+    # all 526 runs (that takes about a minute; this, a few seconds)
+    digests = _digests_module(monkeypatch)
     want = json.loads((ROOT / "DIGESTS.json").read_text())
     env = digests.environment()
     differing = sorted(key for key in env.keys() | want["environment"].keys() if env.get(key) != want["environment"].get(key))
     if differing:
         pytest.skip(f"environment differs from the recorded one in {', '.join(differing)}")
-    paths = digests.member_runs(str(tmp_path), member=0)
+    paths = {**digests.member_runs(str(tmp_path), member=0), **digests.coverage_runs(str(tmp_path))}
     for name in ("simulate_collapse.json", "verify_divergence.json"):
         paths[f"configs/{name}"] = str(ROOT / "configs" / name)
     changed = [key for key, path in sorted(paths.items()) if digests.run(path)[0] != want["runs"][key]]
     assert changed == []
 
 
-def test_shipped_runs_raise_no_numpy_warning(tmp_path):
-    # the shipped simulate and verify configs, a two-seed sweep and a verify
-    # run that trips the blow-up guard, in process with every warning an
-    # error: a numpy warning on a hot path fails here instead of reaching stderr
+def test_shipped_runs_raise_no_numpy_warning(tmp_path, monkeypatch):
+    # the shipped simulate and verify configs, a two-seed sweep, a verify run
+    # that trips the blow-up guard and the digest tool's coverage runs, in
+    # process with every warning an error: a numpy warning on a hot path
+    # fails here instead of reaching stderr
     verify = json.loads((ROOT / "configs" / "verify_divergence.json").read_text())
     sweep = json.loads((ROOT / "configs" / "sweep_convergence.json").read_text())
     runs = {
@@ -132,11 +140,14 @@ def test_shipped_runs_raise_no_numpy_warning(tmp_path):
         "sweep_two_seeds": {**sweep, "sweep": {**sweep["sweep"], "seed_count": 2}},
         "verify_blow_up": {**verify, "integrator": {"h": 0.01, "T": 1.0, "blowup_norm": 2.0}},
     }
+    paths = {name: str(tmp_path / f"{name}.json") for name in runs}
     for name, cfg in runs.items():
-        (tmp_path / f"{name}.json").write_text(json.dumps(cfg))
+        Path(paths[name]).write_text(json.dumps(cfg))
+    paths.update(_digests_module(monkeypatch).coverage_runs(str(tmp_path)))
+    for name, path in paths.items():
         with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()):
             warnings.simplefilter("error")
-            code = cli.main(["--config", str(tmp_path / f"{name}.json"), "--out", str(tmp_path / name)])
+            code = cli.main(["--config", path, "--out", str(tmp_path / name.replace("/", "-"))])
         assert code == 0, name
     _, X0, icfg, rhs, _ = cli._prepare_run(runs["verify_blow_up"])
     assert integrate.integrate(rhs, X0, icfg).terminated is integrate.Termination.BLOW_UP

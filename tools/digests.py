@@ -5,10 +5,12 @@
 
 Run from anywhere in a full checkout; attnsim is imported from its src/.
 The runs are every operation of every perfbench member (perfbench/
-reference.json; configs from perfbench/workloads.py) plus the three
-configs/*.json, each one in-process call of attnsim.cli.main with
---jobs 1 into a fresh directory, hashed by workloads.digest (exit code,
-stdout and every output file). A split check then runs one sweep member's
+reference.json; configs from perfbench/workloads.py), the three
+configs/*.json and three coverage runs (coverage_runs: spectra, verify
+under sinusoidal positions, rotary with a lambda regulariser), each one
+in-process call of attnsim.cli.main with --jobs 1 into a fresh
+directory, hashed by workloads.digest (exit code, stdout and every
+output file). A split check then runs one sweep member's
 seed window at --jobs 1 and --jobs 2, and as two windows, and requires the
 same seeds.csv rows from all three.
 
@@ -41,7 +43,8 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 import numpy as np  # noqa: E402
 import workloads as wl  # noqa: E402
 from attnsim import cli  # noqa: E402
-from attnsim.params import Scenario, ScenarioSpec, build_scenario  # noqa: E402
+from attnsim.dynamics import sinusoidal_encoding  # noqa: E402
+from attnsim.params import Scenario, ScenarioSpec, build_scenario, generator, save_matrix  # noqa: E402
 
 SPLIT_MEMBER = 0  # the sweep member whose seed window the split check runs
 
@@ -100,6 +103,40 @@ def member_runs(workdir: str, member: int | None = None) -> dict[str, str]:
     return paths
 
 
+def coverage_runs(workdir: str) -> dict[str, str]:
+    """Config path of each run that reaches code no perfbench member or
+    configs/*.json run does, keyed coverage/<name>: spectra over matrix
+    files, verify under sinusoidal positions in the collapse regime (the
+    absolute-limit check), and a rotary simulate with a lambda regulariser."""
+    rng = generator(2024)
+    sets = []
+    for i in range(3):
+        sets.append({})
+        for name in "QKV":
+            M = np.zeros((4, 4)) if (i, name) == (2, "V") else rng.standard_normal((4, 4))  # the third V is singular
+            sets[-1][name] = os.path.join(workdir, f"coverage-{name}{i}.txt")
+            save_matrix(sets[-1][name], M)
+
+    with open(os.path.join(ROOT, "configs", "simulate_collapse.json")) as fh:
+        collapse = json.load(fh)  # W_sym > 0 and A_sym < 0
+    L, D = 6, 2
+    y0 = 2.2 * np.array([0.6, 0.8]) + 5e-4 * 2.2 * rng.standard_normal((L, D))  # a tight cluster of x + p
+    rows = (y0 - sinusoidal_encoding(L, D)).tolist()
+
+    square = lambda scale: (scale * rng.standard_normal((4, 4))).tolist()  # noqa: E731
+    rope = {"Qbar": square(0.5), "Kbar": square(0.5), "theta_base": 100.0,
+            "lambda_mod": {"kind": "diag_scaled", "lambda": -0.5, "diag": [1.0, 2.0, 0.5, 1.5]}}
+    runs = {
+        "spectra": {"mode": "spectra", "spectra": {"sets": sets, "eps": 0.5}},
+        "verify_sinusoidal": {"mode": "verify", "params": collapse["params"], "posenc": {"kind": "sinusoidal"},
+                              "tokens": {"kind": "explicit", "rows": rows}, "integrator": {"h": 0.01, "T": 15.0}},
+        "simulate_rotary_lambda": {"mode": "simulate", "posenc": {"kind": "rotary"},
+                                   "params": {"kind": "matrices", "Q": square(0.5), "K": square(0.5), "V": (-np.eye(4)).tolist(), "rope": rope},
+                                   "tokens": {"kind": "random", "L": 8, "seed": 5}, "integrator": {"h": 0.01, "T": 2.0, "record_stride": 10}},
+    }
+    return {f"coverage/{name}": _write_config(workdir, f"coverage/{name}", {"schema_version": 1, **cfg}) for name, cfg in runs.items()}
+
+
 def split_check(workdir: str) -> tuple[str, list[str]]:
     """Digest of one sweep member's seeds.csv, and the ways of splitting the
     run that did not reproduce it."""
@@ -128,7 +165,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     with tempfile.TemporaryDirectory() as workdir:
-        paths = member_runs(workdir)
+        paths = {**member_runs(workdir), **coverage_runs(workdir)}
         for name in sorted(os.listdir(os.path.join(ROOT, "configs"))):
             if name.endswith(".json"):
                 paths[f"configs/{name}"] = os.path.join(ROOT, "configs", name)
