@@ -86,15 +86,16 @@ class MetricSeries:
 
 def metrics_block_samples(L: int, D: int) -> int:
     """Whole samples per metrics block: neither the pair rows, nor one
-    token's differences, nor (at L = 1) the samples outgrow BLOCK_ENTRIES."""
+    offset's differences, nor (at L = 1) the samples outgrow BLOCK_ENTRIES."""
     return max(1, BLOCK_ENTRIES // max(L * (L - 1) // 2, (L - 1) * D, D))
 
 
 def trajectory_metrics(traj: Trajectory) -> MetricSeries:
-    """Per-sample mean token norm and mean pairwise Euclidean distance. Each
-    sample's pair norms fill one row, averaged whole, whatever the block size.
-    Reads only traj.times and traj.states: blocks of a C-contiguous run's
-    samples give that run's values bit for bit."""
+    """Per-sample mean token norm and mean pairwise Euclidean distance, the
+    latter sqrt(d.d) per pair d = x_j - x_{j+k}, walked by offset k. Each
+    sample's pair distances fill one row, averaged whole, whatever the block
+    size. Reads only traj.times and traj.states: blocks of a C-contiguous
+    run's samples give that run's values bit for bit."""
     if traj.states.shape[0] == 0:
         raise DomainError("empty trajectory")
     N, L, D = traj.states.shape
@@ -108,9 +109,12 @@ def trajectory_metrics(traj: Trajectory) -> MetricSeries:
             S = np.ascontiguousarray(traj.states[start:start + per_block])  # reductions round by memory layout
             rows = buf[:len(S)]
             col = 0
-            for i in range(L - 1):
-                rows[:, col:col + L - 1 - i] = np.linalg.norm(S[:, i:i + 1] - S[:, i + 1:], axis=-1)
-                col += L - 1 - i
+            for k in range(1, L):  # pairs (j, j + k), as one inner product each
+                d = S[:, :L - k] - S[:, k:]
+                np.einsum("spd,spd->sp", d, d, out=rows[:, col:col + L - k])
+                col += L - k
+                del d  # one offset's differences alive at a time
+            np.sqrt(rows, out=rows)
             dists[start:start + per_block] = rows.mean(axis=1)
     return MetricSeries(times=traj.times, mean_token_norm=mean_norm, mean_pairwise_dist=dists)
 

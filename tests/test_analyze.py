@@ -79,35 +79,45 @@ def test_metrics_match_naive_recomputation():
 
 
 def metrics_loop(states):
-    """The per-sample loop trajectory_metrics replaced: the oracle."""
+    """trajectory_metrics one sample at a time: the oracle. Each pair (j, j + k)
+    is sqrt of one inner product, the pairs taken by offset k."""
     L = states.shape[1]
-    iu = np.triu_indices(L, 1)
     dists = np.zeros(len(states))
     if L > 1:
-        for k, X in enumerate(states):
-            dists[k] = np.linalg.norm(X[iu[0]] - X[iu[1]], axis=1).mean()
+        for s, X in enumerate(np.ascontiguousarray(states)):  # one layout, whatever the caller's
+            diffs = [X[:L - k] - X[k:] for k in range(1, L)]
+            dists[s] = np.sqrt(np.concatenate([np.einsum("pd,pd->p", d, d) for d in diffs])).mean()
     return np.linalg.norm(states, axis=2).mean(axis=1), dists
+
+
+def random_states(N, L, D, log_scale, tokens, seed):
+    """(N, L, D) states: spread, clustered (pair distances ~1e-9 of the
+    norms) or with duplicated tokens, scaled by 10**log_scale."""
+    rng = np.random.default_rng(seed)
+    states = rng.standard_normal((N, L, D))
+    if tokens == "cluster":
+        states = rng.standard_normal((N, 1, D)) + 1e-9 * states
+    elif tokens == "duplicated":
+        states = states[:, rng.integers(0, max(1, L // 2), size=L)]
+    return 10.0**log_scale * states
+
+
+TOKENS = st.sampled_from(["spread", "cluster", "duplicated"])
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     N=st.integers(1, 60),
     L=st.integers(1, 40),
-    D=st.integers(1, 8),
+    D=st.integers(1, 24),
     log_scale=st.floats(-5.0, 5.0),
-    tokens=st.sampled_from(["spread", "cluster", "duplicated"]),
+    tokens=TOKENS,
     block=st.sampled_from(["one_sample", "two_samples", "part_of_a_sample", "default"]),
     layout=st.sampled_from(["C", "F", "D_outermost"]),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_metrics_bitwise_equal_loop_oracle(N, L, D, log_scale, tokens, block, layout, seed):
-    rng = np.random.default_rng(seed)
-    states = rng.standard_normal((N, L, D))
-    if tokens == "cluster":  # pair distances ~1e-9 of the norms
-        states = rng.standard_normal((N, 1, D)) + 1e-9 * states
-    elif tokens == "duplicated":
-        states = states[:, rng.integers(0, max(1, L // 2), size=L)]
-    states = 10.0**log_scale * states
+    states = random_states(N, L, D, log_scale, tokens, seed)
     if layout == "F":
         states = np.asfortranarray(states)
     elif layout == "D_outermost":
@@ -124,6 +134,31 @@ def test_metrics_bitwise_equal_loop_oracle(N, L, D, log_scale, tokens, block, la
     assert m.mean_pairwise_dist.tobytes() == dists.tobytes()
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    N=st.integers(1, 8),
+    L=st.integers(2, 60),
+    D=st.integers(1, 24),
+    log_scale=st.floats(-5.0, 5.0),
+    tokens=TOKENS,
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_metrics_within_rounding_of_norm_formula(N, L, D, log_scale, tokens, seed):
+    """The mean pairwise distance against np.linalg.norm per pair in triu
+    order. Only the order of each pair's D squares and of the mean's
+    pairwise sum differ, so the gap is held to one eps relative per rounding
+    that can differ: D squares, log2(pairs) levels of the mean, the square
+    root and the division. That is a typical-case budget, not a worst-case
+    bound; random draws stay under a third of it."""
+    states = random_states(N, L, D, log_scale, tokens, seed)
+    iu = np.triu_indices(L, 1)
+    want = np.array([np.linalg.norm(X[iu[0]] - X[iu[1]], axis=1).mean() for X in states])
+    got = trajectory_metrics(make_traj(np.arange(float(N)), states)).mean_pairwise_dist
+    bound = (D + np.log2(len(iu[0])) + 2) * np.finfo(float).eps
+    np.testing.assert_array_equal(got == 0.0, want == 0.0)
+    assert np.all(np.abs(got - want) <= bound * want), np.max(np.abs(got - want) / np.where(want > 0, want, 1.0))
+
+
 def test_metrics_memory_bounded_by_pair_block():
     import tracemalloc
 
@@ -133,8 +168,8 @@ def test_metrics_memory_bounded_by_pair_block():
     pairs = L * (L - 1) // 2
     per_block = analyze.BLOCK_ENTRIES // pairs  # whole samples per block
     assert 1 <= per_block < N
-    # the pair rows of a block, plus one token's differences, their squares and their norms
-    bound = 8 * per_block * (pairs + 2 * (L - 1) * D + (L - 1))
+    # the pair rows of a block, plus one offset's differences
+    bound = 8 * per_block * (pairs + (L - 1) * D)
     tracemalloc.start()
     try:
         trajectory_metrics(traj)

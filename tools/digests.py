@@ -170,10 +170,13 @@ def main(argv=None) -> int:
             if name.endswith(".json"):
                 paths[f"configs/{name}"] = os.path.join(ROOT, "configs", name)
         runs = {}
+        progress = sys.stderr.isatty()  # piped into a log, the \r fragments would pile up on one line
         for i, (key, path) in enumerate(sorted(paths.items()), 1):
             runs[key] = run(path)[0]
-            print(f"\r{i}/{len(paths)} runs", end="", file=sys.stderr, flush=True)
-        print(file=sys.stderr)
+            if progress:
+                print(f"\r{i}/{len(paths)} runs", end="", file=sys.stderr, flush=True)
+        if progress:
+            print(file=sys.stderr)
         split, split_failed = split_check(workdir)
 
     record = {"environment": environment(), "runs": runs, "split_sweep_member": SPLIT_MEMBER, "split_seeds_csv": split}
