@@ -15,7 +15,7 @@ from enum import Enum
 import numpy as np
 
 from . import quadspace
-from .dynamics import _attention_average
+from .dynamics import _attention_average, _check_state
 from .errors import ConfigError, DomainError, HypothesisError, SingularMatrixError
 from .integrate import Termination, Trajectory
 from .params import FLOAT_FORMAT, ModelParams, derive_W_A
@@ -271,7 +271,8 @@ def stationarity_residual(params: ModelParams, X) -> float:
     """max_l || sum_j softmax_j(x_l^T W x_.) x_j ||, by the vanilla field's
     kernel: zero exactly at the all-zero stationary state and, unlike the
     weights e^{x_l^T W x_j}, unable to underflow to a false zero far from it."""
-    return float(np.linalg.norm(_attention_average(params, X), axis=1).max())
+    X = _check_state(params, X)
+    return float(np.linalg.norm(_attention_average(X, params.W), axis=1).max())
 
 
 def check_stationarity(traj: Trajectory, params: ModelParams, tol: float) -> CheckResult:

@@ -439,9 +439,10 @@ def _sweep_one(args):
 def run_sweep(cfg: dict, out_dir: str, jobs: int) -> int:
     plan = build_sweep_plan(cfg.get("sweep", {}))
     work = [(plan, s, _token_seed(s)) for s in range(plan.seed_start, plan.seed_start + plan.seed_count)]
-    if jobs > 1:
+    workers = min(jobs, len(work))  # the pool forks all its workers at the first submit, needed or not
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # only parallel sweeps pay for the import
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_one, work))
     else:
         rows = [_sweep_one(w) for w in work]
@@ -517,12 +518,14 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=".", help="output directory (created if missing)")
     parser.add_argument("--jobs", type=int, default=1, help="parallel workers for sweeps")
     args = parser.parse_args(argv)
+    if args.jobs < 1:
+        parser.error(f"argument --jobs: must be at least 1, got {args.jobs}")
 
     try:
         cfg = load_config(args.config)
         with _section("--out"):
             os.makedirs(args.out, exist_ok=True)
-        return MODES[cfg["mode"]][1](cfg, args.out, max(1, args.jobs))
+        return MODES[cfg["mode"]][1](cfg, args.out, args.jobs)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -34,22 +34,60 @@ def _softmax_rows(Z):
 def _check_state(params, X):
     # C order keeps every .dot on one BLAS path, so no result depends on the caller's layout
     X = np.asarray(X, dtype=float, order="C")
-    if X.ndim != 2 or X.shape[0] < 1:
+    shape = X.shape
+    if len(shape) != 2 or shape[0] < 1:
         raise ShapeError("token state must be a nonempty (L, D) array")
-    if X.shape[1] != params.D:
-        raise ShapeError(f"state dimension {X.shape[1]} != params.D {params.D}")
+    if shape[1] != params.D:
+        raise ShapeError(f"state dimension {shape[1]} != params.D {params.D}")
     return X
 
 
-def _attention_average(params, X):
-    """Row l is sum_i softmax_i(x_l^T W x_.) x_i, on the C-ordered state."""
-    X = _check_state(params, X)
-    return _softmax_rows(X.dot(params.W).dot(X.T)).dot(X)
+# OpenBLAS runs a gemm of m*n*k <= 2**18 on the calling thread. Past that its threads cost a narrow
+# state more than they save (a 256 x 256 x 16 logits gemm: about 80 us on one thread, 330-440 us on
+# two) and can change the result's bits, so a larger state with D <= _BLOCK_MAX_D takes its attention
+# average in row blocks of that size. Wider states keep one product: blocked, they ran 1.2-2.4x slower.
+_ONE_THREAD_MNK = 1 << 18
+_BLOCK_MAX_D = 16
+
+
+def _logits(XT, XW, rope, b):
+    """The logit rows b: (XW)[b] X^T, with XT = X^T, plus, for rope = (Q, KT, s),
+    the rotary term Q[b] KT / s, computed apart and then added."""
+    Z = XW[b].dot(XT)
+    if rope is not None:
+        Q, KT, s = rope
+        R = Q[b].dot(KT)
+        R /= s
+        Z += R
+    return Z
+
+
+def _attention_average(X, W, rope=None):
+    """Row l is sum_i softmax_i(z_li) x_i on the checked state X, with the logits z of _logits, XW = X W.
+
+    Blocked, each block of rows takes its logits, their softmax and its weighted sum before the next
+    block starts, so no product wakes BLAS threads and no logit array is larger than one block."""
+    L, D = X.shape
+    if D > _BLOCK_MAX_D or L * L * D <= _ONE_THREAD_MNK:
+        return _softmax_rows(X.dot(W).dot(X.T) if rope is None else _logits(X.T, X.dot(W), rope, slice(None))).dot(X)
+    # C-ordered transposed keys make each block's logits product about a third faster in OpenBLAS
+    # (and may round it differently in the last place)
+    XT = np.ascontiguousarray(X.T)
+    if rope is not None:
+        rope = (rope[0], np.ascontiguousarray(rope[1]), rope[2])
+    XW = X.dot(W)
+    rows = _ONE_THREAD_MNK // (L * D)
+    out = np.empty_like(X)
+    for start in range(0, L, rows):
+        b = slice(start, start + rows)
+        np.dot(_softmax_rows(_logits(XT, XW, rope, b)), X, out=out[b])
+    return out
 
 
 def rhs_vanilla(params: ModelParams, X) -> np.ndarray:
     """dx_l = V^T sum_i softmax_i(x_l^T W x_.) x_i with W = Q K^T / sqrt(Dk)."""
-    return _attention_average(params, X).dot(params.V)
+    X = _check_state(params, X)
+    return _attention_average(X, params.W).dot(params.V)
 
 
 def sinusoidal_encoding(L: int, D: int, offset: int = 0) -> np.ndarray:
@@ -89,8 +127,8 @@ def rhs_rotary(params: ModelParams, X) -> np.ndarray:
 
     W_li = W + Qbar R(i - l) Kbar^T / sqrt(Dk) plus the lambda regulariser.
     Since R(i - l) = R(l)^T R(i), the rotary term factorises: rotate each
-    token's query and key by that token's own position, then take one
-    L x L product.
+    token's query and key by that token's own position, then take their
+    products in the attention average's row blocks.
     """
     X = _check_state(params, X)
     rope = params.rope
@@ -106,11 +144,7 @@ def rhs_rotary(params: ModelParams, X) -> np.ndarray:
     rot = np.empty_like(Y)  # row l turned by R(l), feature pair by pair
     rot[..., 0::2] = c * Y[..., 0::2] - s * Y[..., 1::2]
     rot[..., 1::2] = s * Y[..., 0::2] + c * Y[..., 1::2]
-    Z = rot[0].dot(rot[1].T)  # plus X W X^T, summed in place: two L x L arrays at most
-    Z /= np.sqrt(params.Dk)
-    Z += X.dot(W).dot(X.T)
-    P = _softmax_rows(Z)
-    return P.dot(X).dot(params.V)
+    return _attention_average(X, W, (rot[0], rot[1].T, np.sqrt(params.Dk))).dot(params.V)
 
 
 def rhs_for(params: ModelParams, P=None):

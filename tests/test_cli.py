@@ -868,6 +868,48 @@ def test_sweep_parallel_matches_serial(tmp_path):
     assert rows1 == rows2
 
 
+class _RecordingPool:
+    """A ProcessPoolExecutor stand-in that records its max_workers and maps in process."""
+
+    def __init__(self, seen, max_workers):
+        seen.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("seed_count, jobs, pools", [(1, 4, []), (3, 4, [3]), (3, 2, [2]), (3, 1, [])])
+def test_sweep_pool_holds_no_more_workers_than_seeds(tmp_path, monkeypatch, seed_count, jobs, pools):
+    # the pool forks every worker at its first submit, so it gets min(jobs, seeds)
+    # of them, and a one-seed sweep none; the rows are the serial run's
+    import concurrent.futures
+
+    seen = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", lambda max_workers: _RecordingPool(seen, max_workers))
+    cfg = {"schema_version": 1, "mode": "sweep",
+           "sweep": {"scenario": "divergence", "D": 2, "seed_start": 3, "seed_count": seed_count, "horizon": 5.0}}
+    code, out = run_cli(tmp_path, cfg, jobs=jobs)
+    rows = (out / "seeds.csv").read_bytes()
+    assert code == run_cli(tmp_path, cfg)[0] == 0 and seen == pools
+    assert rows == (out / "seeds.csv").read_bytes()
+
+
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_jobs_below_one_is_a_usage_error(tmp_path, capsys, jobs):
+    cfg = {"schema_version": 1, "mode": "sweep", "sweep": {"D": 2, "seed_count": 1, "horizon": 1.0}}
+    with pytest.raises(SystemExit) as exc:
+        run_cli(tmp_path, cfg, jobs=jobs)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert err.startswith("usage: attnsim") and err.endswith(f"error: argument --jobs: must be at least 1, got {jobs}\n")
+
+
 def test_spectra_from_files(tmp_path):
     rng = generator(99)
     sets = []

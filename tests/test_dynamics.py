@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -5,9 +8,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from attnsim import quadspace
+from attnsim import dynamics, quadspace
 from attnsim.analyze import stationarity_residual
 from attnsim.dynamics import (
+    _attention_average,
     _rope_angles,
     _softmax_rows,
     rhs_absolute,
@@ -126,6 +130,108 @@ def test_rhs_vanilla_peak_memory_below_one_and_a_half_logit_arrays():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * L * L * 8
+
+
+def test_rhs_vanilla_peak_memory_set_by_the_row_block():
+    # past 2**18 = L * L * D the logits exist one row block at a time: at
+    # L = 1024, D = 8 a block of 32 rows takes 256 KiB, where one product's
+    # logits took 8 MiB
+    L, D = 1024, 8
+    rows = dynamics._ONE_THREAD_MNK // (L * D)
+    p = random_params(D, 3)
+    X = np.random.default_rng(4).standard_normal((L, D))
+    rhs_vanilla(p, X)
+    tracemalloc.start()
+    try:
+        rhs_vanilla(p, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (rows * L + 5 * L * D) * 8  # one block's logits and a few arrays of the state's size
+
+
+def _attention_average_one_product(X, W, rope):
+    """The attention average as one product, its logits summed in the order
+    rhs_rotary used before the row blocks: the reference for the blocks."""
+    XW = X.dot(W)
+    if rope is None:
+        Z = XW.dot(X.T)
+    else:
+        Q, KT, s = rope
+        Z = Q.dot(KT)
+        Z /= s
+        Z += XW.dot(X.T)
+    return Z.copy(), _softmax_rows(Z).dot(X)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    L=st.integers(1, 600),
+    D=st.integers(1, 24),
+    scale=st.sampled_from([0.1, 1.0, 3.0]),
+    rotary=st.booleans(),
+)
+@example(seed=1, L=128, D=16, scale=1.0, rotary=False)  # L * L * D = 2**18: one product
+@example(seed=1, L=129, D=16, scale=1.0, rotary=True)  # just past it: blocks of 127 and 2 rows
+@example(seed=2, L=300, D=17, scale=1.0, rotary=False)  # past it, but too wide to block
+@settings(max_examples=60, deadline=None)
+def test_attention_average_blocks_match_one_product(seed, L, D, scale, rotary):
+    # one product, bit for bit, wherever the kernel takes one; in row blocks,
+    # within 16 eps max|x| (1 + max|z|), where the rounding of a logit
+    # difference moves a weight and so the average (the worst of 300 random
+    # draws with L 100-1100 and D 1-16 read 0.63 of that)
+    rng = generator(seed)
+    W = D**-0.5 * rng.standard_normal((D, D))
+    X = scale * rng.standard_normal((L, D))
+    rope = (D**-0.5 * rng.standard_normal((L, D)), rng.standard_normal((D, L)), np.sqrt(D)) if rotary else None
+    Z, want = _attention_average_one_product(X, W, rope)
+    got = _attention_average(X, W, rope)
+    if D > dynamics._BLOCK_MAX_D or L * L * D <= dynamics._ONE_THREAD_MNK:
+        assert got.tobytes() == want.tobytes()
+    else:
+        assert np.abs(got - want).max() <= 16 * np.finfo(float).eps * np.abs(X).max() * (1 + np.abs(Z).max())
+
+
+def test_non_finite_logit_in_the_last_row_block_raises():
+    # L = 300, D = 16 goes in blocks of 54 rows, the last of 30. z_li = x_l0 1e10 x_i1,
+    # and only the last token's x_l0 = 1e300 overflows it; its x_1 = 0 keeps column L - 1 finite
+    L, D = 300, 16
+    X = generator(7).standard_normal((L, D))
+    X[-1, :2] = 1e300, 0.0
+    W = np.zeros((D, D))
+    W[0, 1] = 1e10
+    with np.errstate(over="ignore", invalid="ignore"):
+        Z = X.dot(W).dot(X.T)
+        assert np.isfinite(Z[:-1]).all() and not np.isfinite(Z[-1]).any()
+        assert dynamics._ONE_THREAD_MNK // (L * D) < L - 1
+        with pytest.raises(ContractError):
+            _attention_average(X, W)
+
+
+# Evaluate each field on a fixed state and print a digest of its value.
+THREAD_CHILD = r"""
+import hashlib
+from attnsim.dynamics import rhs_rotary, rhs_vanilla
+from attnsim.params import ModelParams, RopeParams, generator
+for rotary, L, D in ((False, 300, 16), (False, 700, 8), (True, 300, 8)):
+    rng = generator(100 * L + D)
+    Q, K, V, Qbar, Kbar = D**-0.5 * rng.standard_normal((5, D, D))
+    p = ModelParams(D=D, Q=Q, K=K, V=V, rope=RopeParams(Qbar=Qbar, Kbar=Kbar) if rotary else None)
+    out = (rhs_rotary if rotary else rhs_vanilla)(p, rng.standard_normal((L, D)))
+    print(rotary, L, D, hashlib.sha256(out.tobytes()).hexdigest())
+"""
+
+
+def test_fields_do_not_depend_on_blas_thread_count():
+    src = os.path.dirname(os.path.dirname(dynamics.__file__))
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", THREAD_CHILD], capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout.splitlines())
+    assert len(outputs[0]) == 3 and outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("L", [128, 256])

@@ -6,8 +6,9 @@
 Run from anywhere in a full checkout; attnsim is imported from its src/.
 The runs are every operation of every perfbench member (perfbench/
 reference.json; configs from perfbench/workloads.py), the three
-configs/*.json and three coverage runs (coverage_runs: spectra, verify
-under sinusoidal positions, rotary with a lambda regulariser), each one
+configs/*.json and four coverage runs (coverage_runs: spectra, verify
+under sinusoidal positions, rotary with a lambda regulariser, a wide
+vanilla simulate), each one
 in-process call of attnsim.cli.main with --jobs 1 into a fresh
 directory, hashed by workloads.digest (exit code, stdout and every
 output file). A split check then runs one sweep member's
@@ -15,11 +16,15 @@ seed window at --jobs 1 and --jobs 2, and as two windows, and requires the
 same seeds.csv rows from all three.
 
 BLAS runs on one thread unless OPENBLAS_NUM_THREADS (or OMP_/MKL_/
-BLIS_NUM_THREADS) says otherwise; the digests must not depend on it.
+BLIS_NUM_THREADS) says otherwise; the digests must not depend on it. A
+thread check therefore reruns one simulate member's two runs and the wide
+coverage run (vanilla, L = 300, D = 16: as one product, its attention
+products would be past the size at which OpenBLAS starts threads) in a
+child interpreter at two BLAS threads, and requires the same digests.
 --check exits 0 when every digest matches, 1 when a run changed or the
-split check fails, and 2 when runs changed in an environment (numpy, BLAS,
+split or thread check fails, and 2 when runs changed in an environment (numpy, BLAS,
 CPU features) other than the recorded one: those changes are reported,
-not blamed on the code. It takes about a minute on two cores.
+not blamed on the code. It takes about a minute and a half on two cores.
 """
 
 from __future__ import annotations
@@ -31,12 +36,14 @@ import io
 import json
 import os
 import platform
+import subprocess
 import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DIGESTS = os.path.join(ROOT, "DIGESTS.json")
-for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS"):
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS")
+for var in BLAS_THREADS:
     os.environ.setdefault(var, "1")  # before numpy loads
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
@@ -47,6 +54,16 @@ from attnsim.dynamics import sinusoidal_encoding  # noqa: E402
 from attnsim.params import Scenario, ScenarioSpec, build_scenario, generator, save_matrix  # noqa: E402
 
 SPLIT_MEMBER = 0  # the sweep member whose seed window the split check runs
+THREAD_MEMBER = 0  # the simulate member whose runs the thread check reruns
+THREAD_COVERAGE = "coverage/simulate_wide"
+
+# Digest each config path given, as run() does, and print them as one JSON object.
+THREAD_CHILD = r"""
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import digests
+print(json.dumps({path: digests.run(path)[0] for path in sys.argv[2:]}))
+"""
 
 
 def environment() -> dict:
@@ -107,7 +124,9 @@ def coverage_runs(workdir: str) -> dict[str, str]:
     """Config path of each run that reaches code no perfbench member or
     configs/*.json run does, keyed coverage/<name>: spectra over matrix
     files, verify under sinusoidal positions in the collapse regime (the
-    absolute-limit check), and a rotary simulate with a lambda regulariser."""
+    absolute-limit check), a rotary simulate with a lambda regulariser, and
+    a vanilla simulate at L = 300, D = 16, whose attention average goes in
+    row blocks of unequal size."""
     rng = generator(2024)
     sets = []
     for i in range(3):
@@ -133,6 +152,8 @@ def coverage_runs(workdir: str) -> dict[str, str]:
         "simulate_rotary_lambda": {"mode": "simulate", "posenc": {"kind": "rotary"},
                                    "params": {"kind": "matrices", "Q": square(0.5), "K": square(0.5), "V": (-np.eye(4)).tolist(), "rope": rope},
                                    "tokens": {"kind": "random", "L": 8, "seed": 5}, "integrator": {"h": 0.01, "T": 2.0, "record_stride": 10}},
+        "simulate_wide": {"mode": "simulate", "params": {"kind": "random", "D": 16, "seed": 11, "scale": 0.5},
+                          "tokens": {"kind": "random", "L": 300, "seed": 12}, "integrator": {"h": 0.02, "T": 0.1}},
     }
     return {f"coverage/{name}": _write_config(workdir, f"coverage/{name}", {"schema_version": 1, **cfg}) for name, cfg in runs.items()}
 
@@ -159,6 +180,19 @@ def split_check(workdir: str) -> tuple[str, list[str]]:
     return hashlib.sha256(whole.encode()).hexdigest(), failed
 
 
+def thread_check(paths: dict[str, str], runs: dict[str, str]) -> list[str]:
+    """The runs among paths (keyed as in runs) whose digest a child
+    interpreter at two BLAS threads does not reproduce."""
+    env = dict(os.environ, **{var: "2" for var in BLAS_THREADS})
+    here = os.path.dirname(os.path.abspath(__file__))
+    proc = subprocess.run([sys.executable, "-c", THREAD_CHILD, here, *paths.values()], capture_output=True, text=True, env=env)
+    if proc.returncode != 0:
+        print(proc.stderr, end="", file=sys.stderr)
+        return sorted(paths)
+    child = json.loads(proc.stdout)
+    return [key for key, path in sorted(paths.items()) if child[path] != runs[key]]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--check", action="store_true", help="compare with DIGESTS.json instead of writing it")
@@ -178,12 +212,17 @@ def main(argv=None) -> int:
         if progress:
             print(file=sys.stderr)
         split, split_failed = split_check(workdir)
+        threaded = sorted(key for key in paths if key.startswith(f"simulate/{THREAD_MEMBER}/")) + [THREAD_COVERAGE]
+        thread_failed = thread_check({key: paths[key] for key in threaded}, runs)
 
     record = {"environment": environment(), "runs": runs, "split_sweep_member": SPLIT_MEMBER, "split_seeds_csv": split}
     for way in split_failed:
         print(f"split check: seeds.csv rows differ from one --jobs 1 window when run as {way}")
+    for key in thread_failed:
+        print(f"thread check: {key} gives another digest at two BLAS threads")
+    print(f"thread check: {len(threaded) - len(thread_failed)} of {len(threaded)} runs reproduced at two BLAS threads")
     if not args.check:
-        if split_failed:
+        if split_failed or thread_failed:
             return 1
         with open(DIGESTS, "w") as fh:
             json.dump(record, fh, indent=1, sort_keys=True)
@@ -205,7 +244,7 @@ def main(argv=None) -> int:
     if changed and env_diff:
         print("the environment differs from the recorded one, so these changes need not come from the code")
         return 2
-    return 1 if changed or split_failed else 0
+    return 1 if changed or split_failed or thread_failed else 0
 
 
 if __name__ == "__main__":
