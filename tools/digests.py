@@ -6,9 +6,10 @@
 Run from anywhere in a full checkout; attnsim is imported from its src/.
 The runs are every operation of every perfbench member (perfbench/
 reference.json; configs from perfbench/workloads.py), the three
-configs/*.json and four coverage runs (coverage_runs: spectra, verify
+configs/*.json and nine coverage runs (coverage_runs: spectra, verify
 under sinusoidal positions, rotary with a lambda regulariser, a wide
-vanilla simulate), each one
+vanilla simulate, and five verify runs that reach the branches of the
+verification policy no other run does), each one
 in-process call of attnsim.cli.main with --jobs 1 into a fresh
 directory, hashed by workloads.digest (exit code, stdout and every
 output file). A split check then runs one sweep member's
@@ -124,9 +125,14 @@ def coverage_runs(workdir: str) -> dict[str, str]:
     """Config path of each run that reaches code no perfbench member or
     configs/*.json run does, keyed coverage/<name>: spectra over matrix
     files, verify under sinusoidal positions in the collapse regime (the
-    absolute-limit check), a rotary simulate with a lambda regulariser, and
-    a vanilla simulate at L = 300, D = 16, whose attention average goes in
-    row blocks of unequal size."""
+    absolute-limit check), a rotary simulate with a lambda regulariser, a
+    vanilla simulate at L = 300, D = 16, whose attention average goes in
+    row blocks of unequal size, and five verify runs: rotary (the W/A laws
+    skipped), a singular V (A undefined), a symmetric intermediate scenario
+    (the decay envelope skipped, naming both definiteness kinds), the same
+    at T = h (too few samples for the q_A bounds), and a non-symmetric
+    convergence scenario (the collapse group asserted while the pair law is
+    report only)."""
     rng = generator(2024)
     sets = []
     for i in range(3):
@@ -143,8 +149,11 @@ def coverage_runs(workdir: str) -> dict[str, str]:
     rows = (y0 - sinusoidal_encoding(L, D)).tolist()
 
     square = lambda scale: (scale * rng.standard_normal((4, 4))).tolist()  # noqa: E731
+    eye = lambda D, scale=1.0: (scale * np.eye(D)).tolist()  # noqa: E731
     rope = {"Qbar": square(0.5), "Kbar": square(0.5), "theta_base": 100.0,
             "lambda_mod": {"kind": "diag_scaled", "lambda": -0.5, "diag": [1.0, 2.0, 0.5, 1.5]}}
+    intermediate = {"mode": "verify", "params": {"kind": "scenario", "scenario": "intermediate", "D": 3, "seed": 4, "symmetric": True},
+                    "tokens": {"kind": "random", "L": 4, "seed": 3}}
     runs = {
         "spectra": {"mode": "spectra", "spectra": {"sets": sets, "eps": 0.5}},
         "verify_sinusoidal": {"mode": "verify", "params": collapse["params"], "posenc": {"kind": "sinusoidal"},
@@ -154,6 +163,16 @@ def coverage_runs(workdir: str) -> dict[str, str]:
                                    "tokens": {"kind": "random", "L": 8, "seed": 5}, "integrator": {"h": 0.01, "T": 2.0, "record_stride": 10}},
         "simulate_wide": {"mode": "simulate", "params": {"kind": "random", "D": 16, "seed": 11, "scale": 0.5},
                           "tokens": {"kind": "random", "L": 300, "seed": 12}, "integrator": {"h": 0.02, "T": 0.1}},
+        "verify_rotary": {"mode": "verify", "posenc": {"kind": "rotary"},
+                          "params": {"kind": "matrices", "Q": eye(4, 0.5), "K": eye(4), "V": eye(4, -1.0),
+                                     "rope": {"Qbar": eye(4, 0.5), "Kbar": eye(4, 0.5)}},
+                          "tokens": {"kind": "random", "L": 6, "seed": 5}, "integrator": {"h": 0.01, "T": 2.0}},
+        "verify_singular_V": {"mode": "verify", "params": {"kind": "matrices", "Q": eye(2), "K": eye(2), "V": [[1.0, 0.0], [0.0, 0.0]]},
+                              "tokens": {"kind": "random", "L": 3, "seed": 2}, "integrator": {"T": 2.0}},
+        "verify_intermediate": {**intermediate, "integrator": {"h": 0.01, "T": 1.0}},
+        "verify_two_samples": {**intermediate, "integrator": {"h": 0.01, "T": 0.01}},
+        "verify_nonsymmetric_collapse": {"mode": "verify", "params": {"kind": "scenario", "scenario": "convergence", "D": 2, "seed": 3},
+                                         "tokens": {"kind": "cluster", "L": 4, "seed": 8, "spread": 1e-4}, "integrator": {"h": 0.01, "T": 20.0}},
     }
     return {f"coverage/{name}": _write_config(workdir, f"coverage/{name}", {"schema_version": 1, **cfg}) for name, cfg in runs.items()}
 
