@@ -119,14 +119,32 @@ def trajectory_metrics(traj: Trajectory) -> MetricSeries:
     return MetricSeries(times=traj.times, mean_token_norm=mean_norm, mean_pairwise_dist=dists)
 
 
-def check_distance_monotonicity(traj: Trajectory, A, tol: float) -> CheckResult:
+@dataclass(frozen=True, eq=False)
+class RunFacts:
+    """What the W/A laws' hypotheses read, derived once per run: W, A, whether
+    A is symmetric (within 1e-8), the definiteness of sym(A) and sym(W), and
+    whether the run is in the collapse regime."""
+    W: np.ndarray
+    A: np.ndarray
+    a_symmetric: bool
+    a_kind: quadspace.Definiteness
+    w_kind: quadspace.Definiteness
+    collapse: bool  # sym(A) < 0 and sym(W) > 0
+
+    @classmethod
+    def of(cls, W, A) -> RunFacts:
+        a_kind, w_kind = quadspace.classify_definiteness(A), quadspace.classify_definiteness(W)
+        collapse = a_kind is quadspace.Definiteness.NEGATIVE_DEFINITE and w_kind is quadspace.Definiteness.POSITIVE_DEFINITE
+        return cls(W, A, quadspace.is_symmetric(A, 1e-8), a_kind, w_kind, collapse)
+
+
+def check_distance_monotonicity(traj: Trajectory, facts: RunFacts, tol: float) -> CheckResult:
     """Step-wise monotonicity of squared A-distances between token pairs:
     q_A(x_i - x_j) non-decreasing when sym(A) is positive definite, and the
     squared A-norm -q_A non-increasing when it is negative definite. Raises
     HypothesisError when sym(A) is neither. Vacuously passes with margin 0
     when there are no pairs."""
-    A = np.asarray(A, dtype=float)
-    kind = quadspace.classify_definiteness(A)
+    kind = facts.a_kind
     if kind not in (quadspace.Definiteness.POSITIVE_DEFINITE, quadspace.Definiteness.NEGATIVE_DEFINITE):
         raise HypothesisError(f"sym(A) is {kind.value}; no monotone direction")
     sign = 1.0 if kind is quadspace.Definiteness.POSITIVE_DEFINITE else -1.0
@@ -137,7 +155,7 @@ def check_distance_monotonicity(traj: Trajectory, A, tol: float) -> CheckResult:
     iu = np.triu_indices(L, 1)
     series = np.empty((len(traj.times), len(iu[0])))
     for k, X in enumerate(traj.states):  # per sample: quad_form's einsum rounds differently on a stacked (N, pairs, D) call
-        series[k] = quadspace.quad_form(A, X[iu[0]] - X[iu[1]])
+        series[k] = quadspace.quad_form(facts.A, X[iu[0]] - X[iu[1]])
     margins = sign * np.diff(sign * series, axis=0)  # steps of sign * q_A, so a zero step keeps its sign
     k, p = np.unravel_index(np.argmin(margins), margins.shape)
     worst = float(margins[k, p])
@@ -146,21 +164,20 @@ def check_distance_monotonicity(traj: Trajectory, A, tol: float) -> CheckResult:
 
 def check_quadratic_form_bounds(
     traj: Trajectory,
-    params: ModelParams,
+    facts: RunFacts,
     tol_differential: float | None = None,
     tol_envelope: float = 1e-4,
 ) -> list[CheckResult | SkippedCheck]:
     """Differential inequality d/dt q_A >= 2 - 2L e^{-q_W} at interior
     samples (central differences), plus the closed-form decay envelope on
-    the squared A-norm when A < 0 and W_sym > 0.
+    the squared A-norm in the collapse regime (A < 0 and W_sym > 0).
 
     Requires symmetric A; otherwise the whole check is reported skipped.
-    Raises SingularMatrixError when V is singular (A is undefined). The
-    default differential tolerance is 10 h^3 for the median sample spacing
-    h (finite-difference error budget).
+    The default differential tolerance is 10 h^3 for the median sample
+    spacing h (finite-difference error budget).
     """
-    W, A = derive_W_A(params)
-    if not quadspace.is_symmetric(A, 1e-8):
+    W, A = facts.W, facts.A
+    if not facts.a_symmetric:
         return [SkippedCheck("qa_bounds", "A is not symmetric; proposition hypothesis fails")]
     t = traj.times
     if len(t) < 3:
@@ -181,9 +198,7 @@ def check_quadratic_form_bounds(
         CheckResult("qa_rate_lower_bound", worst >= -tol_differential, worst, float(t[k + 1]))
     ]
 
-    a_kind = quadspace.classify_definiteness(A)
-    w_kind = quadspace.classify_definiteness(W)
-    if a_kind is quadspace.Definiteness.NEGATIVE_DEFINITE and w_kind is quadspace.Definiteness.POSITIVE_DEFINITE:
+    if facts.collapse:
         c = float(np.linalg.eigvalsh(quadspace.sym(W)).min() / np.linalg.eigvalsh(-quadspace.sym(A)).max())
         na = -qA  # squared A-norm, A < 0
         inner = np.exp(-2.0 * c * t)[:, None] * (np.exp(np.clip(c * na[0], None, EXP_CLIP))[None, :] - L) + L
@@ -193,7 +208,7 @@ def check_quadratic_form_bounds(
         worst_env = float(margins_env[k, l])
         results.append(CheckResult("qa_decay_envelope", worst_env >= -tol_envelope, worst_env, float(t[k])))
     else:
-        results.append(SkippedCheck("qa_decay_envelope", f"needs A < 0 and W_sym > 0 (got A {a_kind.value}, W_sym {w_kind.value})"))
+        results.append(SkippedCheck("qa_decay_envelope", f"needs A < 0 and W_sym > 0 (got A {facts.a_kind.value}, W_sym {facts.w_kind.value})"))
     return results
 
 
@@ -374,25 +389,45 @@ def resolve_tolerances(tolerances) -> dict:
     return {**VERIFY_TOLERANCES, **tolerances}
 
 
-W_A_LAWS = ("distance_monotonicity", "qa_bounds", "norm_collapse")  # the groups that need W and A = W (V^T)^{-1}
-
-
 def run_checks(traj: Trajectory, params: ModelParams, P=None, tolerances: dict | None = None) -> VerificationReport:
     """Run every checker whose hypothesis the run satisfies; skipped checks
     carry the reason. P is the position table of an absolute-encoding run:
     that field is the plain field acting on y = x + P, so the pair laws are
-    checked on y. A run whose params carry rope is rotary: its interaction
-    is not W, so the W/A laws are skipped. Empirical extensions
-    (non-symmetric A with definite symmetric part) are reported without
-    gating all_passed. tolerances override VERIFY_TOLERANCES; a malformed
-    override raises ConfigError before any check runs.
+    checked on y. The W/A laws read one RunFacts; they are skipped under
+    rotary encoding (params carry rope: the interaction is not W) and when
+    a singular V leaves A undefined. Under a non-symmetric A the pair law
+    is report only and the q_A bounds are skipped, while the collapse group
+    gates whenever sym(A) < 0 and sym(W) > 0. tolerances override
+    VERIFY_TOLERANCES; a malformed override raises ConfigError first.
     """
     tol = resolve_tolerances({} if tolerances is None else tolerances)
     report = VerificationReport()
-    if params.rope is not None:
-        report.skipped.extend(SkippedCheck(name, "W/A law of the plain field; not checked under rotary encoding") for name in W_A_LAWS)
+    facts, reason = None, "W/A law of the plain field; not checked under rotary encoding"
+    if params.rope is None:
+        try:
+            facts = RunFacts.of(*derive_W_A(params))
+        except SingularMatrixError:
+            reason = "V singular; A undefined"
+    if facts is None:
+        report.skipped.extend(SkippedCheck(name, reason) for name in ("distance_monotonicity", "qa_bounds", "norm_collapse"))
     else:
-        _check_plain_field_laws(traj, params, P, tol, report)
+        y = traj if P is None else replace(traj, states=traj.states + P)
+        mono_tol = tol["monotonicity_tol"] if tol["monotonicity_tol"] is not None else 1e-6 + 100.0 * traj.config.h**4
+        try:
+            report.checks.append(replace(check_distance_monotonicity(y, facts, mono_tol), asserted=facts.a_symmetric))
+        except HypothesisError as exc:
+            report.skipped.append(SkippedCheck("distance_monotonicity", str(exc)))
+        for r in check_quadratic_form_bounds(y, facts, tol["qa_rate_tol"], tol["qa_envelope_tol"]):
+            (report.checks if isinstance(r, CheckResult) else report.skipped).append(r)
+        if not facts.collapse:
+            report.skipped.append(SkippedCheck("norm_collapse", "not in the A_sym < 0, W_sym > 0 regime"))
+        else:
+            if P is None:
+                report.checks.append(check_convergence(traj, tol["convergence_rel_threshold"]))
+                report.checks.append(check_stationarity(traj, params, tol["stationarity_tol"]))
+            else:
+                report.checks.append(check_absolute_limit(traj, P, tol["absolute_limit_tol"]))
+            report.checks.append(check_derivative_decay(traj, tol["derivative_decay_tol"]))
 
     if P is not None:
         report.skipped.append(SkippedCheck("projection_band", "projection bound not checked under absolute encoding"))
@@ -408,31 +443,3 @@ def run_checks(traj: Trajectory, params: ModelParams, P=None, tolerances: dict |
     except HypothesisError as exc:
         report.skipped.append(SkippedCheck("rescaled_hull_containment", str(exc)))
     return report
-
-
-def _check_plain_field_laws(traj: Trajectory, params: ModelParams, P, tol: dict, report: VerificationReport):
-    """The pair laws (on y = x + P under absolute encoding), then the collapse group."""
-    try:
-        W, A = derive_W_A(params)
-    except SingularMatrixError:
-        report.skipped.extend(SkippedCheck(name, "V singular; A undefined") for name in W_A_LAWS)
-        return
-    y = traj if P is None else replace(traj, states=traj.states + P)
-    mono_tol = tol["monotonicity_tol"] if tol["monotonicity_tol"] is not None else 1e-6 + 100.0 * traj.config.h**4
-    try:
-        report.checks.append(replace(check_distance_monotonicity(y, A, mono_tol), asserted=quadspace.is_symmetric(A, 1e-8)))
-    except HypothesisError as exc:
-        report.skipped.append(SkippedCheck("distance_monotonicity", str(exc)))
-    for r in check_quadratic_form_bounds(y, params, tol["qa_rate_tol"], tol["qa_envelope_tol"]):
-        (report.checks if isinstance(r, CheckResult) else report.skipped).append(r)
-
-    kinds = quadspace.classify_definiteness(A), quadspace.classify_definiteness(W)
-    if kinds != (quadspace.Definiteness.NEGATIVE_DEFINITE, quadspace.Definiteness.POSITIVE_DEFINITE):
-        report.skipped.append(SkippedCheck("norm_collapse", "not in the A_sym < 0, W_sym > 0 regime"))
-        return
-    if P is None:
-        report.checks.append(check_convergence(traj, tol["convergence_rel_threshold"]))
-        report.checks.append(check_stationarity(traj, params, tol["stationarity_tol"]))
-    else:
-        report.checks.append(check_absolute_limit(traj, P, tol["absolute_limit_tol"]))
-    report.checks.append(check_derivative_decay(traj, tol["derivative_decay_tol"]))

@@ -71,7 +71,7 @@ def test_criterion_01_distance_monotonicity():
     ):
         p = params_from_w_and_a(W, quadspace.sym(A))
         traj = integrate(lambda X: rhs_vanilla(p, X), X0, IntegratorConfig(h=h, T=5.0))
-        res = analyze.check_distance_monotonicity(traj, quadspace.sym(A), tol)
+        res = analyze.check_distance_monotonicity(traj, analyze.RunFacts.of(W, quadspace.sym(A)), tol)
         margins[name] = res.worst_margin
         assert res.passed, f"{name}: worst margin {res.worst_margin:.3e} < -{tol:.1e}"
     elapsed = time.perf_counter() - t0
@@ -115,7 +115,8 @@ def test_criterion_03_quadratic_form_bounds():
         rng = generator(500 + i)
         X0 = 0.6 * rng.standard_normal((5, D))
         traj = integrate(lambda X: rhs_vanilla(p, X), X0, IntegratorConfig(h=h, T=5.0))
-        results = analyze.check_quadratic_form_bounds(traj, p, tol_differential=10.0 * h**3, tol_envelope=1e-4)
+        facts = analyze.RunFacts.of(*derive_W_A(p))
+        results = analyze.check_quadratic_form_bounds(traj, facts, tol_differential=10.0 * h**3, tol_envelope=1e-4)
         by_name = {r.name: r for r in results if isinstance(r, analyze.CheckResult)}
         assert set(by_name) == {"qa_rate_lower_bound", "qa_decay_envelope"}, results
         assert by_name["qa_rate_lower_bound"].passed, (i, by_name)

@@ -7,6 +7,7 @@ from attnsim import analyze, quadspace
 from attnsim.analyze import (
     CheckResult,
     Regime,
+    RunFacts,
     SkippedCheck,
     VerificationReport,
     check_absolute_limit,
@@ -25,7 +26,17 @@ from attnsim.analyze import (
 from attnsim.dynamics import rhs_vanilla
 from attnsim.errors import ConfigError, HypothesisError, SingularMatrixError
 from attnsim.integrate import IntegratorConfig, Termination, Trajectory, integrate, stable_step
-from attnsim.params import ModelParams, generator, params_from_w_and_a, params_from_w_and_v, random_params
+from attnsim.params import (
+    ModelParams,
+    Scenario,
+    ScenarioSpec,
+    build_scenario,
+    derive_W_A,
+    generator,
+    params_from_w_and_a,
+    params_from_w_and_v,
+    random_params,
+)
 
 from cases import GROW_A, GROW_W, GROW_X0, SHRINK_A, SHRINK_W, SHRINK_X0
 from hull_oracle import hull_containment_loop
@@ -61,8 +72,6 @@ def test_metrics_symmetric_pair():
 def test_metrics_match_naive_recomputation():
     rng = np.random.default_rng(0)
     p = random_params(3, 17)
-    from attnsim.params import derive_W_A
-
     _, A = derive_W_A(p)
     states = rng.normal(size=(4, 5, 3))
     traj = make_traj(np.arange(4.0), states)
@@ -181,7 +190,7 @@ def test_metrics_memory_bounded_by_pair_block():
 
 def test_monotonicity_vacuous_single_token():
     traj = make_traj([0.0, 1.0], np.zeros((2, 1, 2)))
-    res = check_distance_monotonicity(traj, np.eye(2), 1e-6)
+    res = check_distance_monotonicity(traj, RunFacts.of(np.eye(2), np.eye(2)), 1e-6)
     assert res.passed and res.worst_margin == 0.0
 
 
@@ -191,10 +200,10 @@ def test_monotonicity_synthetic_series():
         [[0.0, 0.0], [s, 0.0]] for s in (1.0, 1.1, 1.2, 1.15)
     ])
     traj = make_traj(np.arange(4.0), states)
-    res = check_distance_monotonicity(traj, np.eye(2), 1e-9)
+    res = check_distance_monotonicity(traj, RunFacts.of(np.eye(2), np.eye(2)), 1e-9)
     assert not res.passed
     assert res.location == pytest.approx(3.0)
-    res = check_distance_monotonicity(traj, np.eye(2), 1.0)
+    res = check_distance_monotonicity(traj, RunFacts.of(np.eye(2), np.eye(2)), 1.0)
     assert res.passed
 
 
@@ -204,7 +213,7 @@ def test_monotonicity_negative_definite_direction():
         [[0.0, 0.0], [s, 0.0]] for s in (1.0, 0.8, 0.6)
     ])
     traj = make_traj(np.arange(3.0), states)
-    res = check_distance_monotonicity(traj, -np.eye(2), 1e-9)
+    res = check_distance_monotonicity(traj, RunFacts.of(np.eye(2), -np.eye(2)), 1e-9)
     assert res.passed
 
 
@@ -214,7 +223,7 @@ def test_monotonicity_negative_definite_direction():
 def test_monotonicity_without_definite_sym_a_raises(A, kind):
     traj = make_traj([0.0, 1.0], [[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [2.0, 0.0]]])
     with pytest.raises(HypothesisError) as exc:
-        check_distance_monotonicity(traj, A, 1.0)
+        check_distance_monotonicity(traj, RunFacts.of(np.eye(2), A), 1.0)
     assert str(exc.value) == f"sym(A) is {kind}; no monotone direction"
 
 
@@ -258,7 +267,7 @@ def test_monotonicity_direction_from_sym_a_matches_passed_direction(run):
     # the one the caller-chosen direction gave, bit for bit, including the
     # sign of a zero worst margin (-0.0 on the rigid negative definite run)
     traj, A = MONOTONICITY_RUNS[run]()
-    got, want = check_distance_monotonicity(traj, A, 1e-6), _monotonicity_with_direction(traj, A, 1e-6)
+    got, want = check_distance_monotonicity(traj, RunFacts.of(np.eye(2), A), 1e-6), _monotonicity_with_direction(traj, A, 1e-6)
     assert (got.name, got.passed, got.location) == (want.name, want.passed, want.location)
     assert np.float64(got.worst_margin).tobytes() == np.float64(want.worst_margin).tobytes()
     if run.startswith("rigid"):
@@ -269,18 +278,18 @@ def test_quadratic_bounds_single_token_closed_form():
     p = params_from_w_and_a(np.eye(2), -np.eye(2))  # W = I, A = -I
     X0 = np.array([[2.0, 0.0]])
     traj = integrate(lambda X: rhs_vanilla(p, X), X0, IntegratorConfig(h=1e-2, T=5.0))
-    results = check_quadratic_form_bounds(traj, p)
+    results = check_quadratic_form_bounds(traj, RunFacts.of(*derive_W_A(p)))
     assert all(isinstance(r, CheckResult) and r.passed for r in results)
     names = {r.name for r in results}
     assert names == {"qa_rate_lower_bound", "qa_decay_envelope"}
 
 
 def test_quadratic_bounds_singular_value_matrix_raises():
-    # A = W (V^T)^{-1} is undefined; run_checks reports the skip
+    # A = W (V^T)^{-1} is undefined, so there are no facts for the bounds to
+    # read; run_checks reports the skip
     p = ModelParams(D=2, Q=np.eye(2), K=np.eye(2), V=np.diag([1.0, 0.0]), Dk=1)
-    traj = integrate(lambda X: rhs_vanilla(p, X), np.eye(2), IntegratorConfig(h=1e-2, T=0.1))
     with pytest.raises(SingularMatrixError):
-        check_quadratic_form_bounds(traj, p)
+        RunFacts.of(*derive_W_A(p))
 
 
 def test_quadratic_bounds_skip_asymmetric():
@@ -288,7 +297,7 @@ def test_quadratic_bounds_skip_asymmetric():
     p = random_params(3, 23)  # A generically asymmetric
     X0 = rng.normal(size=(3, 3))
     traj = integrate(lambda X: rhs_vanilla(p, X), X0, IntegratorConfig(h=1e-2, T=0.2))
-    results = check_quadratic_form_bounds(traj, p)
+    results = check_quadratic_form_bounds(traj, RunFacts.of(*derive_W_A(p)))
     assert len(results) == 1 and isinstance(results[0], SkippedCheck)
 
 
@@ -577,3 +586,26 @@ def test_run_checks_rejects_malformed_tolerances(tolerances):
     # null picks the formula default where there is one
     report = analyze.run_checks(traj, p, tolerances={"monotonicity_tol": None, "qa_rate_tol": None, "hull_tol": 0})
     assert report.checks
+
+
+def test_run_checks_derives_each_fact_once(monkeypatch):
+    # a symmetric convergence scenario, where every W/A law runs and reads
+    # the facts: W and A derived once, sym(A) and sym(W) classified once
+    # each, and A's symmetry decided once
+    p = build_scenario(ScenarioSpec(scenario=Scenario.CONVERGENCE, D=4, seed=3, symmetric=True))
+    _, A = derive_W_A(p)
+    X0 = 0.5 * np.random.default_rng(0).standard_normal((4, 4))
+    traj = integrate(lambda X: rhs_vanilla(p, X), X0, IntegratorConfig(h=1e-2, T=0.2))
+    calls = []
+    for module, name in ((analyze, "derive_W_A"), (quadspace, "classify_definiteness"), (quadspace, "is_symmetric")):
+
+        def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+            calls.append((_name, args[0]))
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    report = analyze.run_checks(traj, p)
+    assert {"distance_monotonicity_non_increasing", "qa_decay_envelope", "norm_collapse"} <= {c.name for c in report.checks}
+    names = [name for name, _ in calls]
+    assert (names.count("derive_W_A"), names.count("classify_definiteness")) == (1, 2)
+    assert sum(name == "is_symmetric" and np.array_equal(B, A) for name, B in calls) == 1
