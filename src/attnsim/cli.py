@@ -358,44 +358,47 @@ def run_verify(cfg: dict, out_dir: str, jobs: int = 1) -> int:
 
 @dataclass(frozen=True)
 class SweepPlan:
-    """The sweep section, parsed once: one field per key, defaulted when the key is absent."""
+    """The sweep section, parsed once: the seed window, the horizon and step bounds, and the
+    params, tokens and integrator sections that each seed's run is built from."""
 
-    D: int
+    params: dict  # build_params' section, less the seed: kind random (D, scale) or scenario (scenario, D, symmetric)
     seed_count: int
     seed_start: int = 0
-    scenario: Scenario | None = None  # None draws random_params
-    scale: float | None = None  # None: random_params' default
-    symmetric: bool | None = None  # None: ScenarioSpec's default
     tokens: dict = field(default_factory=lambda: {"kind": "cluster", "L": 4})
+    integrator: dict = field(default_factory=dict)  # blowup_norm, when given
     horizon: float | None = None  # None: from the slowest mean-mode rate of V
     h_cap: float = 5e-2
     t_max: float = 1500.0
-    blowup_norm: float | None = None  # None: IntegratorConfig's default
-
-
-def _given(**kwargs) -> dict:
-    """The keyword arguments that are not None; the rest keep the callee's defaults."""
-    return {key: value for key, value in kwargs.items() if value is not None}
 
 
 def build_sweep_plan(cfg: dict) -> SweepPlan:
-    plan = SweepPlan(**_read(
+    read = _read(
         cfg, "sweep", {"D", "seed_count"}, D=_integer, seed_count=_integer, seed_start=_integer, scale=_real, symmetric=_boolean,
-        tokens=_object, scenario=lambda s: None if s == "random" else Scenario(s),
+        tokens=_object, scenario=lambda s: s if s == "random" else Scenario(s).value,
         horizon=lambda v: None if v == "auto" else _real(v), h_cap=_real, t_max=_real, blowup_norm=_real,
-    ))
+    )
     for key, least in (("seed_count", 1), ("seed_start", 0), ("D", 2)):
-        if getattr(plan, key) < least:
+        if read.get(key, least) < least:
             raise ConfigError(f"sweep.{key} must be >= {least}")
-    if not (all(v is None or v > 0 for v in (plan.t_max, plan.blowup_norm))
-            and all(v is None or 0 < v < np.inf for v in (plan.scale, plan.horizon, plan.h_cap))):
+    if not (all(read.get(key, 1.0) > 0 for key in ("t_max", "blowup_norm"))
+            and all(read.get(key) is None or 0 < read[key] < np.inf for key in ("scale", "horizon", "h_cap"))):
         raise ConfigError("sweep: scale, h_cap, t_max, blowup_norm and horizon must be positive, scale, h_cap and horizon finite")
+    scenario = read.pop("scenario", "random")  # random_params takes a scale, a named scenario symmetric
+    if scenario == "random":
+        params, unread = {"kind": "random"}, "symmetric"
+    else:
+        params, unread = {"kind": "scenario", "scenario": scenario}, "scale"
+    if unread in read:
+        raise ConfigError(f"sweep.{unread}: scenario {scenario} takes no {unread}")
+    params.update((key, read.pop(key)) for key in ("D", "scale", "symmetric") if key in read)
+    integrator = {"blowup_norm": read.pop("blowup_norm")} if "blowup_norm" in read else {}
+    plan = SweepPlan(params=params, integrator=integrator, **read)
     if "seed" in plan.tokens:
         raise ConfigError("sweep.tokens: no seed; each token seed is derived from its sweep seed")
     if plan.tokens.get("kind") == "explicit":
         raise ConfigError("sweep.tokens: kind explicit takes no seed, but a sweep draws each seed's tokens (random or cluster)")
     # the first seed's tokens, built here so that a bad section fails before any run
-    build_tokens({"seed": _token_seed(plan.seed_start), **plan.tokens}, plan.D, "sweep.tokens")
+    build_tokens({"seed": _token_seed(plan.seed_start), **plan.tokens}, plan.params["D"], "sweep.tokens")
     return plan
 
 
@@ -404,14 +407,14 @@ def _token_seed(seed: int) -> int:
     return spawn_seeds(seed + 7_777_777, 1)[0]
 
 
+SEEDS_COLUMNS = ("seed", "pos_eigs_Wsym", "pos_eigs_Asym", "regime", "mean_norm_ratio", "terminated", "T", "h", "max_re_eig_V")
+
+
 def _sweep_one(args):
     plan, seed, token_seed = args
-    if plan.scenario is None:
-        params = random_params(plan.D, seed, **_given(scale=plan.scale))
-    else:
-        params = build_scenario(ScenarioSpec(scenario=plan.scenario, D=plan.D, seed=seed, **_given(symmetric=plan.symmetric)))
+    params = build_params({**plan.params, "seed": seed})
     W, A = derive_W_A(params)
-    X0 = build_tokens({"seed": token_seed, **plan.tokens}, plan.D, "sweep.tokens")
+    X0 = build_tokens({"seed": token_seed, **plan.tokens}, params.D, "sweep.tokens")
 
     h = region_step(params.V, cap=plan.h_cap)
     growth = np.linalg.eigvals(params.V.T).real  # the mean mode's rates
@@ -420,7 +423,7 @@ def _sweep_one(args):
         T = float(np.clip(9.0 / max(rate, 1e-9), 10.0, plan.t_max))
     else:
         T = plan.horizon
-    icfg = IntegratorConfig(h=h, T=T, record_stride=max(1, int(T / h / 512)), **_given(blowup_norm=plan.blowup_norm))
+    icfg = IntegratorConfig(h=h, T=T, record_stride=max(1, int(T / h / 512)), **plan.integrator)
     traj = integrate(lambda X: rhs_vanilla(params, X), X0, icfg)
     start, end = analyze.endpoint_mean_norms(traj)
     return {
@@ -448,12 +451,9 @@ def run_sweep(cfg: dict, out_dir: str, jobs: int) -> int:
         rows = [_sweep_one(w) for w in work]
 
     with open(os.path.join(out_dir, "seeds.csv"), "w") as fh:
-        fh.write("seed,pos_eigs_Wsym,pos_eigs_Asym,regime,mean_norm_ratio,terminated,T,h,max_re_eig_V\n")
+        fh.write(",".join(SEEDS_COLUMNS) + "\n")
         for r in rows:
-            fh.write(
-                f"{r['seed']},{r['pos_eigs_Wsym']},{r['pos_eigs_Asym']},{r['regime']},"
-                f"{_fmt(r['mean_norm_ratio'])},{r['terminated']},{_fmt(r['T'])},{_fmt(r['h'])},{_fmt(r['max_re_eig_V'])}\n"
-            )
+            fh.write(",".join(_fmt(r[c]) if isinstance(r[c], float) else str(r[c]) for c in SEEDS_COLUMNS) + "\n")
 
     cells: dict[tuple[int, int], dict[str, int]] = {}
     for r in rows:

@@ -44,10 +44,9 @@ def _check_state(params, X):
 
 # OpenBLAS runs a gemm of m*n*k <= 2**18 on the calling thread. Past that its threads cost a narrow
 # state more than they save (a 256 x 256 x 16 logits gemm: about 80 us on one thread, 330-440 us on
-# two) and can change the result's bits, so a larger state with D <= _BLOCK_MAX_D takes its attention
-# average in row blocks of that size. Wider states keep one product: blocked, they ran 1.2-2.4x slower.
+# two) and can change the result's bits, so a larger state takes its attention average in row blocks
+# of that size, whatever its D.
 _ONE_THREAD_MNK = 1 << 18
-_BLOCK_MAX_D = 16
 
 
 def _logits(XT, XW, rope, b):
@@ -68,7 +67,7 @@ def _attention_average(X, W, rope=None):
     Blocked, each block of rows takes its logits, their softmax and its weighted sum before the next
     block starts, so no product wakes BLAS threads and no logit array is larger than one block."""
     L, D = X.shape
-    if D > _BLOCK_MAX_D or L * L * D <= _ONE_THREAD_MNK:
+    if L * L * D <= _ONE_THREAD_MNK:
         return _softmax_rows(X.dot(W).dot(X.T) if rope is None else _logits(X.T, X.dot(W), rope, slice(None))).dot(X)
     # C-ordered transposed keys make each block's logits product about a third faster in OpenBLAS
     # (and may round it differently in the last place)
@@ -76,7 +75,7 @@ def _attention_average(X, W, rope=None):
     if rope is not None:
         rope = (rope[0], np.ascontiguousarray(rope[1]), rope[2])
     XW = X.dot(W)
-    rows = _ONE_THREAD_MNK // (L * D)
+    rows = max(1, _ONE_THREAD_MNK // (L * D))  # at L * D > 2**18, one row a block
     out = np.empty_like(X)
     for start in range(0, L, rows):
         b = slice(start, start + rows)

@@ -666,13 +666,33 @@ def test_sweep_out_of_range_value_exits_2(tmp_path, capsys, bad):
 def test_sweep_tokens_checked_before_any_run(tmp_path, monkeypatch, capsys, tokens, message, jobs):
     # the section is built once with the plan, before a seed's parameters are
     # drawn, a step is taken or a worker is started
+    _assert_sweep_exits_2_before_any_run(tmp_path, monkeypatch, capsys, {"tokens": tokens}, message, jobs)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize(
+    "section, message",
+    [({"scenario": "convergence", "scale": 2.0}, "sweep.scale: scenario convergence takes no scale"),
+     ({"scenario": "random", "symmetric": True}, "sweep.symmetric: scenario random takes no symmetric")],
+    ids=["scale_with_scenario", "symmetric_with_random"],
+)
+def test_sweep_key_the_scenario_does_not_take_exits_2(tmp_path, monkeypatch, capsys, section, message, jobs):
+    # random_params takes a scale and a named scenario symmetric: the other key
+    # is rejected with the plan, not read and dropped
+    _assert_sweep_exits_2_before_any_run(tmp_path, monkeypatch, capsys, section, message, jobs)
+
+
+def _assert_sweep_exits_2_before_any_run(tmp_path, monkeypatch, capsys, section, message, jobs):
+    """A two-seed sweep with section merged in exits 2 with the one line message,
+    before any parameter draw, RK4 step or pool worker."""
     import concurrent.futures
 
     steps, drawn, pools, rk4_step = [], [], [], integrate_module.rk4_step
     monkeypatch.setattr(integrate_module, "rk4_step", lambda *args: steps.append(1) or rk4_step(*args))
     monkeypatch.setattr(cli, "random_params", lambda *args, **kwargs: drawn.append(1) or random_params(*args, **kwargs))
+    monkeypatch.setattr(cli, "build_scenario", lambda *args, **kwargs: drawn.append(1) or build_scenario(*args, **kwargs))
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", lambda *args, **kwargs: pools.append(1))
-    cfg = {"schema_version": 1, "mode": "sweep", "sweep": {"D": 2, "seed_count": 2, "horizon": 1.0, "tokens": tokens}}
+    cfg = {"schema_version": 1, "mode": "sweep", "sweep": {"D": 2, "seed_count": 2, "horizon": 1.0, **section}}
     code, _ = run_cli(tmp_path, cfg, jobs=jobs)
     assert code == 2 and capsys.readouterr().err == f"error: {message}\n"
     assert steps == [] and drawn == [] and pools == []
@@ -693,7 +713,7 @@ def test_omitted_keys_take_library_defaults(monkeypatch):
     assert build_params({"kind": "matrices", "Q": eye, "K": eye, "V": eye, "rope": {"Qbar": eye, "Kbar": eye}}).rope.theta_base == 500.0
 
     plan = build_sweep_plan({"D": 2, "seed_count": 1})
-    assert (plan.seed_start, plan.scenario, plan.horizon, plan.h_cap, plan.t_max) == (0, None, None, 5e-2, 1500.0)
+    assert (plan.seed_start, plan.params, plan.horizon, plan.h_cap, plan.t_max) == (0, {"kind": "random", "D": 2}, None, 5e-2, 1500.0)
     assert plan.tokens == {"kind": "cluster", "L": 4}
     blowup_norms = []
     monkeypatch.setattr(cli, "integrate", lambda rhs, X0, icfg: blowup_norms.append(icfg.blowup_norm) or integrate(rhs, X0, icfg))

@@ -173,20 +173,21 @@ def _attention_average_one_product(X, W, rope):
 )
 @example(seed=1, L=128, D=16, scale=1.0, rotary=False)  # L * L * D = 2**18: one product
 @example(seed=1, L=129, D=16, scale=1.0, rotary=True)  # just past it: blocks of 127 and 2 rows
-@example(seed=2, L=300, D=17, scale=1.0, rotary=False)  # past it, but too wide to block
+@example(seed=2, L=300, D=17, scale=1.0, rotary=False)  # past it at D > 16: blocks of 51 rows, the last of 45
+@example(seed=3, L=2100, D=128, scale=1.0, rotary=False)  # L * D > 2**18: blocks of one row
 @settings(max_examples=60, deadline=None)
 def test_attention_average_blocks_match_one_product(seed, L, D, scale, rotary):
     # one product, bit for bit, wherever the kernel takes one; in row blocks,
     # within 16 eps max|x| (1 + max|z|), where the rounding of a logit
     # difference moves a weight and so the average (the worst of 300 random
-    # draws with L 100-1100 and D 1-16 read 0.63 of that)
+    # draws with L 100-1100 and D 1-16 read 0.63 of that, of 400 with D 17-64, 0.027)
     rng = generator(seed)
     W = D**-0.5 * rng.standard_normal((D, D))
     X = scale * rng.standard_normal((L, D))
     rope = (D**-0.5 * rng.standard_normal((L, D)), rng.standard_normal((D, L)), np.sqrt(D)) if rotary else None
     Z, want = _attention_average_one_product(X, W, rope)
     got = _attention_average(X, W, rope)
-    if D > dynamics._BLOCK_MAX_D or L * L * D <= dynamics._ONE_THREAD_MNK:
+    if L * L * D <= dynamics._ONE_THREAD_MNK:
         assert got.tobytes() == want.tobytes()
     else:
         assert np.abs(got - want).max() <= 16 * np.finfo(float).eps * np.abs(X).max() * (1 + np.abs(Z).max())
@@ -213,7 +214,7 @@ THREAD_CHILD = r"""
 import hashlib
 from attnsim.dynamics import rhs_rotary, rhs_vanilla
 from attnsim.params import ModelParams, RopeParams, generator
-for rotary, L, D in ((False, 300, 16), (False, 700, 8), (True, 300, 8)):
+for rotary, L, D in ((False, 300, 16), (False, 700, 8), (True, 300, 8), (False, 300, 32), (True, 300, 32)):
     rng = generator(100 * L + D)
     Q, K, V, Qbar, Kbar = D**-0.5 * rng.standard_normal((5, D, D))
     p = ModelParams(D=D, Q=Q, K=K, V=V, rope=RopeParams(Qbar=Qbar, Kbar=Kbar) if rotary else None)
@@ -231,7 +232,7 @@ def test_fields_do_not_depend_on_blas_thread_count():
         proc = subprocess.run([sys.executable, "-c", THREAD_CHILD], capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout.splitlines())
-    assert len(outputs[0]) == 3 and outputs[0] == outputs[1]
+    assert len(outputs[0]) == 5 and outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("L", [128, 256])

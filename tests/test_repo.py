@@ -113,7 +113,7 @@ def _digests_module(monkeypatch):
 def test_committed_digests_hold_for_a_sample(tmp_path, monkeypatch):
     # perfbench member 0 of each workload, the two short configs/*.json and
     # the coverage runs, rerun in process as tools/digests.py --check reruns
-    # all 532 runs (that takes about a minute and a half; this, a few seconds)
+    # all 533 runs (that takes about a minute and a half; this, a few seconds)
     digests = _digests_module(monkeypatch)
     want = json.loads((ROOT / "DIGESTS.json").read_text())
     env = digests.environment()

@@ -6,9 +6,9 @@
 Run from anywhere in a full checkout; attnsim is imported from its src/.
 The runs are every operation of every perfbench member (perfbench/
 reference.json; configs from perfbench/workloads.py), the three
-configs/*.json and nine coverage runs (coverage_runs: spectra, verify
-under sinusoidal positions, rotary with a lambda regulariser, a wide
-vanilla simulate, and five verify runs that reach the branches of the
+configs/*.json and ten coverage runs (coverage_runs: spectra, verify
+under sinusoidal positions, rotary with a lambda regulariser, two wide
+vanilla simulates, and five verify runs that reach the branches of the
 verification policy no other run does), each one
 in-process call of attnsim.cli.main with --jobs 1 into a fresh
 directory, hashed by workloads.digest (exit code, stdout and every
@@ -18,10 +18,11 @@ same seeds.csv rows from all three.
 
 BLAS runs on one thread unless OPENBLAS_NUM_THREADS (or OMP_/MKL_/
 BLIS_NUM_THREADS) says otherwise; the digests must not depend on it. A
-thread check therefore reruns one simulate member's two runs and the wide
-coverage run (vanilla, L = 300, D = 16: as one product, its attention
-products would be past the size at which OpenBLAS starts threads) in a
-child interpreter at two BLAS threads, and requires the same digests.
+thread check therefore reruns one simulate member's two runs and the two
+wide coverage runs (vanilla, L = 300, D = 16 and D = 32: as one product,
+their attention products would be past the size at which OpenBLAS starts
+threads) in a child interpreter at two BLAS threads, and requires the same
+digests.
 --check exits 0 when every digest matches, 1 when a run changed or the
 split or thread check fails, and 2 when runs changed in an environment (numpy, BLAS,
 CPU features) other than the recorded one: those changes are reported,
@@ -56,7 +57,7 @@ from attnsim.params import Scenario, ScenarioSpec, build_scenario, generator, sa
 
 SPLIT_MEMBER = 0  # the sweep member whose seed window the split check runs
 THREAD_MEMBER = 0  # the simulate member whose runs the thread check reruns
-THREAD_COVERAGE = "coverage/simulate_wide"
+THREAD_COVERAGE = ("coverage/simulate_wide", "coverage/simulate_wide_d32")
 
 # Digest each config path given, as run() does, and print them as one JSON object.
 THREAD_CHILD = r"""
@@ -125,9 +126,9 @@ def coverage_runs(workdir: str) -> dict[str, str]:
     """Config path of each run that reaches code no perfbench member or
     configs/*.json run does, keyed coverage/<name>: spectra over matrix
     files, verify under sinusoidal positions in the collapse regime (the
-    absolute-limit check), a rotary simulate with a lambda regulariser, a
-    vanilla simulate at L = 300, D = 16, whose attention average goes in
-    row blocks of unequal size, and five verify runs: rotary (the W/A laws
+    absolute-limit check), a rotary simulate with a lambda regulariser, two
+    vanilla simulates at L = 300, D = 16 and D = 32, whose attention
+    averages go in row blocks of unequal size, and five verify runs: rotary (the W/A laws
     skipped), a singular V (A undefined), a symmetric intermediate scenario
     (the decay envelope skipped, naming both definiteness kinds), the same
     at T = h (too few samples for the q_A bounds), and a non-symmetric
@@ -163,6 +164,8 @@ def coverage_runs(workdir: str) -> dict[str, str]:
                                    "tokens": {"kind": "random", "L": 8, "seed": 5}, "integrator": {"h": 0.01, "T": 2.0, "record_stride": 10}},
         "simulate_wide": {"mode": "simulate", "params": {"kind": "random", "D": 16, "seed": 11, "scale": 0.5},
                           "tokens": {"kind": "random", "L": 300, "seed": 12}, "integrator": {"h": 0.02, "T": 0.1}},
+        "simulate_wide_d32": {"mode": "simulate", "params": {"kind": "random", "D": 32, "seed": 13, "scale": 0.5},
+                              "tokens": {"kind": "random", "L": 300, "seed": 14}, "integrator": {"h": 0.02, "T": 0.1}},
         "verify_rotary": {"mode": "verify", "posenc": {"kind": "rotary"},
                           "params": {"kind": "matrices", "Q": eye(4, 0.5), "K": eye(4), "V": eye(4, -1.0),
                                      "rope": {"Qbar": eye(4, 0.5), "Kbar": eye(4, 0.5)}},
@@ -231,7 +234,7 @@ def main(argv=None) -> int:
         if progress:
             print(file=sys.stderr)
         split, split_failed = split_check(workdir)
-        threaded = sorted(key for key in paths if key.startswith(f"simulate/{THREAD_MEMBER}/")) + [THREAD_COVERAGE]
+        threaded = sorted(key for key in paths if key.startswith(f"simulate/{THREAD_MEMBER}/")) + list(THREAD_COVERAGE)
         thread_failed = thread_check({key: paths[key] for key in threaded}, runs)
 
     record = {"environment": environment(), "runs": runs, "split_sweep_member": SPLIT_MEMBER, "split_seeds_csv": split}
