@@ -13,19 +13,23 @@ import numpy as np
 from .errors import ContractError, DomainError, ShapeError
 from .params import LambdaKind, ModelParams
 
-# ones by size, to total an L x L logit block with L <= 16 by one BLAS dot; a larger block,
-# whose ones would take as much memory as the block itself, is totalled by a reduction
-_ONES = {L * L: np.ones(L * L) for L in range(1, 17)}
+# OpenBLAS's ddot stays on the calling thread up to this many entries; a larger block's squares are
+# summed by einsum, which, like the dot, makes no temporary
+_ONE_THREAD_DOT = 10000
+# a sum of squared logits below this puts every |z| below 600, where exp(z) is a normal number and a
+# row sum cannot overflow for L < 4.7e47: no shift by the row maximum is needed
+_UNSHIFTED_Q = 600.0**2
 
 
 def _softmax_rows(Z):
     """Row softmax of the logits Z, computed in Z's own memory: Z is consumed."""
-    # a non-finite logit makes the total non-finite; an overflowing total is settled entrywise
-    ones = _ONES.get(Z.size)
-    total = np.add.reduce(Z, axis=None) if ones is None else Z.ravel().dot(ones)
-    if not math.isfinite(total) and not np.isfinite(Z).all():
-        raise ContractError("non-finite attention logits")
-    Z -= np.maximum.reduce(Z, axis=1, keepdims=True)
+    z = Z.ravel()
+    q = z.dot(z) if z.size <= _ONE_THREAD_DOT else np.einsum("i,i->", z, z)
+    if not q < _UNSHIFTED_Q:
+        # a non-finite logit makes q non-finite; an overflowing square is settled entrywise
+        if not math.isfinite(q) and not np.isfinite(Z).all():
+            raise ContractError("non-finite attention logits")
+        Z -= np.maximum.reduce(Z, axis=1, keepdims=True)
     np.exp(Z, out=Z)
     Z /= np.add.reduce(Z, axis=1, keepdims=True)
     return Z

@@ -106,7 +106,10 @@ class ModelParams:
                 raise ShapeError(f"{name} must be {self.D}x{self.D}, got {m.shape}")
             m.flags.writeable = False
             object.__setattr__(self, name, m)
-        W = self.Q @ self.K.T / np.sqrt(self.Dk)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported below, by name
+            W = self.Q @ self.K.T / np.sqrt(self.Dk)
+        if not np.isfinite(W).all():
+            raise DomainError("W = Q K^T / sqrt(Dk) is not finite")
         W.flags.writeable = False
         object.__setattr__(self, "W", W)
         if self.rope is not None:

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -138,6 +139,20 @@ def test_singular_effective_matrix_exits_3(tmp_path):
     cfg = simulate_cfg(params={"kind": "effective", "W": [[1.0, 0.0], [0.0, 1.0]], "A": [[1.0, 1.0], [1.0, 1.0]]})
     code, _ = run_cli(tmp_path, cfg)
     assert code == 3
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sweep_whose_W_overflows_exits_2_naming_W(tmp_path, capsys, jobs):
+    # scale 1e300 makes every Q K^T entry overflow; W is refused where it is built, by name and
+    # without a numpy warning, as sweep.scale = inf is refused by the config check
+    cfg = {"schema_version": 1, "mode": "sweep", "sweep": {"D": 2, "seed_count": jobs, "scale": 1e300, "horizon": 1.0}}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out = run_cli(tmp_path, cfg, jobs=jobs)
+    assert code == 2
+    assert capsys.readouterr().err == "error: params: W = Q K^T / sqrt(Dk) is not finite\n"
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not (out / "seeds.csv").exists()
 
 
 def test_simulate_outputs_and_roundtrip(tmp_path):

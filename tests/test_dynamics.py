@@ -50,8 +50,12 @@ def test_rhs_vanilla_rejects_non_finite_logits():
 
 
 def _softmax_out_of_place(Z):
-    """The three-temporary formula the in-place softmax replaced: the oracle."""
-    E = np.exp(Z - Z.max(axis=1, keepdims=True))
+    """The softmax rule out of place, the oracle: exp(Z) over its row sums while the
+    sum of squared logits is below 600**2, shifted by the row maximum otherwise."""
+    z = Z.ravel()
+    with np.errstate(over="ignore"):  # a square past 1.3e154 overflows to inf, which shifts
+        unshifted = z.dot(z) < 600.0**2
+    E = np.exp(Z) if unshifted else np.exp(Z - Z.max(axis=1, keepdims=True))
     return E / E.sum(axis=1, keepdims=True)
 
 
@@ -64,7 +68,8 @@ def _softmax_out_of_place(Z):
 def test_softmax_in_place_bitwise_equal_oracle(shape, seed, scale):
     Z = scale * np.random.default_rng(seed).standard_normal(shape)
     want = _softmax_out_of_place(Z)
-    got = _softmax_rows(Z)
+    with np.errstate(over="ignore"):  # the bits are under test here; at 1e300 the squares overflow
+        got = _softmax_rows(Z)
     assert got is Z  # the logits' own memory
     assert got.tobytes() == want.tobytes()
 
@@ -99,13 +104,14 @@ def test_softmax_accepts_finite_logits_whose_sum_overflows(Z):
     scale=st.sampled_from([1.0, 700.0, 1e200, 1e308]),
     planted=st.lists(st.tuples(st.integers(0, 399), st.sampled_from([np.nan, np.inf, -np.inf])), max_size=3),
 )
-@example(shape=(16, 16), seed=0, scale=1e308, planted=[])  # the largest block the dot totals
-@example(shape=(17, 17), seed=0, scale=1e308, planted=[])  # the smallest square one the reduction totals
-@example(shape=(17, 17), seed=1, scale=1.0, planted=[(5, np.inf), (9, -np.inf)])
-@example(shape=(2, 8), seed=2, scale=1e308, planted=[])  # not square, but of a square's size: the dot
+@example(shape=(100, 100), seed=0, scale=1e308, planted=[])  # the largest block the dot squares
+@example(shape=(100, 101), seed=0, scale=1e308, planted=[])  # the smallest one einsum squares
+@example(shape=(100, 101), seed=1, scale=1.0, planted=[(5, np.inf), (9, -np.inf)])
+@example(shape=(100, 101), seed=2, scale=1.0, planted=[(7, np.nan)])
+@example(shape=(3, 3), seed=3, scale=1e154, planted=[])  # some squares overflow, every logit is finite
 def test_softmax_raises_exactly_on_non_finite_logits(shape, seed, scale, planted):
-    # blocks on both sides of the dot's size cap; at 1e308 most totals overflow
-    # and the entrywise test decides
+    # blocks on both sides of the dot's size cap; from 1e154 most sums of squares
+    # overflow and the entrywise test decides
     with np.errstate(over="ignore", invalid="ignore"):  # the decision is under test here, not the warnings
         Z = scale * np.random.default_rng(seed).standard_normal(shape)
         for at, value in planted:
@@ -116,6 +122,62 @@ def test_softmax_raises_exactly_on_non_finite_logits(shape, seed, scale, planted
             return
         want = _softmax_out_of_place(Z)
         assert _softmax_rows(Z).tobytes() == want.tobytes()
+
+
+def _softmax_longdouble(Z):
+    """The shifted softmax of the double logits Z, in np.longdouble: the accuracy reference."""
+    Zl = Z.astype(np.longdouble)
+    E = np.exp(Zl - Zl.max(axis=1, keepdims=True))
+    return E / E.sum(axis=1, keepdims=True)
+
+
+def _assert_within_8_eps(Z):
+    # relative to each weight down to the normal range; below it a weight's last bits are subnormal
+    want = _softmax_longdouble(Z)
+    got = _softmax_rows(Z.copy())
+    tol = 8 * np.finfo(float).eps * np.maximum(want, np.finfo(float).smallest_normal)
+    assert (np.abs(got - want) <= tol).all()
+    return got
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 40), st.integers(1, 40)),
+    seed=st.integers(0, 2**32 - 1),
+    radius=st.floats(0.0, 599.0),
+    power=st.sampled_from([1, 3, 9]),
+)
+def test_softmax_within_8_eps_of_longdouble(shape, seed, radius, power):
+    # logits of norm below 600, so every |z| < 600 and no row is shifted; a high
+    # power of normal draws puts most of that norm into a few logits
+    G = np.random.default_rng(seed).standard_normal(shape) ** power
+    Z = radius / np.linalg.norm(G) * G
+    _assert_within_8_eps(Z)
+
+
+@pytest.mark.parametrize(
+    "Z, unshifted",
+    [
+        ([[300.0, 300.0, 300.0, 299.9999999]], True),
+        ([[300.0, 300.0, 300.0, 300.0000001]], False),
+        ([[-599.0]], True),
+        ([[-599.0, -1.0]], True),
+        ([[-599.0] * 5] * 3, False),
+        ([[599.0, 1.0]], True),
+        ([[599.0] * 64], False),
+    ],
+    ids=["q_just_below", "q_just_above", "one_minus_599", "minus_599_beside_minus_1", "rows_of_minus_599",
+         "599_beside_1", "row_of_64_at_599"],
+)
+def test_softmax_at_the_shift_bound(Z, unshifted):
+    # both sides of the sum-of-squares bound 600**2: every weight positive and
+    # within 8 eps of the long double softmax, every row summing to 1 within L eps
+    Z = np.array(Z)
+    z = Z.ravel()
+    assert (z.dot(z) < 600.0**2) == unshifted
+    got = _assert_within_8_eps(Z)
+    assert (got > 0).all()
+    assert (np.abs(got.sum(axis=1) - 1) <= Z.shape[1] * np.finfo(float).eps).all()
 
 
 def test_rhs_vanilla_peak_memory_below_one_and_a_half_logit_arrays():
@@ -590,8 +652,7 @@ def _rhs_recomputing_W(p, X):
         rot[..., 0::2] = c * Y[..., 0::2] - s * Y[..., 1::2]
         rot[..., 1::2] = s * Y[..., 0::2] + c * Y[..., 1::2]
         Z = X @ W @ X.T + rot[0] @ rot[1].T / np.sqrt(p.Dk)
-    E = np.exp(Z - Z.max(axis=1, keepdims=True))
-    return (E / E.sum(axis=1, keepdims=True) @ X) @ p.V
+    return (_softmax_out_of_place(Z) @ X) @ p.V
 
 
 @given(

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -153,6 +154,18 @@ def test_lambda_mod_validation():
 def test_model_params_shape_validation():
     with pytest.raises(ShapeError):
         ModelParams(D=3, Q=np.eye(2), K=np.eye(3), V=np.eye(3))
+
+
+@pytest.mark.parametrize(
+    "Q, K",
+    [(1e300 * np.eye(2), 1e300 * np.eye(2)), ([[np.nan, 0.0], [0.0, 1.0]], np.eye(2)), ([[np.inf, 0.0], [0.0, 1.0]], np.eye(2))],
+    ids=["overflow", "nan", "inf"],
+)
+def test_model_params_rejects_non_finite_W(Q, K):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the overflow is reported by name, not by numpy
+        with pytest.raises(DomainError, match="W = Q K"):
+            ModelParams(D=2, Q=Q, K=K, V=np.eye(2))
 
 
 def test_model_params_arrays_are_read_only_copies():
