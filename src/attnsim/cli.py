@@ -165,20 +165,21 @@ def _rope(cfg) -> RopeParams:
     return RopeParams(**read)
 
 
-def build_params(cfg: dict) -> ModelParams:
-    kind, cfg = _kind(cfg, "params", ("scenario", "random", "matrices", "effective"))
-    with _section("params"):
+def build_params(cfg: dict, where: str = "params") -> ModelParams:
+    """The model a params section names; errors are reported under where."""
+    kind, cfg = _kind(cfg, where, ("scenario", "random", "matrices", "effective"))
+    with _section(where):
         if kind == "scenario":
-            spec = _read(cfg, "params", {"scenario", "D", "seed"}, scenario=Scenario, D=_integer, seed=_integer, symmetric=_boolean)
+            spec = _read(cfg, where, {"scenario", "D", "seed"}, scenario=Scenario, D=_integer, seed=_integer, symmetric=_boolean)
             return build_scenario(ScenarioSpec(**spec))
         if kind == "random":
-            return random_params(**_read(cfg, "params", {"D", "seed"}, D=_integer, seed=_integer, scale=_real))
+            return random_params(**_read(cfg, where, {"D", "seed"}, D=_integer, seed=_integer, scale=_real))
         if kind == "matrices":
-            read = _read(cfg, "params", {"Q", "K", "V"}, Q=_matrix, K=_matrix, V=_matrix, dk=_integer, rope=_rope)
+            read = _read(cfg, where, {"Q", "K", "V"}, Q=_matrix, K=_matrix, V=_matrix, dk=_integer, rope=_rope)
             return ModelParams(D=read["Q"].shape[0], Dk=read.pop("dk", None), **read)
-        read = _read(cfg, "params", {"W"}, W=_matrix, A=_matrix, V=_matrix)
+        read = _read(cfg, where, {"W"}, W=_matrix, A=_matrix, V=_matrix)
         if ("A" in read) == ("V" in read):
-            raise ConfigError("params.effective: give exactly one of A or V")
+            raise ConfigError(f"{where}.effective: give exactly one of A or V")
         return params_from_w_and_a(read["W"], read["A"]) if "A" in read else params_from_w_and_v(read["W"], read["V"])
 
 
@@ -283,12 +284,80 @@ def write_metrics_csv(path, metrics):
         _write_metrics_rows(fh, metrics)
 
 
-class _SampleStream:
-    """integrate's sink for simulate: fills one metrics block of samples and
-    appends each full block's rows to the two CSVs."""
+@contextlib.contextmanager
+def _rows_in_process(path: str, D: int):
+    """A new trajectory CSV at path, and the function that appends one block's rows to it."""
+    with open(path, "w") as fh:
+        fh.write(_trajectory_header(D))
+        yield functools.partial(_write_trajectory_rows, fh)
 
-    def __init__(self, traj_fh, metrics_fh, n: int, L: int, D: int):
-        self.traj_fh, self.metrics_fh = traj_fh, metrics_fh
+
+def _send_block(fd: int, block):
+    """One block to the row writer: its sample count, then its times and states as raw float64."""
+    for part in (len(block.times).to_bytes(8, sys.byteorder), block.times, block.states):
+        view = memoryview(part).cast("B")
+        while view:  # a signal may cut a pipe write short
+            view = view[os.write(fd, view):]
+
+
+def _write_rows_from(fd: int, path: str, L: int, D: int, block: int):
+    """The row writer's loop: reads the blocks _send_block wrote to fd until end of
+    file and writes their rows to a new trajectory CSV at path, one block in memory."""
+    times, states = np.empty(block), np.empty((block, L, D))
+    with open(fd, "rb") as pipe, open(path, "w") as fh:
+        fh.write(_trajectory_header(D))
+        while count := pipe.read(8):
+            n = int.from_bytes(count, sys.byteorder)
+            parts = times[:n], states[:n]
+            if len(count) < 8 or not 0 < n <= block or any(pipe.readinto(part) < part.nbytes for part in parts):
+                raise EOFError("trajectory rows: truncated or malformed block")
+            _write_trajectory_rows(fh, SimpleNamespace(times=parts[0], states=parts[1]))
+
+
+@contextlib.contextmanager
+def _rows_in_child(path: str, L: int, D: int, block: int):
+    """_rows_in_process, with the rows formatted by a forked child process, so
+    that the 17-digit formatting runs on another core while the caller integrates.
+    The child leaves by os._exit: it never runs the parent's atexit handlers or
+    flushes its buffers. Leaving the block reaps the child; a child that failed
+    fails the run with ChildProcessError."""
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(write_end)  # the parent's close is then the end of file
+            _write_rows_from(read_end, path, L, D, block)
+            status = 0
+        except BaseException as exc:
+            os.write(2, f"trajectory writer: {exc!r}\n".encode())
+        finally:
+            os._exit(status)
+    os.close(read_end)
+    broken = False
+    try:
+        yield functools.partial(_send_block, write_end)
+    except BrokenPipeError:  # the child is gone; its status says how
+        broken = True
+    finally:
+        os.close(write_end)
+        _, status, _ = os.wait4(pid, 0)
+    if broken or status:
+        raise ChildProcessError(f"trajectory writer exited with status {os.waitstatus_to_exitcode(status)}")
+
+
+class _SampleStream:
+    """integrate's sink for simulate: fills one metrics block of samples, then
+    hands the block to rows (trajectory.csv, in process or in the row writer)
+    and appends its metrics rows to metrics_fh."""
+
+    def __init__(self, rows, metrics_fh, n: int, L: int, D: int):
+        self.rows, self.metrics_fh = rows, metrics_fh
         self.times, self.states = np.empty(n), np.empty((n, L, D))  # C order, as integrate's states
         self.filled = self.samples = 0
 
@@ -301,22 +370,32 @@ class _SampleStream:
     def flush(self):
         if self.filled:
             block = SimpleNamespace(times=self.times[:self.filled], states=self.states[:self.filled])
-            _write_trajectory_rows(self.traj_fh, block)
+            self.rows(block)
             _write_metrics_rows(self.metrics_fh, analyze.trajectory_metrics(block))
             self.filled = 0
 
 
 def run_simulate(cfg: dict, out_dir: str, jobs: int = 1) -> int:
+    """Integrates and streams trajectory.csv and metrics.csv a metrics block at a
+    time. A run of more than one block has its trajectory rows formatted by one
+    forked child process (_rows_in_child) while this process integrates and
+    writes the metrics; a one-block run, or a platform without os.fork, formats
+    them here. jobs, which only sweeps read, does not change this."""
     _, X0, icfg, rhs, _ = _prepare_run(cfg)
     L, D = X0.shape
-    block = min(analyze.metrics_block_samples(L, D), icfg.n_steps // icfg.record_stride + 2)
+    samples = 1 + -(-icfg.n_steps // icfg.record_stride)  # t = 0, every stride-th step and the last
+    block = min(analyze.metrics_block_samples(L, D), samples)
     paths = [os.path.join(out_dir, name) for name in ("trajectory.csv", "metrics.csv")]
     partial = [path + ".partial" for path in paths]  # renamed on success: a failed run leaves no CSV
+    if hasattr(os, "fork") and block < samples:  # a one-block run writes its rows once, at the end: nothing to overlap
+        rows = _rows_in_child(partial[0], L, D, block)
+    else:
+        rows = _rows_in_process(partial[0], D)
     try:
-        with open(partial[0], "w") as traj_fh, open(partial[1], "w") as metrics_fh:
-            traj_fh.write(_trajectory_header(D))
+        # rows first (entering forks): a child forked later would inherit the metrics file's buffer
+        with rows as write_rows, open(partial[1], "w") as metrics_fh:
             metrics_fh.write(METRICS_HEADER)
-            stream = _SampleStream(traj_fh, metrics_fh, block, L, D)
+            stream = _SampleStream(write_rows, metrics_fh, block, L, D)
             traj = integrate(rhs, X0, icfg, stream)
             stream.flush()
         for src, dst in zip(partial, paths):
@@ -412,7 +491,7 @@ SEEDS_COLUMNS = ("seed", "pos_eigs_Wsym", "pos_eigs_Asym", "regime", "mean_norm_
 
 def _sweep_one(args):
     plan, seed, token_seed = args
-    params = build_params({**plan.params, "seed": seed})
+    params = build_params({**plan.params, "seed": seed}, f"sweep: seed {seed}")
     W, A = derive_W_A(params)
     X0 = build_tokens({"seed": token_seed, **plan.tokens}, params.D, "sweep.tokens")
 

@@ -1,10 +1,12 @@
 import csv
 import json
 import os
+import signal
 import subprocess
 import sys
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -144,13 +146,14 @@ def test_singular_effective_matrix_exits_3(tmp_path):
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_sweep_whose_W_overflows_exits_2_naming_W(tmp_path, capsys, jobs):
     # scale 1e300 makes every Q K^T entry overflow; W is refused where it is built, by name and
-    # without a numpy warning, as sweep.scale = inf is refused by the config check
-    cfg = {"schema_version": 1, "mode": "sweep", "sweep": {"D": 2, "seed_count": jobs, "scale": 1e300, "horizon": 1.0}}
+    # without a numpy warning, as sweep.scale = inf is refused by the config check; the value came
+    # from sweep.scale, so the message names the sweep and the first seed, not a params section
+    cfg = {"schema_version": 1, "mode": "sweep", "sweep": {"D": 2, "seed_start": 5, "seed_count": jobs, "scale": 1e300, "horizon": 1.0}}
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, out = run_cli(tmp_path, cfg, jobs=jobs)
     assert code == 2
-    assert capsys.readouterr().err == "error: params: W = Q K^T / sqrt(Dk) is not finite\n"
+    assert capsys.readouterr().err == "error: sweep: seed 5: W = Q K^T / sqrt(Dk) is not finite\n"
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert not (out / "seeds.csv").exists()
 
@@ -448,9 +451,28 @@ STREAMED_RUNS = {
 }
 
 
+def _count_forks(monkeypatch) -> list:
+    forks = []
+
+    def fork(_fork=os.fork):
+        forks.append(1)
+        return _fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.mark.parametrize("block", [None, 1, 2, 8], ids=["default", "one_sample", "two_samples", "eight_samples"])
 @pytest.mark.parametrize("run", sorted(STREAMED_RUNS))
 def test_streamed_simulate_matches_whole_trajectory(tmp_path, monkeypatch, capsys, run, block):
+    # the default block holds each whole run, so its rows are written in process; the
+    # 1-, 2- and 8-sample blocks make every run multi-block, so a forked writer writes them
+    forks = _count_forks(monkeypatch)
     cfg = STREAMED_RUNS[run]
     _, X0, icfg, rhs, _ = _prepare_run(cfg)
     traj = integrate(rhs, X0, icfg)
@@ -468,9 +490,12 @@ def test_streamed_simulate_matches_whole_trajectory(tmp_path, monkeypatch, capsy
     assert sorted(os.listdir(out)) == ["metrics.csv", "summary.json", "trajectory.csv"]
     for name in ("trajectory.csv", "metrics.csv"):
         assert (out / name).read_bytes() == (tmp_path / name).read_bytes(), name
+    assert len(forks) == (block is not None)
+    _assert_no_child_left()
 
 
 def test_simulate_rhs_error_mid_run_leaves_no_csv(tmp_path, monkeypatch, capsys):
+    forks = _count_forks(monkeypatch)
     calls = []
 
     def failing(params, X):
@@ -484,12 +509,88 @@ def test_simulate_rhs_error_mid_run_leaves_no_csv(tmp_path, monkeypatch, capsys)
     code, out = run_cli(tmp_path, simulate_cfg())
     assert code == 3 and "rhs evaluation failed at t=0.1" in capsys.readouterr().err
     assert os.listdir(out) == []
+    assert len(forks) == 1  # the rows went to a writer process, which is gone
+    _assert_no_child_left()
+
+
+def _failing_rows(fh, traj):
+    raise OSError("injected row failure")
+
+
+@pytest.mark.parametrize("fork", [True, False], ids=["writer_process", "in_process"])
+def test_simulate_row_failure_leaves_no_csv_and_no_child(tmp_path, monkeypatch, capfd, fork):
+    # a row writer that fails fails the run with an uncaught OSError in process and in the
+    # writer process (there as the child's status, whether or not the parent's next pipe
+    # write broke first); either way no CSV and no child process are left
+    forks = _count_forks(monkeypatch)
+    if not fork:
+        monkeypatch.delattr(os, "fork")
+    monkeypatch.setattr(cli, "_write_trajectory_rows", _failing_rows)
+    monkeypatch.setattr(analyze, "BLOCK_ENTRIES", _block_entries(3, 2, 2))  # 26 blocks
+    with pytest.raises(OSError, match="trajectory writer exited with status 1" if fork else "injected row failure"):
+        run_cli(tmp_path, simulate_cfg())
+    assert ("trajectory writer: OSError('injected row failure')" in capfd.readouterr().err) == fork
+    assert os.listdir(tmp_path / "out") == []
+    assert len(forks) == fork
+    _assert_no_child_left()
+
+
+def _large_simulate_cfg(T):
+    return simulate_cfg(params={"kind": "random", "D": 8, "seed": 3, "scale": 0.5},
+                        tokens={"kind": "random", "L": 64, "seed": 4},
+                        integrator={"h": 0.01, "T": T, "record_stride": 1})
+
+
+def test_simulate_writer_survives_signals(tmp_path, monkeypatch):
+    # a SIGALRM every millisecond, as perfbench's sampler sends them every 50 ms, interrupts
+    # the pipe writes of 0.5 MB blocks and the wait for the writer; both carry on
+    cfg = _large_simulate_cfg(2.0)  # 201 samples in blocks of 130
+    ticks = []
+    previous = signal.signal(signal.SIGALRM, lambda *_: ticks.append(1))
+    signal.setitimer(signal.ITIMER_REAL, 1e-3, 1e-3)
+    try:
+        code, out = run_cli(tmp_path, cfg, name="signalled.json")
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 0 and ticks
+    _assert_no_child_left()
+    monkeypatch.delattr(os, "fork")
+    (tmp_path / "out").rename(tmp_path / "signalled")
+    assert run_cli(tmp_path, cfg)[0] == 0
+    for name in ("trajectory.csv", "metrics.csv"):
+        assert (tmp_path / "signalled" / name).read_bytes() == (tmp_path / "out" / name).read_bytes(), name
+
+
+def _writer_peak_bytes(tmp_path, T):
+    """The row writer's read-and-format loop, run in process on a run's blocks
+    saved to a file: its tracemalloc peak."""
+    _, X0, icfg, rhs, _ = _prepare_run(_large_simulate_cfg(T))
+    traj = integrate(rhs, X0, icfg)
+    L, D = X0.shape
+    block = analyze.metrics_block_samples(L, D)
+    with open(tmp_path / "blocks", "wb") as fh:
+        for start in range(0, len(traj.times), block):
+            cli._send_block(fh.fileno(), SimpleNamespace(times=traj.times[start:start + block], states=traj.states[start:start + block]))
+    tracemalloc.start()
+    try:
+        cli._write_rows_from(os.open(tmp_path / "blocks", os.O_RDONLY), str(tmp_path / "rows.csv"), L, D, block)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    write_trajectory_csv(tmp_path / "whole.csv", traj)
+    assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
+    return peak
+
+
+def test_writer_memory_independent_of_horizon(tmp_path):
+    _writer_peak_bytes(tmp_path, 0.5)  # first-call allocations out of the way
+    short, long = _writer_peak_bytes(tmp_path, 2.0), _writer_peak_bytes(tmp_path, 8.0)
+    assert abs(long - short) < 0.1 * short, (short, long)
 
 
 def _simulate_peak_bytes(tmp_path, T):
-    cfg = simulate_cfg(params={"kind": "random", "D": 8, "seed": 3, "scale": 0.5},
-                       tokens={"kind": "random", "L": 64, "seed": 4},
-                       integrator={"h": 0.01, "T": T, "record_stride": 1})
+    cfg = _large_simulate_cfg(T)
     tracemalloc.start()
     try:
         assert run_cli(tmp_path, cfg)[0] == 0
