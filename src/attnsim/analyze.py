@@ -287,7 +287,7 @@ def stationarity_residual(params: ModelParams, X) -> float:
     kernel: zero exactly at the all-zero stationary state and, unlike the
     weights e^{x_l^T W x_j}, unable to underflow to a false zero far from it."""
     X = _check_state(params, X)
-    return float(np.linalg.norm(_attention_average(X, params.W), axis=1).max())
+    return float(np.linalg.norm(_attention_average(X.dot(params.W), X, X), axis=1).max())
 
 
 def check_stationarity(traj: Trajectory, params: ModelParams, tol: float) -> CheckResult:

@@ -18,6 +18,7 @@ import functools
 import json
 import os
 import sys
+import warnings
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
@@ -323,7 +324,11 @@ def _rows_in_child(path: str, L: int, D: int, block: int):
     fails the run with ChildProcessError."""
     read_end, write_end = os.pipe()
     try:
-        pid = os.fork()
+        # Python >= 3.12 warns after forking a process with threads (OpenBLAS's); as an error, it would strand
+        # the child on the pipe. Safe here: the child makes no BLAS call, and glibc resets the malloc locks at fork.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
     except OSError:
         os.close(read_end)
         os.close(write_end)

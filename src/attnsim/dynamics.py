@@ -48,49 +48,35 @@ def _check_state(params, X):
 
 # OpenBLAS runs a gemm of m*n*k <= 2**18 on the calling thread. Past that its threads cost a narrow
 # state more than they save (a 256 x 256 x 16 logits gemm: about 80 us on one thread, 330-440 us on
-# two) and can change the result's bits, so a larger state takes its attention average in row blocks
-# of that size, whatever its D.
+# two) and can change the result's bits, so a larger attention average goes in row blocks of that size.
 _ONE_THREAD_MNK = 1 << 18
 
 
-def _logits(XT, XW, rope, b):
-    """The logit rows b: (XW)[b] X^T, with XT = X^T, plus, for rope = (Q, KT, s),
-    the rotary term Q[b] KT / s, computed apart and then added."""
-    Z = XW[b].dot(XT)
-    if rope is not None:
-        Q, KT, s = rope
-        R = Q[b].dot(KT)
-        R /= s
-        Z += R
-    return Z
+def _attention_average(Q, K, V):
+    """Row l is sum_i softmax_i(q_l . k_i) v_i: queries Q (L, Dq), keys K (Lk, Dq), values V (Lk, Dv).
 
-
-def _attention_average(X, W, rope=None):
-    """Row l is sum_i softmax_i(z_li) x_i on the checked state X, with the logits z of _logits, XW = X W.
-
-    Blocked, each block of rows takes its logits, their softmax and its weighted sum before the next
-    block starts, so no product wakes BLAS threads and no logit array is larger than one block."""
-    L, D = X.shape
-    if L * L * D <= _ONE_THREAD_MNK:
-        return _softmax_rows(X.dot(W).dot(X.T) if rope is None else _logits(X.T, X.dot(W), rope, slice(None))).dot(X)
+    One product while L * Lk * max(Dq, Dv) <= 2**18. Past that, each block of 2**18 // (Lk * max(Dq, Dv))
+    rows takes its logits, their softmax and its weighted sum before the next block starts, so no product
+    wakes BLAS threads and no logit array is larger than one block. A single row passes 2**18 once
+    Lk * max(Dq, Dv) does (L * D for the vanilla field, L * 2D for the rotary one); then a block is one row."""
+    per_row = K.size if K.size >= V.size else V.size  # Lk * max(Dq, Dv): one row's part of the largest product
+    if len(Q) * per_row <= _ONE_THREAD_MNK:
+        return _softmax_rows(Q.dot(K.T)).dot(V)
     # C-ordered transposed keys make each block's logits product about a third faster in OpenBLAS
     # (and may round it differently in the last place)
-    XT = np.ascontiguousarray(X.T)
-    if rope is not None:
-        rope = (rope[0], np.ascontiguousarray(rope[1]), rope[2])
-    XW = X.dot(W)
-    rows = max(1, _ONE_THREAD_MNK // (L * D))  # at L * D > 2**18, one row a block
-    out = np.empty_like(X)
-    for start in range(0, L, rows):
+    KT = np.ascontiguousarray(K.T)
+    rows = max(1, _ONE_THREAD_MNK // per_row)
+    out = np.empty((len(Q), V.shape[1]))
+    for start in range(0, len(Q), rows):
         b = slice(start, start + rows)
-        np.dot(_softmax_rows(_logits(XT, XW, rope, b)), X, out=out[b])
+        np.dot(_softmax_rows(Q[b].dot(KT)), V, out=out[b])
     return out
 
 
 def rhs_vanilla(params: ModelParams, X) -> np.ndarray:
     """dx_l = V^T sum_i softmax_i(x_l^T W x_.) x_i with W = Q K^T / sqrt(Dk)."""
     X = _check_state(params, X)
-    return _attention_average(X, params.W).dot(params.V)
+    return _attention_average(X.dot(params.W), X, X).dot(params.V)
 
 
 def sinusoidal_encoding(L: int, D: int, offset: int = 0) -> np.ndarray:
@@ -130,8 +116,10 @@ def rhs_rotary(params: ModelParams, X) -> np.ndarray:
 
     W_li = W + Qbar R(i - l) Kbar^T / sqrt(Dk) plus the lambda regulariser.
     Since R(i - l) = R(l)^T R(i), the rotary term factorises: rotate each
-    token's query and key by that token's own position, then take their
-    products in the attention average's row blocks.
+    token's query Qbar^T x_l and key Kbar^T x_i by that token's own
+    position. Query l is then [x_l^T W | (R(l) Qbar^T x_l)^T / sqrt(Dk)] and
+    key i is [x_i^T | (R(i) Kbar^T x_i)^T], so one product q_l . k_i gives
+    the whole logit and the attention average takes it like any other.
     """
     X = _check_state(params, X)
     rope = params.rope
@@ -141,13 +129,17 @@ def rhs_rotary(params: ModelParams, X) -> np.ndarray:
     mod = rope.lambda_mod
     if mod is not None:
         W = W + mod.lam * (np.eye(params.D) if mod.kind is LambdaKind.IDENTITY_SCALED else np.diag(mod.diag))
-    theta = _rope_angles(params.D, rope.theta_base, np.arange(X.shape[0]))
+    L, D = X.shape
+    theta = _rope_angles(D, rope.theta_base, np.arange(L))
     c, s = np.cos(theta), np.sin(theta)
-    Y = np.stack((X.dot(rope.Qbar), X.dot(rope.Kbar)))  # queries and keys, (2, L, D)
-    rot = np.empty_like(Y)  # row l turned by R(l), feature pair by pair
+    Y = np.stack((X.dot(rope.Qbar), X.dot(rope.Kbar)))  # unrotated queries and keys, (2, L, D)
+    F = np.empty((2, L, 2 * D))  # query and key features
+    F[0, :, :D], F[1, :, :D] = X.dot(W), X
+    rot = F[..., D:]  # row l turned by R(l), feature pair by pair
     rot[..., 0::2] = c * Y[..., 0::2] - s * Y[..., 1::2]
     rot[..., 1::2] = s * Y[..., 0::2] + c * Y[..., 1::2]
-    return _attention_average(X, W, (rot[0], rot[1].T, np.sqrt(params.Dk))).dot(params.V)
+    rot[0] /= np.sqrt(params.Dk)
+    return _attention_average(F[0], F[1], X).dot(params.V)
 
 
 def rhs_for(params: ModelParams, P=None):

@@ -535,6 +535,34 @@ def test_simulate_row_failure_leaves_no_csv_and_no_child(tmp_path, monkeypatch, 
     _assert_no_child_left()
 
 
+def test_simulate_writer_fork_warning_under_warnings_as_errors(tmp_path, monkeypatch):
+    # Python >= 3.12 warns in the parent, right after a fork, when the process has
+    # threads; as an error, that warning must neither fail the run nor strand the
+    # writer process, and the rows must be those written in process
+    forks = []
+
+    def fork(_fork=os.fork):
+        pid = _fork()
+        if pid:
+            forks.append(pid)
+            warnings.warn("This process is multi-threaded, use of fork() may lead to deadlocks in the child.",
+                          DeprecationWarning, stacklevel=2)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(analyze, "BLOCK_ENTRIES", _block_entries(3, 2, 2))  # 26 blocks
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _ = run_cli(tmp_path, simulate_cfg(), name="forked.json")
+    assert code == 0 and len(forks) == 1
+    _assert_no_child_left()
+    monkeypatch.delattr(os, "fork")
+    (tmp_path / "out").rename(tmp_path / "forked")
+    assert run_cli(tmp_path, simulate_cfg())[0] == 0
+    for name in ("trajectory.csv", "metrics.csv"):
+        assert (tmp_path / "forked" / name).read_bytes() == (tmp_path / "out" / name).read_bytes(), name
+
+
 def _large_simulate_cfg(T):
     return simulate_cfg(params={"kind": "random", "D": 8, "seed": 3, "scale": 0.5},
                         tokens={"kind": "random", "L": 64, "seed": 4},

@@ -212,18 +212,10 @@ def test_rhs_vanilla_peak_memory_set_by_the_row_block():
     assert peak < (rows * L + 5 * L * D) * 8  # one block's logits and a few arrays of the state's size
 
 
-def _attention_average_one_product(X, W, rope):
-    """The attention average as one product, its logits summed in the order
-    rhs_rotary used before the row blocks: the reference for the blocks."""
-    XW = X.dot(W)
-    if rope is None:
-        Z = XW.dot(X.T)
-    else:
-        Q, KT, s = rope
-        Z = Q.dot(KT)
-        Z /= s
-        Z += XW.dot(X.T)
-    return Z.copy(), _softmax_rows(Z).dot(X)
+def _attention_average_one_product(Q, K, V):
+    """The attention average as one product: the reference for the blocks."""
+    Z = Q.dot(K.T)
+    return Z.copy(), _softmax_rows(Z).dot(V)
 
 
 @given(
@@ -231,25 +223,35 @@ def _attention_average_one_product(X, W, rope):
     L=st.integers(1, 600),
     D=st.integers(1, 24),
     scale=st.sampled_from([0.1, 1.0, 3.0]),
-    rotary=st.booleans(),
+    features=st.sampled_from(["vanilla", "rotary", "low_rank"]),
 )
-@example(seed=1, L=128, D=16, scale=1.0, rotary=False)  # L * L * D = 2**18: one product
-@example(seed=1, L=129, D=16, scale=1.0, rotary=True)  # just past it: blocks of 127 and 2 rows
-@example(seed=2, L=300, D=17, scale=1.0, rotary=False)  # past it at D > 16: blocks of 51 rows, the last of 45
-@example(seed=3, L=2100, D=128, scale=1.0, rotary=False)  # L * D > 2**18: blocks of one row
+@example(seed=1, L=128, D=16, scale=1.0, features="vanilla")  # L * L * D = 2**18: one product
+@example(seed=1, L=129, D=16, scale=1.0, features="rotary")  # 2 L * L * D past it: blocks of 63, 63 and 3 rows
+@example(seed=1, L=90, D=16, scale=1.0, features="rotary")  # 2 L * L * D = 259200 <= 2**18: one product
+@example(seed=1, L=91, D=16, scale=1.0, features="rotary")  # 2 L * L * D = 264992, just past it: blocks of 90 and 1 rows
+@example(seed=2, L=300, D=17, scale=1.0, features="vanilla")  # past it at D > 16: blocks of 51 rows, the last of 45
+@example(seed=3, L=2100, D=128, scale=1.0, features="vanilla")  # L * D > 2**18: blocks of one row
 @settings(max_examples=60, deadline=None)
-def test_attention_average_blocks_match_one_product(seed, L, D, scale, rotary):
+def test_attention_average_blocks_match_one_product(seed, L, D, scale, features):
     # one product, bit for bit, wherever the kernel takes one; in row blocks,
     # within 16 eps max|x| (1 + max|z|), where the rounding of a logit
     # difference moves a weight and so the average (the worst of 300 random
-    # draws with L 100-1100 and D 1-16 read 0.63 of that, of 400 with D 17-64, 0.027)
+    # draws with L 100-1100 and D 1-16 read 0.63 of that, of 400 with D 17-64,
+    # 0.027). The values are the state X; the queries and keys are X W and X
+    # (Dq = Dv), those with rotary-like features appended (Dq = 2 Dv; the worst
+    # of 120 draws read 0.040), or X A and X B of rank D // 2 (Dq < Dv; 0.020)
     rng = generator(seed)
-    W = D**-0.5 * rng.standard_normal((D, D))
     X = scale * rng.standard_normal((L, D))
-    rope = (D**-0.5 * rng.standard_normal((L, D)), rng.standard_normal((D, L)), np.sqrt(D)) if rotary else None
-    Z, want = _attention_average_one_product(X, W, rope)
-    got = _attention_average(X, W, rope)
-    if L * L * D <= dynamics._ONE_THREAD_MNK:
+    if features == "low_rank":
+        r = max(1, D // 2)
+        Q, K = X.dot(D**-0.5 * rng.standard_normal((D, r))), X.dot(rng.standard_normal((D, r)))
+    else:
+        Q, K = X.dot(D**-0.5 * rng.standard_normal((D, D))), X
+        if features == "rotary":
+            Q, K = np.hstack((Q, D**-0.5 * rng.standard_normal((L, D)))), np.hstack((K, rng.standard_normal((L, D))))
+    Z, want = _attention_average_one_product(Q, K, X)
+    got = _attention_average(Q, K, X)
+    if L * L * max(Q.shape[1], D) <= dynamics._ONE_THREAD_MNK:
         assert got.tobytes() == want.tobytes()
     else:
         assert np.abs(got - want).max() <= 16 * np.finfo(float).eps * np.abs(X).max() * (1 + np.abs(Z).max())
@@ -268,7 +270,7 @@ def test_non_finite_logit_in_the_last_row_block_raises():
         assert np.isfinite(Z[:-1]).all() and not np.isfinite(Z[-1]).any()
         assert dynamics._ONE_THREAD_MNK // (L * D) < L - 1
         with pytest.raises(ContractError):
-            _attention_average(X, W)
+            _attention_average(X.dot(W), X, X)
 
 
 # Evaluate each field on a fixed state and print a digest of its value.
@@ -299,9 +301,9 @@ def test_fields_do_not_depend_on_blas_thread_count():
 
 @pytest.mark.parametrize("L", [128, 256])
 def test_rhs_rotary_peak_memory_below_two_and_a_half_logit_arrays(L):
-    # rhs_vanilla's bound plus the one array the rotary term needs before it
-    # is added in; at L = 128 a logit array is under the 256 KiB from which
-    # numpy elides temporaries, so only the in-place sum avoids a third
+    # the rotary term rides the logits product, so one logit array (at L = 256,
+    # one block of 64 rows of them) is made, plus the softmax's scratch and the
+    # (2, L, 2D) query and key features: 1.99 logit arrays at L = 128, 0.71 at 256
     D = 8
     p = random_params(D, 3)
     r = generator(5)
@@ -578,9 +580,7 @@ def _rhs_rotary_matmul(params, X):
     rot = np.empty_like(Y)
     rot[..., 0::2] = c * Y[..., 0::2] - s * Y[..., 1::2]
     rot[..., 1::2] = s * Y[..., 0::2] + c * Y[..., 1::2]
-    Z = rot[0] @ rot[1].T
-    Z /= np.sqrt(params.Dk)
-    Z += X @ W @ X.T
+    Z = np.hstack((X @ W, rot[0] / np.sqrt(params.Dk))) @ np.hstack((X, rot[1])).T
     return (_softmax_out_of_place(Z) @ X) @ params.V
 
 
@@ -651,7 +651,7 @@ def _rhs_recomputing_W(p, X):
         rot = np.empty_like(Y)
         rot[..., 0::2] = c * Y[..., 0::2] - s * Y[..., 1::2]
         rot[..., 1::2] = s * Y[..., 0::2] + c * Y[..., 1::2]
-        Z = X @ W @ X.T + rot[0] @ rot[1].T / np.sqrt(p.Dk)
+        Z = np.hstack((X @ W, rot[0] / np.sqrt(p.Dk))) @ np.hstack((X, rot[1])).T
     return (_softmax_out_of_place(Z) @ X) @ p.V
 
 
