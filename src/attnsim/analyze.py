@@ -18,7 +18,7 @@ from . import quadspace
 from .dynamics import _attention_average, _check_state
 from .errors import ConfigError, DomainError, HypothesisError, SingularMatrixError
 from .integrate import Termination, Trajectory
-from .params import FLOAT_FORMAT, ModelParams, derive_W_A
+from .params import ModelParams, derive_W_A
 
 CONVERGED_RATIO = 1e-3
 DIVERGED_RATIO = 1e3
@@ -48,6 +48,9 @@ class SkippedCheck:
     reason: str
 
 
+REPORT_COLUMNS = ("name", "status", "worst_margin", "location")  # report.csv, one row per VerificationReport.to_records
+
+
 @dataclass(frozen=True)
 class VerificationReport:
     checks: list[CheckResult] = field(default_factory=list)
@@ -67,14 +70,10 @@ class VerificationReport:
             lines.append(f"SKIP {s.name}: {s.reason}")
         return "\n".join(lines)
 
-    def to_records(self) -> list[str]:
-        """One check per line: name, pass/fail/skip, margin, time."""
-        recs = [
-            f"{c.name},{'pass' if c.passed else 'fail'},{FLOAT_FORMAT % c.worst_margin},{FLOAT_FORMAT % c.location}"
-            for c in self.checks
-        ]
-        recs += [f"{s.name},skip,,{s.reason}" for s in self.skipped]
-        return recs
+    def to_records(self) -> list[tuple]:
+        """One row of REPORT_COLUMNS per check: name, pass/fail/skip, margin and time (a skip: "" and the reason)."""
+        recs = [(c.name, "pass" if c.passed else "fail", float(c.worst_margin), float(c.location)) for c in self.checks]
+        return recs + [(s.name, "skip", "", s.reason) for s in self.skipped]
 
 
 @dataclass(frozen=True)
@@ -395,9 +394,10 @@ def run_checks(traj: Trajectory, params: ModelParams, P=None, tolerances: dict |
     that field is the plain field acting on y = x + P, so the pair laws are
     checked on y. The W/A laws read one RunFacts; they are skipped under
     rotary encoding (params carry rope: the interaction is not W) and when
-    a singular V leaves A undefined. Under a non-symmetric A the pair law
-    is report only and the q_A bounds are skipped, while the collapse group
-    gates whenever sym(A) < 0 and sym(W) > 0. tolerances override
+    a singular V leaves A undefined. The collapse group runs whenever
+    sym(A) < 0 and sym(W) > 0. Every W/A law assumes a symmetric A: under a
+    non-symmetric A the pair law and the collapse group are report only and
+    the q_A bounds are skipped. tolerances override
     VERIFY_TOLERANCES; a malformed override raises ConfigError first.
     """
     tol = resolve_tolerances({} if tolerances is None else tolerances)
@@ -423,11 +423,12 @@ def run_checks(traj: Trajectory, params: ModelParams, P=None, tolerances: dict |
             report.skipped.append(SkippedCheck("norm_collapse", "not in the A_sym < 0, W_sym > 0 regime"))
         else:
             if P is None:
-                report.checks.append(check_convergence(traj, tol["convergence_rel_threshold"]))
-                report.checks.append(check_stationarity(traj, params, tol["stationarity_tol"]))
+                group = [check_convergence(traj, tol["convergence_rel_threshold"]),
+                         check_stationarity(traj, params, tol["stationarity_tol"])]
             else:
-                report.checks.append(check_absolute_limit(traj, P, tol["absolute_limit_tol"]))
-            report.checks.append(check_derivative_decay(traj, tol["derivative_decay_tol"]))
+                group = [check_absolute_limit(traj, P, tol["absolute_limit_tol"])]
+            group.append(check_derivative_decay(traj, tol["derivative_decay_tol"]))
+            report.checks.extend(replace(r, asserted=facts.a_symmetric) for r in group)
 
     if P is not None:
         report.skipped.append(SkippedCheck("projection_band", "projection bound not checked under absolute encoding"))

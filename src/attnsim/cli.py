@@ -253,11 +253,29 @@ def _prepare_run(cfg: dict):
     return params, X0, icfg, rhs_for(params, P), P
 
 
-def _trajectory_header(D: int) -> str:
-    return "t,token_index," + ",".join(f"x_{j}" for j in range(D)) + "\n"
+def _csv_line(values) -> str:
+    """One CSV line: each float in FLOAT_FORMAT, so that it reads back bit for bit, anything else by str."""
+    return ",".join([FLOAT_FORMAT % v if isinstance(v, float) else str(v) for v in values]) + "\n"
 
 
-METRICS_HEADER = "t,mean_norm,mean_pairwise_dist\n"
+def _write_csv(path: str, columns, rows):
+    """A new CSV at path: the header columns, then one _csv_line per row of values."""
+    with open(path, "w") as fh:
+        fh.writelines(map(_csv_line, [columns, *rows]))
+
+
+METRICS_COLUMNS = ("t", "mean_norm", "mean_pairwise_dist")
+SUMMARY_COLUMNS = ("pos_eigs_Wsym", "pos_eigs_Asym", "n", "converged_rate", "diverged_rate", "undecided_rate")
+SPECTRA_COLUMNS = ("set", "pct_pos_Wsym", "pct_pos_Asym", "pct_near_zero_V", "singular_V")
+SEEDS_COLUMNS = ("seed", "pos_eigs_Wsym", "pos_eigs_Asym", "regime", "mean_norm_ratio", "terminated", "T", "h", "max_re_eig_V")
+
+
+def _metrics_rows(metrics):
+    return zip(metrics.times.tolist(), metrics.mean_token_norm.tolist(), metrics.mean_pairwise_dist.tolist())
+
+
+def write_metrics_csv(path, metrics):
+    _write_csv(path, METRICS_COLUMNS, _metrics_rows(metrics))
 
 
 def _write_trajectory_rows(fh, traj):
@@ -268,29 +286,18 @@ def _write_trajectory_rows(fh, traj):
             fh.write(f"{head},{l}" + tail % tuple(row))
 
 
-def _write_metrics_rows(fh, metrics):
-    for t, mn, md in zip(metrics.times, metrics.mean_token_norm, metrics.mean_pairwise_dist):
-        fh.write(f"{_fmt(t)},{_fmt(mn)},{_fmt(md)}\n")
+@contextlib.contextmanager
+def _rows_in_process(path: str, D: int):
+    """A new trajectory CSV at path, and the function that appends one block's rows to it. Unlike
+    the other CSVs, each row is one %.17g template: _csv_line per row takes about 40 % longer."""
+    with open(path, "w") as fh:
+        fh.write(_csv_line(("t", "token_index", *(f"x_{j}" for j in range(D)))))
+        yield functools.partial(_write_trajectory_rows, fh)
 
 
 def write_trajectory_csv(path, traj):
-    with open(path, "w") as fh:
-        fh.write(_trajectory_header(traj.states.shape[2]))
-        _write_trajectory_rows(fh, traj)
-
-
-def write_metrics_csv(path, metrics):
-    with open(path, "w") as fh:
-        fh.write(METRICS_HEADER)
-        _write_metrics_rows(fh, metrics)
-
-
-@contextlib.contextmanager
-def _rows_in_process(path: str, D: int):
-    """A new trajectory CSV at path, and the function that appends one block's rows to it."""
-    with open(path, "w") as fh:
-        fh.write(_trajectory_header(D))
-        yield functools.partial(_write_trajectory_rows, fh)
+    with _rows_in_process(path, traj.states.shape[2]) as write_rows:
+        write_rows(traj)
 
 
 def _send_block(fd: int, block):
@@ -305,14 +312,13 @@ def _write_rows_from(fd: int, path: str, L: int, D: int, block: int):
     """The row writer's loop: reads the blocks _send_block wrote to fd until end of
     file and writes their rows to a new trajectory CSV at path, one block in memory."""
     times, states = np.empty(block), np.empty((block, L, D))
-    with open(fd, "rb") as pipe, open(path, "w") as fh:
-        fh.write(_trajectory_header(D))
+    with open(fd, "rb") as pipe, _rows_in_process(path, D) as write_rows:
         while count := pipe.read(8):
             n = int.from_bytes(count, sys.byteorder)
             parts = times[:n], states[:n]
             if len(count) < 8 or not 0 < n <= block or any(pipe.readinto(part) < part.nbytes for part in parts):
                 raise EOFError("trajectory rows: truncated or malformed block")
-            _write_trajectory_rows(fh, SimpleNamespace(times=parts[0], states=parts[1]))
+            write_rows(SimpleNamespace(times=parts[0], states=parts[1]))
 
 
 @contextlib.contextmanager
@@ -376,7 +382,7 @@ class _SampleStream:
         if self.filled:
             block = SimpleNamespace(times=self.times[:self.filled], states=self.states[:self.filled])
             self.rows(block)
-            _write_metrics_rows(self.metrics_fh, analyze.trajectory_metrics(block))
+            self.metrics_fh.writelines(map(_csv_line, _metrics_rows(analyze.trajectory_metrics(block))))
             self.filled = 0
 
 
@@ -399,7 +405,7 @@ def run_simulate(cfg: dict, out_dir: str, jobs: int = 1) -> int:
     try:
         # rows first (entering forks): a child forked later would inherit the metrics file's buffer
         with rows as write_rows, open(partial[1], "w") as metrics_fh:
-            metrics_fh.write(METRICS_HEADER)
+            metrics_fh.write(_csv_line(METRICS_COLUMNS))
             stream = _SampleStream(write_rows, metrics_fh, block, L, D)
             traj = integrate(rhs, X0, icfg, stream)
             stream.flush()
@@ -433,10 +439,7 @@ def run_verify(cfg: dict, out_dir: str, jobs: int = 1) -> int:
     print(f"regime: {analyze.classify_regime(traj).value}")
     with open(os.path.join(out_dir, "report.txt"), "w") as fh:
         fh.write(text + "\n")
-    with open(os.path.join(out_dir, "report.csv"), "w") as fh:
-        fh.write("name,status,worst_margin,location\n")
-        for line in report.to_records():
-            fh.write(line + "\n")
+    _write_csv(os.path.join(out_dir, "report.csv"), analyze.REPORT_COLUMNS, report.to_records())
     return EXIT_OK if report.all_passed else EXIT_CHECK_FAILED
 
 
@@ -491,9 +494,6 @@ def _token_seed(seed: int) -> int:
     return spawn_seeds(seed + 7_777_777, 1)[0]
 
 
-SEEDS_COLUMNS = ("seed", "pos_eigs_Wsym", "pos_eigs_Asym", "regime", "mean_norm_ratio", "terminated", "T", "h", "max_re_eig_V")
-
-
 def _sweep_one(args):
     plan, seed, token_seed = args
     params = build_params({**plan.params, "seed": seed}, f"sweep: seed {seed}")
@@ -529,25 +529,21 @@ def run_sweep(cfg: dict, out_dir: str, jobs: int) -> int:
     workers = min(jobs, len(work))  # the pool forks all its workers at the first submit, needed or not
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # only parallel sweeps pay for the import
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # map forks the workers: there, as in _rows_in_child, Python >= 3.12's fork warning must not raise and strand them
+        with ProcessPoolExecutor(max_workers=workers) as pool, warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)
             rows = list(pool.map(_sweep_one, work))
     else:
         rows = [_sweep_one(w) for w in work]
 
-    with open(os.path.join(out_dir, "seeds.csv"), "w") as fh:
-        fh.write(",".join(SEEDS_COLUMNS) + "\n")
-        for r in rows:
-            fh.write(",".join(_fmt(r[c]) if isinstance(r[c], float) else str(r[c]) for c in SEEDS_COLUMNS) + "\n")
+    _write_csv(os.path.join(out_dir, "seeds.csv"), SEEDS_COLUMNS, ([r[c] for c in SEEDS_COLUMNS] for r in rows))
 
     cells: dict[tuple[int, int], dict[str, int]] = {}
     for r in rows:
         cell = cells.setdefault((r["pos_eigs_Wsym"], r["pos_eigs_Asym"]), {"converged": 0, "diverged": 0, "undecided": 0})
         cell[r["regime"]] += 1
-    with open(os.path.join(out_dir, "summary.csv"), "w") as fh:
-        fh.write("pos_eigs_Wsym,pos_eigs_Asym,n,converged_rate,diverged_rate,undecided_rate\n")
-        for (pw, pa), c in sorted(cells.items()):
-            n = sum(c.values())
-            fh.write(f"{pw},{pa},{n},{_fmt(c['converged']/n)},{_fmt(c['diverged']/n)},{_fmt(c['undecided']/n)}\n")
+    _write_csv(os.path.join(out_dir, "summary.csv"), SUMMARY_COLUMNS,  # n, then the converged, diverged and undecided rates
+               [(pw, pa, sum(c.values()), *(k / sum(c.values()) for k in c.values())) for (pw, pa), c in sorted(cells.items())])
     totals = {k: sum(c[k] for c in cells.values()) for k in ("converged", "diverged", "undecided")}
     print(json.dumps({"mode": "sweep", "n": len(rows), **totals}))
     return EXIT_OK
@@ -573,16 +569,14 @@ def run_spectra(cfg: dict, out_dir: str, jobs: int = 1) -> int:
     per_set = [eigen_stats([s["Q"]], [s["K"]], [s["V"]], **options) for s in options.pop("sets")]  # options keep eps alone
     # the aggregates are over the per-set percentages; A_sym has none where V is singular
     summary = {"mode": "spectra", "n_sets": len(per_set)}
-    with open(os.path.join(out_dir, "spectra.csv"), "w") as fh:
-        fh.write("set,pct_pos_Wsym,pct_pos_Asym,pct_near_zero_V,singular_V\n")
-        for i, s in enumerate(per_set):
-            fh.write(f"{i},{_fmt(s.pct_pos_Wsym)},{_fmt(s.pct_pos_Asym)},{_fmt(s.pct_near_zero_V)},{s.n_singular_V}\n")
-        for name in ("pct_pos_Wsym", "pct_pos_Asym", "pct_near_zero_V"):
-            vals = np.array([getattr(s, name) for s in per_set])
-            vals = vals[np.isfinite(vals)]
-            mean, std = (float(vals.mean()), vals.std()) if vals.size else (float("nan"), float("nan"))
-            fh.write(f"aggregate_{name},{_fmt(mean)},{_fmt(std)},,\n")
-            summary[name] = mean
+    rows = [(i, s.pct_pos_Wsym, s.pct_pos_Asym, s.pct_near_zero_V, s.n_singular_V) for i, s in enumerate(per_set)]
+    for name in ("pct_pos_Wsym", "pct_pos_Asym", "pct_near_zero_V"):
+        vals = np.array([getattr(s, name) for s in per_set])
+        vals = vals[np.isfinite(vals)]
+        mean, std = (float(vals.mean()), float(vals.std())) if vals.size else (float("nan"), float("nan"))
+        rows.append((f"aggregate_{name}", mean, std, "", ""))
+        summary[name] = mean
+    _write_csv(os.path.join(out_dir, "spectra.csv"), SPECTRA_COLUMNS, rows)
     summary["singular_V"] = sum(s.n_singular_V for s in per_set)
     print(json.dumps(summary))
     return EXIT_OK

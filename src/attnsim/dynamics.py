@@ -23,8 +23,8 @@ _UNSHIFTED_Q = 600.0**2
 
 def _softmax_rows(Z):
     """Row softmax of the logits Z, computed in Z's own memory: Z is consumed."""
-    z = Z.ravel()
-    q = z.dot(z) if z.size <= _ONE_THREAD_DOT else np.einsum("i,i->", z, z)
+    # vdot is the same ddot as z.dot(z) but, unlike it, warns of no overflow: a finite block may square past inf
+    q = np.vdot(Z, Z) if Z.size <= _ONE_THREAD_DOT else np.einsum("ij,ij->", Z, Z)
     if not q < _UNSHIFTED_Q:
         # a non-finite logit makes q non-finite; an overflowing square is settled entrywise
         if not math.isfinite(q) and not np.isfinite(Z).all():

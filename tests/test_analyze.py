@@ -527,10 +527,8 @@ def test_report_serialization():
     )
     text = rep.to_text()
     assert "PASS a" in text and "FAIL b" in text and "SKIP c" in text
-    recs = rep.to_records()
-    assert recs[0].startswith("a,pass,")
-    assert recs[1].startswith("b,fail,")
-    assert recs[2] == "c,skip,,because"
+    assert analyze.REPORT_COLUMNS == ("name", "status", "worst_margin", "location")
+    assert rep.to_records() == [("a", "pass", 0.5, 1.0), ("b", "fail", -0.1, 2.0), ("c", "skip", "", "because")]
     assert rep.all_passed  # b is report-only
 
 

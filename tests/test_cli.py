@@ -242,6 +242,7 @@ SPECIAL_FLOATS = [
 def test_fmt_matches_format(x):
     assert _fmt(x) == fmt_oracle(x)
     assert _fmt(np.float64(x)) == fmt_oracle(x)
+    assert cli._csv_line([x, np.float64(x), 3, "skip", ""]) == f"{fmt_oracle(x)},{fmt_oracle(x)},3,skip,\n"
 
 
 def test_trajectory_writer_bytes_match_oracle(tmp_path):
@@ -325,7 +326,8 @@ NON_FINITE = {
 
 # a bool must be a JSON boolean, an integer a whole number that is not a bool,
 # a real or an array entry a number that is not a bool, sweep.tokens an object,
-# and a section that is given an object, null included
+# and a section that is given an object, null included; the cases with a third
+# entry, a value of the right type but the wrong shape or count, exit with that line
 NOT_STRICT = {
     "params_symmetric_string": ("params", {"kind": "scenario", "scenario": "convergence", "D": 2, "seed": 1, "symmetric": "false"}),
     "params_D_fractional": ("params", {"kind": "random", "D": 2.7, "seed": 1}),
@@ -347,11 +349,22 @@ NOT_STRICT = {
     "sweep_tokens_pairs": ("sweep", {"D": 2, "seed_count": 1, "horizon": 1.0, "tokens": [["kind", "cluster"], ["L", 3]]}),
     "posenc_null": ("posenc", None),
     "verify_null": ("verify", None),
+    "tokens_rows_too_wide": ("tokens", {"kind": "explicit", "rows": [[0.1, 0.2, 0.3]]}, "tokens have dimension 3, params have D=2"),
+    "tokens_random_L_0": ("tokens", {"kind": "random", "L": 0, "seed": 2}, "tokens: need at least one token"),
+    "tokens_cluster_L_0": ("tokens", {"kind": "cluster", "L": 0, "seed": 2}, "tokens: need at least one token"),
+    "config_schema_version_2": ("config", {"schema_version": 2}, "config: unsupported schema_version 2 (expected 1)"),
+    "params_effective_A_and_V": ("params", {"kind": "effective", "W": np.eye(2).tolist(), "A": np.eye(2).tolist(), "V": np.eye(2).tolist()},
+                                 "params.effective: give exactly one of A or V"),
+    "params_effective_neither": ("params", {"kind": "effective", "W": np.eye(2).tolist()}, "params.effective: give exactly one of A or V"),
+    "spectra_sets_empty": ("spectra", {"sets": []}, "spectra.sets: expected a nonempty list"),
 }
 
 
-def _assert_section_exits_2(tmp_path, capsys, section, value):
-    if section == "sweep":
+def _assert_section_exits_2(tmp_path, capsys, section, value, message=None):
+    if section == "config":  # the value gives root keys, read before the output directory is made
+        cfg = simulate_cfg(**value)
+        (tmp_path / "out").mkdir()
+    elif section == "sweep":
         cfg = {"schema_version": 1, "mode": "sweep", "sweep": value}
     elif section == "spectra":  # one readable set; the value gives the other keys
         save_matrix(tmp_path / "eye.txt", np.eye(2))
@@ -363,6 +376,7 @@ def _assert_section_exits_2(tmp_path, capsys, section, value):
     code, out = run_cli(tmp_path, cfg)
     err = capsys.readouterr().err
     assert code == 2 and err.startswith(f"error: {section}") and err.count("\n") == 1 and "Traceback" not in err
+    assert message is None or err == f"error: {message}\n", err
     assert os.listdir(out) == []
     return err
 
@@ -535,10 +549,11 @@ def test_simulate_row_failure_leaves_no_csv_and_no_child(tmp_path, monkeypatch, 
     _assert_no_child_left()
 
 
-def test_simulate_writer_fork_warning_under_warnings_as_errors(tmp_path, monkeypatch):
-    # Python >= 3.12 warns in the parent, right after a fork, when the process has
-    # threads; as an error, that warning must neither fail the run nor strand the
-    # writer process, and the rows must be those written in process
+def _run_under_forks_that_warn(tmp_path, monkeypatch, cfg, jobs=1):
+    """run_cli under warnings-as-errors, with os.fork as Python >= 3.12 has it in a
+    process with threads: it warns in the parent, right after the fork. Returns the
+    exit code, the children forked, and those still children of this process after
+    the run; those are killed and reaped, so that a regression leaves none behind."""
     forks = []
 
     def fork(_fork=os.fork):
@@ -550,17 +565,51 @@ def test_simulate_writer_fork_warning_under_warnings_as_errors(tmp_path, monkeyp
         return pid
 
     monkeypatch.setattr(os, "fork", fork)
-    monkeypatch.setattr(analyze, "BLOCK_ENTRIES", _block_entries(3, 2, 2))  # 26 blocks
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code, _ = run_cli(tmp_path, simulate_cfg(), name="forked.json")
-    assert code == 0 and len(forks) == 1
-    _assert_no_child_left()
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, _ = run_cli(tmp_path, cfg, name="forked.json", jobs=jobs)
+    finally:
+        left = [pid for pid in forks if _reap(pid)]
     monkeypatch.delattr(os, "fork")
+    return code, forks, left
+
+
+def _reap(pid) -> bool:
+    """Whether pid was still a child of this process, running or not yet reaped; it is reaped, killed first if running."""
+    try:
+        if os.waitpid(pid, os.WNOHANG) == (0, 0):
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    except ChildProcessError:
+        return False
+    return True
+
+
+def test_simulate_writer_fork_warning_under_warnings_as_errors(tmp_path, monkeypatch):
+    # as an error, the fork's warning must neither fail the run nor strand the
+    # writer process, and the rows must be those written in process
+    monkeypatch.setattr(analyze, "BLOCK_ENTRIES", _block_entries(3, 2, 2))  # 26 blocks
+    code, forks, left = _run_under_forks_that_warn(tmp_path, monkeypatch, simulate_cfg())
+    assert code == 0 and len(forks) == 1 and left == []
+    _assert_no_child_left()
     (tmp_path / "out").rename(tmp_path / "forked")
     assert run_cli(tmp_path, simulate_cfg())[0] == 0
     for name in ("trajectory.csv", "metrics.csv"):
         assert (tmp_path / "forked" / name).read_bytes() == (tmp_path / "out" / name).read_bytes(), name
+
+
+def test_sweep_pool_fork_warning_under_warnings_as_errors(tmp_path, monkeypatch):
+    # as an error, the warning of each worker's fork must neither fail a parallel
+    # sweep nor leave a worker running, and the rows must be the serial run's
+    cfg = {"schema_version": 1, "mode": "sweep",
+           "sweep": {"scenario": "divergence", "D": 2, "seed_start": 3, "seed_count": 4, "horizon": 5.0}}
+    code, forks, left = _run_under_forks_that_warn(tmp_path, monkeypatch, cfg, jobs=2)
+    assert code == 0 and len(forks) == 2 and left == []
+    _assert_no_child_left()
+    (tmp_path / "out").rename(tmp_path / "pool")
+    assert run_cli(tmp_path, cfg)[0] == 0
+    assert (tmp_path / "pool" / "seeds.csv").read_bytes() == (tmp_path / "out" / "seeds.csv").read_bytes()
 
 
 def _large_simulate_cfg(T):
@@ -756,7 +805,34 @@ def test_run_checks_matches_cli_report(tmp_path):
     assert code == 0
     params, X0, icfg, rhs, P = _prepare_run(load_config(path))
     report = analyze.run_checks(integrate(lambda X: rhs(X), X0, icfg), params, P)
-    assert (tmp_path / "report.csv").read_text().splitlines()[1:] == report.to_records()
+    assert (tmp_path / "report.csv").read_text() == "".join(map(cli._csv_line, [analyze.REPORT_COLUMNS, *report.to_records()]))
+
+
+def _collapse_lines(text):
+    return [line for line in text.splitlines() if line.split(":")[0].split()[-1] in ("norm_collapse", "stationarity_residual", "velocity_decay")]
+
+
+def test_collapse_group_report_only_under_nonsymmetric_A(tmp_path, capsys):
+    # sweep seed 69: sym(A) < 0 and sym(W) > 0, but A is not symmetric and the tokens grow
+    # (V has eigenvalues 0.0152 +- 0.822i); the collapse theorem assumes a symmetric A
+    cfg = {"schema_version": 1, "mode": "verify", "params": {"kind": "scenario", "scenario": "convergence", "D": 4, "seed": 69},
+           "tokens": {"kind": "cluster", "L": 4, "seed": cli._token_seed(69)}, "integrator": {"h": 0.05, "T": 20.0}}
+    code, out = run_cli(tmp_path, cfg)
+    lines = _collapse_lines(capsys.readouterr().out)
+    assert code == 0 and len(lines) == 3 and all(line.endswith("(report only)") for line in lines), lines
+    assert lines[0].startswith("FAIL norm_collapse: worst margin -1.0")
+    assert (out / "report.txt").read_text().count("(report only)") == 4  # and the pair law
+
+
+def test_symmetric_collapse_run_not_yet_collapsed_exits_1(tmp_path, capsys):
+    # a symmetric A keeps the group asserted: at T = 2 this cluster has not collapsed
+    cfg = {"schema_version": 1, "mode": "verify",
+           "params": {"kind": "scenario", "scenario": "convergence", "D": 2, "seed": 3, "symmetric": True},
+           "tokens": {"kind": "cluster", "L": 4, "seed": 8, "spread": 1e-4}, "integrator": {"h": 0.01, "T": 2.0}}
+    code, _ = run_cli(tmp_path, cfg)
+    lines = _collapse_lines(capsys.readouterr().out)
+    assert code == 1 and len(lines) == 3 and not any("(report only)" in line for line in lines), lines
+    assert lines[0].startswith("FAIL norm_collapse: worst margin -9.2")
 
 
 @pytest.mark.parametrize(

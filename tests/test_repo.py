@@ -15,9 +15,10 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from attnsim import analyze, cli, dynamics, integrate, quadspace
+from attnsim import analyze, cli, dynamics, integrate, params, quadspace
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -151,3 +152,8 @@ def test_shipped_runs_raise_no_numpy_warning(tmp_path, monkeypatch):
         assert code == 0, name
     _, X0, icfg, rhs, _ = cli._prepare_run(runs["verify_blow_up"])
     assert integrate.integrate(rhs, X0, icfg).terminated is integrate.Termination.BLOW_UP
+    # a library call outside integrate's errstate, on finite logits (4e154) whose squares overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dx = dynamics.rhs_vanilla(params.params_from_w_and_v(np.eye(2), -np.eye(2)), 2e77 * np.eye(2))
+    assert np.array_equal(dx, -2e77 * np.eye(2))

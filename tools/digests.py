@@ -126,14 +126,13 @@ def coverage_runs(workdir: str) -> dict[str, str]:
     """Config path of each run that reaches code no perfbench member or
     configs/*.json run does, keyed coverage/<name>: spectra over matrix
     files, verify under sinusoidal positions in the collapse regime (the
-    absolute-limit check), a rotary simulate with a lambda regulariser, two
+    absolute-limit check, report only under its non-symmetric A), a rotary simulate with a lambda regulariser, two
     vanilla simulates at L = 300, D = 16 and D = 32, whose attention
     averages go in row blocks of unequal size, and five verify runs: rotary (the W/A laws
     skipped), a singular V (A undefined), a symmetric intermediate scenario
     (the decay envelope skipped, naming both definiteness kinds), the same
     at T = h (too few samples for the q_A bounds), and a non-symmetric
-    convergence scenario (the collapse group asserted while the pair law is
-    report only)."""
+    convergence scenario (the collapse group and the pair law report only)."""
     rng = generator(2024)
     sets = []
     for i in range(3):
