@@ -21,16 +21,26 @@ _ONE_THREAD_DOT = 10000
 _UNSHIFTED_Q = 600.0**2
 
 
-def _softmax_rows(Z):
-    """Row softmax of the logits Z, computed in Z's own memory: Z is consumed."""
+def _exp_rows(Z):
+    """The softmax's numerators exp(z), computed in Z's own memory (Z is consumed), each row shifted
+    by its maximum when a logit could reach 600. Raises ContractError on a non-finite logit."""
     # vdot is the same ddot as z.dot(z) but, unlike it, warns of no overflow: a finite block may square past inf
     q = np.vdot(Z, Z) if Z.size <= _ONE_THREAD_DOT else np.einsum("ij,ij->", Z, Z)
     if not q < _UNSHIFTED_Q:
-        # a non-finite logit makes q non-finite; an overflowing square is settled entrywise
-        if not math.isfinite(q) and not np.isfinite(Z).all():
+        if math.isfinite(q):  # every |z| < 1.34e154, so no difference overflows
+            Z -= np.maximum.reduce(Z, axis=1, keepdims=True)
+        elif np.isfinite(Z).all():  # an overflowing square: settled entrywise
+            # a row spread past 1.8e308 takes its far logits to -inf, whose weight is 0
+            with np.errstate(over="ignore"):
+                Z -= np.maximum.reduce(Z, axis=1, keepdims=True)
+        else:
             raise ContractError("non-finite attention logits")
-        Z -= np.maximum.reduce(Z, axis=1, keepdims=True)
-    np.exp(Z, out=Z)
+    return np.exp(Z, out=Z)
+
+
+def _softmax_rows(Z):
+    """Row softmax of the logits Z, computed in Z's own memory: Z is consumed."""
+    Z = _exp_rows(Z)
     Z /= np.add.reduce(Z, axis=1, keepdims=True)
     return Z
 
@@ -55,10 +65,14 @@ _ONE_THREAD_MNK = 1 << 18
 def _attention_average(Q, K, V):
     """Row l is sum_i softmax_i(q_l . k_i) v_i: queries Q (L, Dq), keys K (Lk, Dq), values V (Lk, Dv).
 
-    One product while L * Lk * max(Dq, Dv) <= 2**18. Past that, each block of 2**18 // (Lk * max(Dq, Dv))
-    rows takes its logits, their softmax and its weighted sum before the next block starts, so no product
-    wakes BLAS threads and no logit array is larger than one block. A single row passes 2**18 once
-    Lk * max(Dq, Dv) does (L * D for the vanilla field, L * 2D for the rotary one); then a block is one row."""
+    One product while L * Lk * max(Dq, Dv) <= 2**18: the softmax weights times V. Past that, each block of
+    2**18 // (Lk * max(Dq, Dv)) rows takes its logits, their exponentials, its weighted sum and that sum's
+    division by the row sums before the next block starts, so no product wakes BLAS threads and no logit
+    array is larger than one block. A single row passes 2**18 once Lk * max(Dq, Dv) does (L * D for the
+    vanilla field, L * 2D for the rotary one); then a block is one row. Dividing Dv sums a row instead of
+    Lk weights is what makes the blocks faster; the one product keeps the softmax's order and so its bits.
+    Unshifted weights reach e**600, so a block's weighted sum is finite only for max|v| below about
+    1e308 / (Lk e**600)."""
     per_row = K.size if K.size >= V.size else V.size  # Lk * max(Dq, Dv): one row's part of the largest product
     if len(Q) * per_row <= _ONE_THREAD_MNK:
         return _softmax_rows(Q.dot(K.T)).dot(V)
@@ -69,7 +83,10 @@ def _attention_average(Q, K, V):
     out = np.empty((len(Q), V.shape[1]))
     for start in range(0, len(Q), rows):
         b = slice(start, start + rows)
-        np.dot(_softmax_rows(Q[b].dot(KT)), V, out=out[b])
+        E = _exp_rows(Q[b].dot(KT))
+        block = np.dot(E, V, out=out[b])
+        block /= np.add.reduce(E, axis=1, keepdims=True)
+        del E  # one block's logits at a time
     return out
 
 

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import os
 import signal
@@ -10,7 +11,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import attnsim
@@ -263,6 +264,37 @@ def test_trajectory_writer_bytes_match_oracle(tmp_path):
         write_trajectory_csv(tmp_path / f"{name}.csv", traj)
         write_trajectory_loop(tmp_path / f"{name}_oracle.csv", traj)
         assert (tmp_path / f"{name}.csv").read_bytes() == (tmp_path / f"{name}_oracle.csv").read_bytes(), name
+
+
+ROW_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 1e300, -1e300, 1e-300, -1e-300,
+              3.0, -7.0, 1e16, 2.0**53, 123456789.0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 4), st.integers(1, 7), st.integers(1, 6)),
+    seed=st.integers(0, 2**32 - 1),
+    planted=st.lists(st.tuples(st.integers(0, 167), st.sampled_from(ROW_FLOATS)), max_size=12),
+)
+@example(shape=(3, 1, 4), seed=1, planted=[(0, -0.0), (5, 5e-324), (9, 1e300)])  # one token
+@example(shape=(3, 5, 1), seed=2, planted=[(1, -1e-300), (4, 3.0), (8, 1e16), (9, -0.0)])  # one feature
+@example(shape=(1, 1, 1), seed=3, planted=[(0, 5e-324), (1, -0.0)])
+def test_trajectory_rows_match_csv_line_per_row(shape, seed, planted):
+    # the per-sample template against the generic line formatter, row by row; the
+    # times, then the states, drawn as one array of magnitudes 1e-300 to 1e300,
+    # a fifth of them whole numbers, with the planted values written over it
+    n, L, D = shape
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal(n + n * L * D) * 10.0 ** rng.integers(-300, 301, n + n * L * D)
+    whole = rng.random(values.size) < 0.2
+    values[whole] = np.round(100 * rng.standard_normal(whole.sum()))
+    for at, value in planted:
+        values[at % values.size] = value
+    times, states = values[:n], values[n:].reshape(shape)
+    buf = io.StringIO()
+    cli._write_trajectory_rows(buf, SimpleNamespace(times=times, states=states))
+    want = "".join(cli._csv_line((t, l, *row)) for t, X in zip(times.tolist(), states) for l, row in enumerate(X.tolist()))
+    assert buf.getvalue() == want
 
 
 def test_simulate_single_token_matches_matexp(tmp_path):

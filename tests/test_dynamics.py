@@ -1,7 +1,9 @@
+import math
 import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -85,16 +87,22 @@ def test_softmax_rejects_any_non_finite_logit(row):
 
 
 @pytest.mark.parametrize(
-    "Z", [[[1e308, 1e308]], [[-1e308, -1e308, 0.0]], [[1e308, 1e308], [1.0, -1e308]], [[1.7e308, 1.7e308, -1.0, 1.7e308]]],
-    ids=["two_max", "two_min", "two_rows", "three_max"],
+    "Z",
+    [[[1e308, 1e308]], [[-1e308, -1e308, 0.0]], [[1e308, 1e308], [1.0, -1e308]], [[1.7e308, 1.7e308, -1.0, 1.7e308]],
+     [[1e308, -1e308]]],
+    ids=["two_max", "two_min", "two_rows", "three_max", "spread_past_max"],
 )
 def test_softmax_accepts_finite_logits_whose_sum_overflows(Z):
-    # the total is infinite, so the entrywise test decides, and lets them through
+    # the total (or, for spread_past_max, the sum of squares) is infinite, so the
+    # entrywise test decides, and lets them through, silently: a spread past
+    # 1.8e308 shifts a logit to -inf, whose weight is 0
     Z = np.array(Z)
     with np.errstate(over="ignore"):
-        assert not np.isfinite(Z.sum())
-    want = _softmax_out_of_place(Z)
-    assert _softmax_rows(Z).tobytes() == want.tobytes()
+        assert not np.isfinite(Z.sum()) or not np.isfinite(np.square(Z).sum())
+        want = _softmax_out_of_place(Z)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _softmax_rows(Z).tobytes() == want.tobytes()
 
 
 @settings(max_examples=300, deadline=None)
@@ -234,12 +242,13 @@ def _attention_average_one_product(Q, K, V):
 @settings(max_examples=60, deadline=None)
 def test_attention_average_blocks_match_one_product(seed, L, D, scale, features):
     # one product, bit for bit, wherever the kernel takes one; in row blocks,
-    # within 16 eps max|x| (1 + max|z|), where the rounding of a logit
-    # difference moves a weight and so the average (the worst of 300 random
-    # draws with L 100-1100 and D 1-16 read 0.63 of that, of 400 with D 17-64,
-    # 0.027). The values are the state X; the queries and keys are X W and X
-    # (Dq = Dv), those with rotary-like features appended (Dq = 2 Dv; the worst
-    # of 120 draws read 0.040), or X A and X B of rank D // 2 (Dq < Dv; 0.020)
+    # which divide after the weighted sum, within 16 eps max|x| (1 + max|z|),
+    # where the rounding of a logit difference moves a weight and so the
+    # average (the worst of 300 random draws with L 100-1100 and D 1-16 read
+    # 0.70 of that, of 400 with D 17-64, 0.52). The values are the state X; the
+    # queries and keys are X W and X (Dq = Dv), those with rotary-like features
+    # appended (Dq = 2 Dv; the worst of 120 draws read 0.59), or X A and X B of
+    # rank D // 2 (Dq < Dv; 0.46)
     rng = generator(seed)
     X = scale * rng.standard_normal((L, D))
     if features == "low_rank":
@@ -255,6 +264,44 @@ def test_attention_average_blocks_match_one_product(seed, L, D, scale, features)
         assert got.tobytes() == want.tobytes()
     else:
         assert np.abs(got - want).max() <= 16 * np.finfo(float).eps * np.abs(X).max() * (1 + np.abs(Z).max())
+
+
+def _attention_average_longdouble(Q, K, V):
+    """The attention average of the double Q, K and V in np.longdouble, softmax shifted: the
+    accuracy reference. Also returns the logits."""
+    Z = Q.astype(np.longdouble).dot(K.T.astype(np.longdouble))
+    E = np.exp(Z - Z.max(axis=1, keepdims=True))
+    return (E / E.sum(axis=1, keepdims=True)).dot(V.astype(np.longdouble)), Z
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    extra=st.integers(1, 300),
+    D=st.integers(1, 24),
+    scale=st.sampled_from([0.1, 1.0, 3.0]),
+    features=st.sampled_from(["vanilla", "rotary"]),
+)
+@example(seed=1, extra=1, D=16, scale=1.0, features="vanilla")  # L = 129: blocks of 127 and 2 rows
+@example(seed=1, extra=1, D=16, scale=3.0, features="rotary")  # L = 91: blocks of 90 and 1 rows, logits shifted
+@example(seed=2, extra=300, D=1, scale=0.1, features="vanilla")  # L = 812 of one feature: blocks of 322 rows
+@settings(max_examples=40, deadline=None)
+def test_attention_average_blocks_within_4_eps_of_longdouble(seed, extra, D, scale, features):
+    # the row blocks divide each weighted sum by its row sums, where the one
+    # product divides the weights: both stay within 4 eps max|v| (1 + max|z|) of
+    # the long double average, the bound of a logit's rounding moving a weight
+    # (the worst of 1,300 random blocked draws, vanilla and rotary-like, shifted
+    # and not, read 0.93 of it). L is the smallest length that blocks, plus extra
+    rng = generator(seed)
+    Dq = 2 * D if features == "rotary" else D
+    L = math.isqrt(dynamics._ONE_THREAD_MNK // Dq) + extra
+    X = scale * rng.standard_normal((L, D))
+    Q, K = X.dot(D**-0.5 * rng.standard_normal((D, D))), X
+    if features == "rotary":
+        Q, K = np.hstack((Q, D**-0.5 * rng.standard_normal((L, D)))), np.hstack((K, rng.standard_normal((L, D))))
+    assert L * L * max(Dq, D) > dynamics._ONE_THREAD_MNK
+    want, Z = _attention_average_longdouble(Q, K, X)
+    got = _attention_average(Q, K, X)
+    assert np.abs(got - want).max() <= 4 * np.finfo(float).eps * np.abs(X).max() * (1 + float(np.abs(Z).max()))
 
 
 def test_non_finite_logit_in_the_last_row_block_raises():
