@@ -75,6 +75,11 @@ class VerificationReport:
         recs = [(c.name, "pass" if c.passed else "fail", float(c.worst_margin), float(c.location)) for c in self.checks]
         return recs + [(s.name, "skip", "", s.reason) for s in self.skipped]
 
+    def add(self, *records: CheckResult | SkippedCheck) -> None:
+        """Append each record, in order, to checks or to skipped."""
+        for r in records:
+            (self.checks if isinstance(r, CheckResult) else self.skipped).append(r)
+
 
 @dataclass(frozen=True)
 class MetricSeries:
@@ -137,28 +142,39 @@ class RunFacts:
         return cls(W, A, quadspace.is_symmetric(A, 1e-8), a_kind, w_kind, collapse)
 
 
-def check_distance_monotonicity(traj: Trajectory, facts: RunFacts, tol: float) -> CheckResult:
+def check_distance_monotonicity(traj: Trajectory, facts: RunFacts, tol: float) -> CheckResult | SkippedCheck:
     """Step-wise monotonicity of squared A-distances between token pairs:
     q_A(x_i - x_j) non-decreasing when sym(A) is positive definite, and the
-    squared A-norm -q_A non-increasing when it is negative definite. Raises
-    HypothesisError when sym(A) is neither. Vacuously passes with margin 0
-    when there are no pairs."""
+    squared A-norm -q_A non-increasing when it is negative definite; report
+    only unless A is symmetric. Skipped when sym(A) is neither. Vacuously
+    passes with margin 0 when there are no pairs. The samples go in blocks
+    of BLOCK_ENTRIES pair values, each block's first sample the last of the
+    one before."""
     kind = facts.a_kind
     if kind not in (quadspace.Definiteness.POSITIVE_DEFINITE, quadspace.Definiteness.NEGATIVE_DEFINITE):
-        raise HypothesisError(f"sym(A) is {kind.value}; no monotone direction")
+        return SkippedCheck("distance_monotonicity", f"sym(A) is {kind.value}; no monotone direction")
     sign = 1.0 if kind is quadspace.Definiteness.POSITIVE_DEFINITE else -1.0
     name = f"distance_monotonicity_{'non_decreasing' if sign > 0 else 'non_increasing'}"
-    L = traj.states.shape[1]
+    N, L, _ = traj.states.shape
     if L < 2:
-        return CheckResult(name, True, 0.0, float(traj.times[0]))
+        return CheckResult(name, True, 0.0, float(traj.times[0]), asserted=facts.a_symmetric)
     iu = np.triu_indices(L, 1)
-    series = np.empty((len(traj.times), len(iu[0])))
-    for k, X in enumerate(traj.states):  # per sample: quad_form's einsum rounds differently on a stacked (N, pairs, D) call
-        series[k] = quadspace.quad_form(facts.A, X[iu[0]] - X[iu[1]])
-    margins = sign * np.diff(sign * series, axis=0)  # steps of sign * q_A, so a zero step keeps its sign
-    k, p = np.unravel_index(np.argmin(margins), margins.shape)
-    worst = float(margins[k, p])
-    return CheckResult(name, worst >= -tol, worst, float(traj.times[k + 1]))
+    steps = max(1, BLOCK_ENTRIES // len(iu[0]))
+    series = np.empty((min(steps, N - 1) + 1, len(iu[0])))
+    worst, loc = None, float(traj.times[0])
+    for start in range(0, N - 1, steps):
+        rows = series[:min(steps, N - 1 - start) + 1]
+        for k in range(0 if start == 0 else 1, len(rows)):  # per sample: quad_form's einsum rounds differently on a stacked (N, pairs, D) call
+            X = traj.states[start + k]
+            rows[k] = quadspace.quad_form(facts.A, X[iu[0]] - X[iu[1]])
+        margins = np.diff(sign * rows, axis=0)  # steps of sign * q_A, signed back below, so a zero step keeps its sign
+        margins *= sign
+        k, p = np.unravel_index(np.argmin(margins), margins.shape)
+        if worst is None or (not math.isnan(worst) and not margins[k, p] >= worst):  # the first worst step; a nan is worst
+            worst, loc = float(margins[k, p]), float(traj.times[start + k + 1])
+        series[0] = rows[-1]
+        del margins  # one block's steps at a time
+    return CheckResult(name, worst >= -tol, worst, loc, asserted=facts.a_symmetric)
 
 
 def check_quadratic_form_bounds(
@@ -232,9 +248,7 @@ def check_divergence_projection(traj: Trajectory, V, n, eigenvalue: float, tol: 
     """
     V = np.asarray(V, dtype=float)
     n = np.asarray(n, dtype=float)
-    n_norm = np.linalg.norm(n)
-    if n_norm == 0 or np.linalg.norm(V @ n - eigenvalue * n) > 1e-8 * n_norm:
-        raise HypothesisError("n is not an eigenvector of V for the given eigenvalue")
+    _require_eigenvector(V, n, eigenvalue)
     if eigenvalue <= 0:
         raise HypothesisError("the projection bound needs a positive eigenvalue")
 
@@ -259,13 +273,13 @@ def check_divergence_projection(traj: Trajectory, V, n, eigenvalue: float, tol: 
     return results
 
 
-def check_hull_containment(traj: Trajectory, V, lam: float, tol: float) -> CheckResult:
+def check_hull_containment(traj: Trajectory, V, lam: float, tol: float) -> CheckResult | SkippedCheck:
     """e^{-lam t} x_l(t) stays in the convex hull of the initial tokens;
-    requires V = lam I with lam > 0."""
+    skipped unless V = lam I with lam > 0."""
     V = np.asarray(V, dtype=float)
     D = V.shape[0]
     if not (lam > 0 and np.abs(V - lam * np.eye(D)).max() <= 1e-10):
-        raise HypothesisError("V is not a positive multiple of the identity")
+        return SkippedCheck("rescaled_hull_containment", "V is not a positive multiple of the identity")
     X0 = traj.initial
     N, L, _ = traj.states.shape
     per_block = max(1, BLOCK_ENTRIES // (L * L))  # whole samples, L queries each against L points
@@ -328,33 +342,42 @@ def classify_regime(traj: Trajectory) -> Regime:
     return Regime.UNDECIDED
 
 
+def _require_eigenvector(V, n, lam: float) -> None:
+    """Raises HypothesisError unless |V n - lam n| <= 1e-8 |n| with n nonzero."""
+    n_norm = np.linalg.norm(n)
+    if n_norm == 0 or np.linalg.norm(V @ n - lam * n) > 1e-8 * n_norm:
+        raise HypothesisError("n is not an eigenvector of V for the given eigenvalue")
+
+
 def positive_eigenpair(V):
     """A (eigenvalue, unit eigenvector) pair of V with positive eigenvalue,
     for the divergence-projection check. Symmetric V goes through the exact
     symmetric solver; otherwise the dominant (largest-modulus) pair is used
     if it is real (imaginary part at most EIGEN_TOL relative) and positive.
-    Raises HypothesisError when neither gives such a pair."""
+    Raises HypothesisError when neither gives such a pair, or when the pair
+    misses the projection check's own eigenvector test."""
     V = np.asarray(V, dtype=float)
     if quadspace.is_symmetric(V, 1e-10):
         values, vectors = np.linalg.eigh(quadspace.sym(V))
-        lam = float(values[-1])
+        lam, v = float(values[-1]), vectors[:, -1]
         if lam <= 0:
             raise HypothesisError("V has no positive eigenvalue")
-        return lam, vectors[:, -1]
-    values, vectors = np.linalg.eig(V)
-    idx = int(np.argmax(np.abs(values)))
-    lam = values[idx]
-    if abs(lam.imag) > EIGEN_TOL * max(1.0, abs(lam)):
-        raise HypothesisError(f"dominant eigenvalue {lam:.6g} is complex")
-    v = vectors[:, idx]
-    j = int(np.argmax(np.abs(v)))
-    v = v * np.conj(v[j]) / abs(v[j])  # rotate the phase so v is real
-    v = np.real(v) / np.linalg.norm(np.real(v))
-    lam = float(lam.real)
-    if np.linalg.norm(V @ v - lam * v) > EIGEN_TOL * max(1.0, abs(lam)):
-        raise HypothesisError("no real eigenvector for the dominant eigenvalue")
-    if lam <= 0:
-        raise HypothesisError("dominant eigenvalue of V is not positive")
+    else:
+        values, vectors = np.linalg.eig(V)
+        idx = int(np.argmax(np.abs(values)))
+        lam = values[idx]
+        if abs(lam.imag) > EIGEN_TOL * max(1.0, abs(lam)):
+            raise HypothesisError(f"dominant eigenvalue {lam:.6g} is complex")
+        v = vectors[:, idx]
+        j = int(np.argmax(np.abs(v)))
+        v = v * np.conj(v[j]) / abs(v[j])  # rotate the phase so v is real
+        v = np.real(v) / np.linalg.norm(np.real(v))
+        lam = float(lam.real)
+        if np.linalg.norm(V @ v - lam * v) > EIGEN_TOL * max(1.0, abs(lam)):
+            raise HypothesisError("no real eigenvector for the dominant eigenvalue")
+        if lam <= 0:
+            raise HypothesisError("dominant eigenvalue of V is not positive")
+    _require_eigenvector(V, v, lam)
     return lam, v
 
 
@@ -409,18 +432,14 @@ def run_checks(traj: Trajectory, params: ModelParams, P=None, tolerances: dict |
         except SingularMatrixError:
             reason = "V singular; A undefined"
     if facts is None:
-        report.skipped.extend(SkippedCheck(name, reason) for name in ("distance_monotonicity", "qa_bounds", "norm_collapse"))
+        report.add(*(SkippedCheck(name, reason) for name in ("distance_monotonicity", "qa_bounds", "norm_collapse")))
     else:
         y = traj if P is None else replace(traj, states=traj.states + P)
         mono_tol = tol["monotonicity_tol"] if tol["monotonicity_tol"] is not None else 1e-6 + 100.0 * traj.config.h**4
-        try:
-            report.checks.append(replace(check_distance_monotonicity(y, facts, mono_tol), asserted=facts.a_symmetric))
-        except HypothesisError as exc:
-            report.skipped.append(SkippedCheck("distance_monotonicity", str(exc)))
-        for r in check_quadratic_form_bounds(y, facts, tol["qa_rate_tol"], tol["qa_envelope_tol"]):
-            (report.checks if isinstance(r, CheckResult) else report.skipped).append(r)
+        report.add(check_distance_monotonicity(y, facts, mono_tol),
+                   *check_quadratic_form_bounds(y, facts, tol["qa_rate_tol"], tol["qa_envelope_tol"]))
         if not facts.collapse:
-            report.skipped.append(SkippedCheck("norm_collapse", "not in the A_sym < 0, W_sym > 0 regime"))
+            report.add(SkippedCheck("norm_collapse", "not in the A_sym < 0, W_sym > 0 regime"))
         else:
             if P is None:
                 group = [check_convergence(traj, tol["convergence_rel_threshold"]),
@@ -428,19 +447,17 @@ def run_checks(traj: Trajectory, params: ModelParams, P=None, tolerances: dict |
             else:
                 group = [check_absolute_limit(traj, P, tol["absolute_limit_tol"])]
             group.append(check_derivative_decay(traj, tol["derivative_decay_tol"]))
-            report.checks.extend(replace(r, asserted=facts.a_symmetric) for r in group)
+            report.add(*(replace(r, asserted=facts.a_symmetric) for r in group))
 
     if P is not None:
-        report.skipped.append(SkippedCheck("projection_band", "projection bound not checked under absolute encoding"))
-        report.skipped.append(SkippedCheck("rescaled_hull_containment", "hull containment not checked under absolute encoding"))
+        report.add(SkippedCheck("projection_band", "projection bound not checked under absolute encoding"),
+                   SkippedCheck("rescaled_hull_containment", "hull containment not checked under absolute encoding"))
         return report
     try:
         lam, n = positive_eigenpair(params.V)
-        report.checks.extend(check_divergence_projection(traj, params.V, n, lam, tol["projection_tol"]))
     except HypothesisError as exc:
-        report.skipped.append(SkippedCheck("projection_band", str(exc)))
-    try:
-        report.checks.append(check_hull_containment(traj, params.V, params.V[0, 0], tol["hull_tol"]))
-    except HypothesisError as exc:
-        report.skipped.append(SkippedCheck("rescaled_hull_containment", str(exc)))
+        report.add(SkippedCheck("projection_band", str(exc)))
+    else:
+        report.add(*check_divergence_projection(traj, params.V, n, lam, tol["projection_tol"]))
+    report.add(check_hull_containment(traj, params.V, params.V[0, 0], tol["hull_tol"]))
     return report

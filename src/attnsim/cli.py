@@ -567,7 +567,7 @@ def _matrix_sets(sets) -> list[dict]:
 
 def run_spectra(cfg: dict, out_dir: str, jobs: int = 1) -> int:
     options = _read(cfg.get("spectra", {}), "spectra", {"sets"}, eps=_tolerance, sets=_matrix_sets)
-    per_set = [eigen_stats([s["Q"]], [s["K"]], [s["V"]], **options) for s in options.pop("sets")]  # options keep eps alone
+    per_set = [eigen_stats(s["Q"], s["K"], s["V"], **options) for s in options.pop("sets")]  # options keep eps alone
     # the aggregates are over the per-set percentages; A_sym has none where V is singular
     summary = {"mode": "spectra", "n_sets": len(per_set)}
     rows = [(i, s.pct_pos_Wsym, s.pct_pos_Asym, s.pct_near_zero_V, s.n_singular_V) for i, s in enumerate(per_set)]

@@ -97,16 +97,15 @@ def rhs_vanilla(params: ModelParams, X) -> np.ndarray:
 
 
 def sinusoidal_encoding(L: int, D: int, offset: int = 0) -> np.ndarray:
-    """Sinusoidal position table: sin(i * 10000^(-j/D)) on even feature
-    columns, cos with the preceding even exponent on odd ones. Positions are
-    zero-based; offset shifts the first position index."""
+    """Sinusoidal position table: sin(i * theta_k) in feature column 2k and cos(i * theta_k) in column
+    2k + 1, theta_k the rotary frequencies at base 10000. Positions are zero-based; offset shifts the
+    first position index."""
     if L < 1 or D < 1:
         raise DomainError("need L >= 1 and D >= 1")
-    i = np.arange(offset, offset + L, dtype=float)[:, None]
-    j = np.arange(D)
-    expo = np.where(j % 2 == 0, j, j - 1) / D
-    angles = i * 10000.0 ** (-expo)
-    return np.where(j % 2 == 0, np.sin(angles), np.cos(angles))
+    angles = _rope_angles(D, 10000.0, np.arange(offset, offset + L))
+    P = np.empty((L, D))
+    P[:, 0::2], P[:, 1::2] = np.sin(angles), np.cos(angles[:, :D // 2])
+    return P
 
 
 def rhs_absolute(params: ModelParams, P, X) -> np.ndarray:
@@ -120,10 +119,8 @@ def rhs_absolute(params: ModelParams, P, X) -> np.ndarray:
 
 
 def _rope_angles(D: int, theta_base: float, m) -> np.ndarray:
-    """The rotary angles m * theta_k, theta_k = theta_base^(-2(k-1)/D), shaped m.shape + (D/2,)."""
-    if D % 2 != 0:
-        raise DomainError("rotary rotations require even D")
-    k = np.arange(D // 2)
+    """The angles m * theta_k, theta_k = theta_base^(-2k/D) for k < ceil(D/2), shaped m.shape + (ceil(D/2),)."""
+    k = np.arange((D + 1) // 2)
     return np.multiply.outer(np.asarray(m, dtype=float), theta_base ** (-2.0 * k / D))
 
 

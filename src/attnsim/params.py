@@ -272,33 +272,17 @@ def _assert_scenario(params: ModelParams, scenario: Scenario):
         raise GenerationError(f"A_sym has {n_pos} positive eigenvalues, expected {expect}")
 
 
-def eigen_stats(Qs, Ks, Vs, eps: float = 1e-3) -> SpectrumStats:
-    """Mean spectral percentages over matched (Q, K, V) triples.
-
-    Per triple: % positive eigenvalues of W_sym and A_sym, and % of V's
-    eigenvalues with modulus <= eps. Triples with singular V contribute
-    their V statistics but are skipped for A.
-    """
-    if len(Qs) == 0 or not (len(Qs) == len(Ks) == len(Vs)):
-        raise DomainError("need nonempty, equal-length matrix lists")
-    pw, pa, pv = [], [], []
-    singular = 0
-    for Q, K, V in zip(Qs, Ks, Vs):
-        p = ModelParams(D=len(Q), Q=Q, K=K, V=V)
-        pw.append(100.0 * (quadspace.count_positive_eigs(p.W) / p.D))
-        pv.append(100.0 * np.mean(np.abs(np.linalg.eigvals(p.V)) <= eps))
-        try:
-            _, A = derive_W_A(p)
-        except SingularMatrixError:
-            singular += 1
-            continue
-        pa.append(100.0 * (quadspace.count_positive_eigs(A) / p.D))
-    return SpectrumStats(
-        pct_pos_Wsym=float(np.mean(pw)),
-        pct_pos_Asym=float(np.mean(pa)) if pa else float("nan"),
-        pct_near_zero_V=float(np.mean(pv)),
-        n_singular_V=singular,
-    )
+def eigen_stats(Q, K, V, eps: float = 1e-3) -> SpectrumStats:
+    """Spectral percentages of one (Q, K, V) triple: % positive eigenvalues
+    of W_sym and A_sym, and % of V's eigenvalues with modulus <= eps. A
+    singular V leaves A undefined: pct_pos_Asym is NaN and n_singular_V 1."""
+    p = ModelParams(D=len(Q), Q=Q, K=K, V=V)
+    try:
+        pct_A, singular = 100.0 * (quadspace.count_positive_eigs(derive_W_A(p)[1]) / p.D), 0
+    except SingularMatrixError:
+        pct_A, singular = float("nan"), 1
+    pct_V = float(100.0 * np.mean(np.abs(np.linalg.eigvals(p.V)) <= eps))
+    return SpectrumStats(100.0 * (quadspace.count_positive_eigs(p.W) / p.D), pct_A, pct_V, singular)
 
 
 def save_matrix(path, M):

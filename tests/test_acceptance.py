@@ -254,19 +254,23 @@ def test_criterion_09_spectrum_statistics():
     # eigenvalues of V at eps = 1e-3. Runtime < 10 s.
     t0 = time.perf_counter()
     triples = [random_params(16, 3000 + i) for i in range(100)]
-    stats = eigen_stats([p.Q for p in triples], [p.K for p in triples], [p.V for p in triples], eps=1e-3)
+    per_triple = [eigen_stats(p.Q, p.K, p.V, eps=1e-3) for p in triples]
+    pct_A = np.array([s.pct_pos_Asym for s in per_triple])
+    pct_pos_Wsym = float(np.mean([s.pct_pos_Wsym for s in per_triple]))
+    pct_pos_Asym = float(np.mean(pct_A[np.isfinite(pct_A)]))  # A is undefined where V is singular
+    pct_near_zero_V = float(np.mean([s.pct_near_zero_V for s in per_triple]))
     elapsed = time.perf_counter() - t0
     ok = (
-        45.0 <= stats.pct_pos_Wsym <= 55.0
-        and 45.0 <= stats.pct_pos_Asym <= 55.0
-        and stats.pct_near_zero_V == 0.0
+        45.0 <= pct_pos_Wsym <= 55.0
+        and 45.0 <= pct_pos_Asym <= 55.0
+        and pct_near_zero_V == 0.0
         and elapsed < 10.0
     )
     report(
         9,
         ok,
-        f"pct_pos_Wsym={stats.pct_pos_Wsym:.2f}, pct_pos_Asym={stats.pct_pos_Asym:.2f}, "
-        f"near-zero V={stats.pct_near_zero_V:.2f}; runtime {elapsed:.2f}s < 10s",
+        f"pct_pos_Wsym={pct_pos_Wsym:.2f}, pct_pos_Asym={pct_pos_Asym:.2f}, "
+        f"near-zero V={pct_near_zero_V:.2f}; runtime {elapsed:.2f}s < 10s",
     )
 
 

@@ -221,10 +221,10 @@ def test_monotonicity_negative_definite_direction():
                                      (np.array([[0.0, 1.0], [-1.0, 0.0]]), "near_singular")],
                          ids=["indefinite", "near_singular", "skew"])
 def test_monotonicity_without_definite_sym_a_raises(A, kind):
+    # no monotone direction: the checker returns a skip record with the reason
     traj = make_traj([0.0, 1.0], [[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [2.0, 0.0]]])
-    with pytest.raises(HypothesisError) as exc:
-        check_distance_monotonicity(traj, RunFacts.of(np.eye(2), A), 1.0)
-    assert str(exc.value) == f"sym(A) is {kind}; no monotone direction"
+    res = check_distance_monotonicity(traj, RunFacts.of(np.eye(2), A), 1.0)
+    assert res == SkippedCheck("distance_monotonicity", f"sym(A) is {kind}; no monotone direction")
 
 
 def _monotonicity_with_direction(traj, A, tol):
@@ -272,6 +272,68 @@ def test_monotonicity_direction_from_sym_a_matches_passed_direction(run):
     assert np.float64(got.worst_margin).tobytes() == np.float64(want.worst_margin).tobytes()
     if run.startswith("rigid"):
         assert got.worst_margin == 0.0 and np.signbit(got.worst_margin) == (run == "rigid_negative")
+
+
+def _random_walk_traj(N, L, D, seed):
+    """N samples of L tokens taking small random steps: pair distances rise and fall."""
+    rng = np.random.default_rng(seed)
+    states = rng.standard_normal((1, L, D)) + np.cumsum(0.01 * rng.standard_normal((N, L, D)), axis=0)
+    return make_traj(np.arange(float(N)), states)
+
+
+def _with_nan(traj, sample):
+    states = traj.states.copy()
+    states[sample, 1, 0] = np.nan
+    return make_traj(traj.times, states)
+
+
+MONOTONICITY_BLOCK_RUNS = {
+    **MONOTONICITY_RUNS,
+    "walk": lambda: (_random_walk_traj(40, 5, 3, 7), np.diag([1.0, 2.0, 0.5])),
+    "walk_negative": lambda: (_random_walk_traj(40, 5, 3, 8), -np.diag([1.0, 2.0, 0.5])),
+    "nan_late": lambda: (_with_nan(_random_walk_traj(40, 5, 3, 7), 31), np.diag([1.0, 2.0, 0.5])),
+    "nan_first_step": lambda: (_with_nan(_random_walk_traj(40, 5, 3, 7), 1), np.diag([1.0, 2.0, 0.5])),
+}
+
+
+@pytest.mark.parametrize("steps", [1, 2, 3, 7, None])
+@pytest.mark.parametrize("run", sorted(MONOTONICITY_BLOCK_RUNS))
+def test_monotonicity_blocks_match_the_whole_series(run, steps, monkeypatch):
+    # the samples go in blocks of `steps` steps (None: one block), each block's first sample the last of
+    # the block before; the worst margin, its sign (-0.0 on the rigid negative definite run) and its
+    # location keep the bits of one argmin over the whole series, and a nan step stays the worst
+    traj, A = MONOTONICITY_BLOCK_RUNS[run]()
+    pairs = traj.states.shape[1] * (traj.states.shape[1] - 1) // 2
+    if steps is not None:
+        monkeypatch.setattr(analyze, "BLOCK_ENTRIES", steps * pairs)
+    got = check_distance_monotonicity(traj, RunFacts.of(np.eye(A.shape[0]), A), 1e-6)
+    want = _monotonicity_with_direction(traj, A, 1e-6)
+    assert (got.name, got.passed, got.location) == (want.name, want.passed, want.location)
+    assert np.float64(got.worst_margin).tobytes() == np.float64(want.worst_margin).tobytes()
+    if run.startswith("nan"):
+        assert np.isnan(got.worst_margin) and not got.passed
+
+
+def test_monotonicity_memory_does_not_grow_with_samples():
+    import tracemalloc
+
+    L, D = 64, 4
+    A = np.diag([1.0, 2.0, 0.5, 1.5])
+    pairs = L * (L - 1) // 2
+    steps = analyze.BLOCK_ENTRIES // pairs
+    peaks = {}
+    for N in (4 * steps, 16 * steps):  # 4 and 16 blocks
+        traj = _random_walk_traj(N, L, D, 3)
+        tracemalloc.start()
+        try:
+            check_distance_monotonicity(traj, RunFacts.of(np.eye(D), A), 1e-6)
+            _, peaks[N] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    # one block's series, its signed copy and its steps, each (steps + 1) x pairs doubles
+    bound = 3 * 8 * (steps + 1) * pairs
+    assert max(peaks.values()) < 1.2 * bound, (peaks, bound)
+    assert peaks[16 * steps] < 1.1 * peaks[4 * steps], peaks
 
 
 def test_quadratic_bounds_single_token_closed_form():
@@ -452,9 +514,10 @@ def test_hull_containment_matches_per_query_loop(monkeypatch):
 
 
 def test_hull_containment_hypothesis_error():
+    # V is not lam I: the unmet hypothesis comes back as a skip record with the reason
     traj = make_traj([0.0], np.zeros((1, 2, 2)))
-    with pytest.raises(HypothesisError):
-        check_hull_containment(traj, np.diag([1.0, 2.0]), 1.0, tol=1e-4)
+    res = check_hull_containment(traj, np.diag([1.0, 2.0]), 1.0, tol=1e-4)
+    assert res == SkippedCheck("rescaled_hull_containment", "V is not a positive multiple of the identity")
 
 
 def test_stationarity_residual_values():
@@ -518,6 +581,20 @@ def test_positive_eigenpair_symmetric_and_failure():
         positive_eigenpair(np.diag([-3.0, -1.0]))
     with pytest.raises(HypothesisError):
         positive_eigenpair(np.array([[-3.0, 1.0], [0.0, 1.0]]))  # non-symmetric, dominant negative
+
+
+def test_eigenpair_the_projection_check_refuses_is_a_skip():
+    # V is symmetric within is_symmetric's relative 1e-10, but sym(V)'s top eigenvector misses V n = lam n
+    # by 2.5e-8 > 1e-8 |n|: the query refuses the pair that check_divergence_projection would refuse, so
+    # run_checks reports the projection band skipped instead of raising
+    V = np.array([[1000.0, 0.0], [5e-8, 1.0]])
+    assert quadspace.is_symmetric(V, 1e-10)
+    with pytest.raises(HypothesisError, match="n is not an eigenvector of V for the given eigenvalue"):
+        positive_eigenpair(V)
+    traj = make_traj([0.0, 1.0], [[[0.0, 1.0], [1.0, 0.0]]] * 2)
+    report = analyze.run_checks(traj, params_from_w_and_v(np.eye(2), V))
+    assert SkippedCheck("projection_band", "n is not an eigenvector of V for the given eigenvalue") in report.skipped
+    assert "projection_band" not in [c.name for c in report.checks]
 
 
 def test_report_serialization():

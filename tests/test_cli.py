@@ -996,6 +996,21 @@ def test_sweep_small_range(tmp_path):
     assert float(summary[0]["diverged_rate"]) == 1.0
 
 
+@pytest.mark.parametrize("tokens", [{"kind": "cluster", "L": 3, "mean_norm": 0.0}, {"kind": "random", "L": 3, "scale": 0.0}],
+                         ids=["cluster", "random"])
+def test_sweep_zero_start_has_no_norm_ratio(tmp_path, tokens):
+    # tokens that start at zero stay there: the run exits 0, the end/start ratio of mean norms is nan,
+    # not 0, and neither regime threshold is met
+    sweep = {"scenario": "convergence", "D": 2, "seed_start": 0, "seed_count": 2, "horizon": 1.0, "tokens": tokens}
+    code, out = run_cli(tmp_path, {"schema_version": 1, "mode": "sweep", "sweep": sweep})
+    assert code == 0
+    with open(out / "seeds.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 2
+    assert [r["mean_norm_ratio"] for r in rows] == ["nan", "nan"]
+    assert [r["regime"] for r in rows] == ["undecided", "undecided"]
+
+
 def test_sweep_rows_independent_of_window(tmp_path):
     sweep = {"scenario": "convergence", "D": 2, "seed_start": 0, "seed_count": 4, "horizon": 10.0}
     cfg = {"schema_version": 1, "mode": "sweep", "sweep": sweep}

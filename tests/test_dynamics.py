@@ -422,6 +422,31 @@ def test_sinusoidal_offset():
     np.testing.assert_array_equal(P0[1:], P1)
 
 
+def _sinusoidal_exponent_table(L, D, offset):
+    """The sinusoidal table from one exponent per column: 10000^(-j/D) for even j, the preceding even
+    exponent for odd j, and both sin and cos of every column."""
+    i = np.arange(offset, offset + L, dtype=float)[:, None]
+    j = np.arange(D)
+    expo = np.where(j % 2 == 0, j, j - 1) / D
+    angles = i * 10000.0 ** (-expo)
+    return np.where(j % 2 == 0, np.sin(angles), np.cos(angles))
+
+
+@settings(max_examples=200, deadline=None)
+@given(L=st.integers(1, 300), D=st.integers(1, 64), offset=st.integers(0, 3))
+@example(L=300, D=64, offset=3)
+@example(L=1, D=1, offset=0)
+@example(L=7, D=5, offset=2)
+def test_sinusoidal_table_is_the_rotary_angles_bitwise(L, D, offset):
+    # the table takes sin and cos of the rotary angles at base 10000 (k < ceil(D/2)); every entry keeps
+    # the bits of the per-column exponent formula
+    got = sinusoidal_encoding(L, D, offset)
+    assert got.tobytes() == _sinusoidal_exponent_table(L, D, offset).tobytes()
+    theta = _rope_angles(D, 10000.0, np.arange(offset, offset + L))
+    assert theta.shape == (L, (D + 1) // 2)
+    assert got[:, 0::2].tobytes() == np.sin(theta).tobytes()
+
+
 def test_rhs_absolute_zero_positions_bitwise():
     rng = np.random.default_rng(3)
     p = random_params(3, 11)
@@ -471,8 +496,9 @@ def test_rotation_orthogonal_blocks():
 
 
 def test_rotation_rejects_odd_dimension():
-    with pytest.raises(DomainError):
-        rotation_matrix(3, 10000.0, 1)
+    # rotations turn feature pairs, so rope parameters need an even D; ModelParams refuses them at D = 3
+    with pytest.raises(DomainError, match="even D"):
+        _rope(3, np.eye(3), np.eye(3), np.eye(3), np.eye(3), np.eye(3))
 
 
 def rotation_matrix(D: int, theta_base: float, m) -> np.ndarray:

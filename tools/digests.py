@@ -13,8 +13,9 @@ verification policy no other run does), each one
 in-process call of attnsim.cli.main with --jobs 1 into a fresh
 directory, hashed by workloads.digest (exit code, stdout and every
 output file). A split check then runs one sweep member's
-seed window at --jobs 1 and --jobs 2, and as two windows, and requires the
-same seeds.csv rows from all three.
+seed window at --jobs 1 and --jobs 2, as two windows, and as one run per
+seed (the way perfbench runs a sweep), and requires the same seeds.csv
+rows from all four.
 
 BLAS runs on one thread unless OPENBLAS_NUM_THREADS (or OMP_/MKL_/
 BLIS_NUM_THREADS) says otherwise; the digests must not depend on it. A
@@ -190,12 +191,16 @@ def split_check(workdir: str) -> tuple[str, list[str]]:
         sweep = {"scenario": "convergence", "D": wl.SWEEP_D, "seed_start": first, "seed_count": n, "horizon": "auto"}
         return _write_config(workdir, f"split_{first}_{n}", {"schema_version": 1, "mode": "sweep", "sweep": sweep})
 
+    def joined(*windows: tuple[int, int]) -> str:  # the windows' seeds.csv rows under one header
+        texts = [run(window(first, n))[1] for first, n in windows]
+        return texts[0] + "".join(text.split("\n", 1)[1] for text in texts[1:])
+
     whole = run(window(start, count))[1]
     half = count // 2
-    head, tail = run(window(start, half))[1], run(window(start + half, count - half))[1]
     ways = {
         "--jobs 2": run(window(start, count), jobs=2)[1],
-        f"windows of {half} and {count - half} seeds": head + tail.split("\n", 1)[1],
+        f"windows of {half} and {count - half} seeds": joined((start, half), (start + half, count - half)),
+        "one run per seed": joined(*((seed, 1) for seed in range(start, start + count))),
     }
     failed = [way for way, rows in ways.items() if rows != whole]
     return hashlib.sha256(whole.encode()).hexdigest(), failed
