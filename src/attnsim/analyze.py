@@ -24,7 +24,7 @@ CONVERGED_RATIO = 1e-3
 DIVERGED_RATIO = 1e3
 EXP_CLIP = 700.0  # keeps margins finite when q_W is very negative
 EIGEN_TOL = 1e-8  # relative imaginary part and residual a real eigenpair may carry
-BLOCK_ENTRIES = 2**18  # float64 entries per block: samples x token pairs (metrics), queries x hull points (hull)
+BLOCK_ENTRIES = 2**18  # float64 entries per block: samples x token pairs (pair walk), queries x hull points (hull)
 
 
 class Regime(Enum):
@@ -89,37 +89,44 @@ class MetricSeries:
 
 
 def metrics_block_samples(L: int, D: int) -> int:
-    """Whole samples per metrics block: neither the pair rows, nor one
+    """Whole samples per _pair_forms block: neither the pair rows, nor one
     offset's differences, nor (at L = 1) the samples outgrow BLOCK_ENTRIES."""
     return max(1, BLOCK_ENTRIES // max(L * (L - 1) // 2, (L - 1) * D, D))
 
 
-def trajectory_metrics(traj: Trajectory) -> MetricSeries:
-    """Per-sample mean token norm and mean pairwise Euclidean distance, the
-    latter sqrt(d.d) per pair d = x_j - x_{j+k}, walked by offset k. Each
-    sample's pair distances fill one row, averaged whole, whatever the block
-    size. Reads only traj.times and traj.states: blocks of a C-contiguous
-    run's samples give that run's values bit for bit."""
-    if traj.states.shape[0] == 0:
-        raise DomainError("empty trajectory")
-    N, L, D = traj.states.shape
-    mean_norm = np.linalg.norm(traj.states, axis=2).mean(axis=1)
-    dists = np.zeros(N)
-    pairs = L * (L - 1) // 2
-    if pairs:
-        per_block = metrics_block_samples(L, D)
-        buf = np.empty((min(per_block, N), pairs))
-        for start in range(0, N, per_block):
-            S = np.ascontiguousarray(traj.states[start:start + per_block])  # reductions round by memory layout
-            rows = buf[:len(S)]
-            col = 0
-            for k in range(1, L):  # pairs (j, j + k), as one inner product each
-                d = S[:, :L - k] - S[:, k:]
-                np.einsum("spd,spd->sp", d, d, out=rows[:, col:col + L - k])
+def _pair_forms(states, S=None, overlap=0):
+    """(first, rows) per block of metrics_block_samples(L, D) samples plus
+    `overlap` from the block before: row s is d.(d S), or d.d, for each pair
+    difference d = x_j - x_{j+k} of sample first + s, walked by offset k. One
+    matmul slice and one einsum per sample and offset: bits of any block."""
+    N, L, D = states.shape
+    per_block = metrics_block_samples(L, D)
+    buf = np.empty((min(per_block, N) + overlap, L * (L - 1) // 2))
+    for start in range(0, N, per_block):
+        first = max(0, start - overlap)
+        X = np.ascontiguousarray(states[first:start + per_block])  # reductions round by memory layout
+        rows, col = buf[:len(X)], 0
+        with np.errstate(invalid="ignore"):  # an inf token's forms may be nan, as its steps are
+            for k in range(1, L):
+                d = X[:, :L - k] - X[:, k:]
+                np.einsum("spd,spd->sp", d, d if S is None else np.matmul(d, S), out=rows[:, col:col + L - k])
                 col += L - k
                 del d  # one offset's differences alive at a time
-            np.sqrt(rows, out=rows)
-            dists[start:start + per_block] = rows.mean(axis=1)
+        yield first, rows
+
+
+def trajectory_metrics(traj: Trajectory) -> MetricSeries:
+    """Per-sample mean token norm and mean pairwise Euclidean distance, the
+    mean of sqrt(d.d) over a _pair_forms row. Reads only traj.times and
+    traj.states: a C-contiguous run's blocks give its values bit for bit."""
+    if traj.states.shape[0] == 0:
+        raise DomainError("empty trajectory")
+    N, L, _ = traj.states.shape
+    mean_norm = np.linalg.norm(traj.states, axis=2).mean(axis=1)
+    dists = np.zeros(N)
+    for first, rows in _pair_forms(traj.states) if L > 1 else ():
+        np.sqrt(rows, out=rows)
+        dists[first:first + len(rows)] = rows.mean(axis=1)
     return MetricSeries(times=traj.times, mean_token_norm=mean_norm, mean_pairwise_dist=dists)
 
 
@@ -147,34 +154,25 @@ def check_distance_monotonicity(traj: Trajectory, facts: RunFacts, tol: float) -
     q_A(x_i - x_j) non-decreasing when sym(A) is positive definite, and the
     squared A-norm -q_A non-increasing when it is negative definite; report
     only unless A is symmetric. Skipped when sym(A) is neither. Vacuously
-    passes with margin 0 when there are no pairs. The samples go in blocks
-    of BLOCK_ENTRIES pair values, each block's first sample the last of the
-    one before."""
+    passes with margin 0 when there are no pairs or no steps. The _pair_forms
+    blocks of S = sym(A) overlap by one sample, so each step is taken once."""
     kind = facts.a_kind
     if kind not in (quadspace.Definiteness.POSITIVE_DEFINITE, quadspace.Definiteness.NEGATIVE_DEFINITE):
         return SkippedCheck("distance_monotonicity", f"sym(A) is {kind.value}; no monotone direction")
     sign = 1.0 if kind is quadspace.Definiteness.POSITIVE_DEFINITE else -1.0
     name = f"distance_monotonicity_{'non_decreasing' if sign > 0 else 'non_increasing'}"
     N, L, _ = traj.states.shape
-    if L < 2:
+    if L < 2 or N < 2:
         return CheckResult(name, True, 0.0, float(traj.times[0]), asserted=facts.a_symmetric)
-    iu = np.triu_indices(L, 1)
-    steps = max(1, BLOCK_ENTRIES // len(iu[0]))
-    series = np.empty((min(steps, N - 1) + 1, len(iu[0])))
-    worst, loc = None, float(traj.times[0])
-    for start in range(0, N - 1, steps):
-        rows = series[:min(steps, N - 1 - start) + 1]
-        for k in range(0 if start == 0 else 1, len(rows)):  # per sample: quad_form's einsum rounds differently on a stacked (N, pairs, D) call
-            X = traj.states[start + k]
-            rows[k] = quadspace.quad_form(facts.A, X[iu[0]] - X[iu[1]])
-        margins = np.diff(sign * rows, axis=0)  # steps of sign * q_A, signed back below, so a zero step keeps its sign
-        margins *= sign
-        k, p = np.unravel_index(np.argmin(margins), margins.shape)
-        if worst is None or (not math.isnan(worst) and not margins[k, p] >= worst):  # the first worst step; a nan is worst
-            worst, loc = float(margins[k, p]), float(traj.times[start + k + 1])
-        series[0] = rows[-1]
+    worst = []
+    for first, rows in _pair_forms(traj.states, quadspace.sym(facts.A), overlap=1):
+        margins = sign * np.diff(sign * rows, axis=0)  # steps of sign * q_A, signed back: a zero step keeps its sign
+        if margins.size:
+            k, p = np.unravel_index(np.argmin(margins), margins.shape)
+            worst.append((float(margins[k, p]), float(traj.times[first + k + 1])))
         del margins  # one block's steps at a time
-    return CheckResult(name, worst >= -tol, worst, loc, asserted=facts.a_symmetric)
+    margin, loc = worst[int(np.argmin([m for m, _ in worst]))]  # the first worst block; a nan is worst
+    return CheckResult(name, margin >= -tol, margin, loc, asserted=facts.a_symmetric)
 
 
 def check_quadratic_form_bounds(
@@ -275,7 +273,7 @@ def check_divergence_projection(traj: Trajectory, V, n, eigenvalue: float, tol: 
 
 def check_hull_containment(traj: Trajectory, V, lam: float, tol: float) -> CheckResult | SkippedCheck:
     """e^{-lam t} x_l(t) stays in the convex hull of the initial tokens;
-    skipped unless V = lam I with lam > 0."""
+    skipped unless V = lam I, lam > 0. A non-finite query's margin is nan."""
     V = np.asarray(V, dtype=float)
     D = V.shape[0]
     if not (lam > 0 and np.abs(V - lam * np.eye(D)).max() <= 1e-10):
@@ -283,16 +281,17 @@ def check_hull_containment(traj: Trajectory, V, lam: float, tol: float) -> Check
     X0 = traj.initial
     N, L, _ = traj.states.shape
     per_block = max(1, BLOCK_ENTRIES // (L * L))  # whole samples, L queries each against L points
-    worst, loc = np.inf, float(traj.times[0])
+    worst = []
     for start in range(0, N, per_block):
         block = slice(start, start + per_block)
         Z = (np.exp(-lam * traj.times[block])[:, None, None] * traj.states[block]).reshape(-1, D)
-        dist, _ = quadspace.simplex_distance(X0, Z, tol=tol)
-        margins = tol - dist
+        finite = np.isfinite(Z).all(axis=1)
+        margins = np.full(len(Z), np.nan)
+        margins[finite] = tol - quadspace.simplex_distance(X0, Z[finite], tol=tol)[0]
         k = int(np.argmin(margins))  # first worst query in (sample, token) order
-        if margins[k] < worst:
-            worst, loc = float(margins[k]), float(traj.times[start + k // L])
-    return CheckResult("rescaled_hull_containment", worst >= 0.0, worst, loc)
+        worst.append((float(margins[k]), float(traj.times[start + k // L])))
+    margin, loc = worst[int(np.argmin([m for m, _ in worst]))]  # the pair law's merge: a nan is worst
+    return CheckResult("rescaled_hull_containment", margin >= 0.0, margin, loc)
 
 
 def stationarity_residual(params: ModelParams, X) -> float:
@@ -330,14 +329,15 @@ def endpoint_mean_norms(traj: Trajectory) -> tuple[float, float]:
 
 
 def classify_regime(traj: Trajectory) -> Regime:
-    """Converged / Diverged / Undecided from mean token norms (and the
-    blow-up flag)."""
+    """Diverged on a blow-up, else by final / initial mean token norm: below
+    CONVERGED_RATIO converged, above DIVERGED_RATIO diverged, both strictly;
+    Undecided otherwise, at either threshold and from a zero start (no ratio)."""
     if traj.terminated is Termination.BLOW_UP:
         return Regime.DIVERGED
     start, end = endpoint_mean_norms(traj)
     if end < CONVERGED_RATIO * start:
         return Regime.CONVERGED
-    if end > DIVERGED_RATIO * start:
+    if end > DIVERGED_RATIO * start > 0.0:
         return Regime.DIVERGED
     return Regime.UNDECIDED
 

@@ -1,6 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from attnsim import analyze, quadspace
@@ -227,15 +229,30 @@ def test_monotonicity_without_definite_sym_a_raises(A, kind):
     assert res == SkippedCheck("distance_monotonicity", f"sym(A) is {kind}; no monotone direction")
 
 
-def _monotonicity_with_direction(traj, A, tol):
-    """check_distance_monotonicity as it was while each caller passed the
-    direction: picked from the sign of sym(A), with the monitored series
-    negated for a negative definite A and the steps negated again for the
-    non-increasing direction."""
+def pair_form_rows(X, A):
+    """One sample's row of the pair law, the checker's formula: d.(d sym(A))
+    for each pair d = x_j - x_{j+k}, walked by offset k, as one 2-D matmul
+    and one einsum per offset."""
+    S, L = quadspace.sym(A), len(X)
+    with np.errstate(invalid="ignore"):  # an inf token's forms may be nan, as in the checker
+        return np.concatenate([np.einsum("pd,pd->p", d, d @ S) for d in (X[:L - k] - X[k:] for k in range(1, L))])
+
+
+def quad_form_rows(X, A):
+    """One sample's row by quad_form, pairs (i, j) in triu order: the
+    per-sample form the pair law used before it shared the metrics' walk."""
+    iu = np.triu_indices(len(X), 1)
+    return quadspace.quad_form(A, X[iu[0]] - X[iu[1]])
+
+
+def _monotonicity_with_direction(traj, A, tol, rows=pair_form_rows):
+    """check_distance_monotonicity over the whole series at once, as it was
+    while each caller passed the direction: picked from the sign of sym(A),
+    with the monitored series negated for a negative definite A and the
+    steps negated again for the non-increasing direction."""
     non_decreasing = quadspace.classify_definiteness(A) is quadspace.Definiteness.POSITIVE_DEFINITE
     name = "distance_monotonicity_" + ("non_decreasing" if non_decreasing else "non_increasing")
-    iu = np.triu_indices(traj.states.shape[1], 1)
-    series = np.array([quadspace.quad_form(A, X[iu[0]] - X[iu[1]]) for X in traj.states])
+    series = np.array([rows(X, A) for X in traj.states])
     if not non_decreasing:
         series = -series
     steps = np.diff(series, axis=0)
@@ -296,22 +313,108 @@ MONOTONICITY_BLOCK_RUNS = {
 }
 
 
-@pytest.mark.parametrize("steps", [1, 2, 3, 7, None])
+def _block_entries(traj, samples):
+    """BLOCK_ENTRIES that make _pair_forms blocks of `samples` whole samples."""
+    _, L, D = traj.states.shape
+    return samples * max(L * (L - 1) // 2, (L - 1) * D, D)
+
+
+@pytest.mark.parametrize("samples", [1, 2, 3, 7, None])
 @pytest.mark.parametrize("run", sorted(MONOTONICITY_BLOCK_RUNS))
-def test_monotonicity_blocks_match_the_whole_series(run, steps, monkeypatch):
-    # the samples go in blocks of `steps` steps (None: one block), each block's first sample the last of
-    # the block before; the worst margin, its sign (-0.0 on the rigid negative definite run) and its
-    # location keep the bits of one argmin over the whole series, and a nan step stays the worst
+def test_monotonicity_blocks_match_the_whole_series(run, samples, monkeypatch):
+    # the samples go in blocks of `samples` samples (None: one block), each later block carrying the
+    # last sample of the block before; the worst margin, its sign (-0.0 on the rigid negative definite
+    # run) and its location keep the bits of one argmin over the whole series, and a nan step stays
+    # the worst
     traj, A = MONOTONICITY_BLOCK_RUNS[run]()
-    pairs = traj.states.shape[1] * (traj.states.shape[1] - 1) // 2
-    if steps is not None:
-        monkeypatch.setattr(analyze, "BLOCK_ENTRIES", steps * pairs)
+    if samples is not None:
+        monkeypatch.setattr(analyze, "BLOCK_ENTRIES", _block_entries(traj, samples))
     got = check_distance_monotonicity(traj, RunFacts.of(np.eye(A.shape[0]), A), 1e-6)
     want = _monotonicity_with_direction(traj, A, 1e-6)
     assert (got.name, got.passed, got.location) == (want.name, want.passed, want.location)
     assert np.float64(got.worst_margin).tobytes() == np.float64(want.worst_margin).tobytes()
     if run.startswith("nan"):
         assert np.isnan(got.worst_margin) and not got.passed
+
+
+def _random_definite(rng, D, sign, symmetric):
+    """sign * (M M^T + I), plus a skew part when not symmetric: sym(A) stays definite."""
+    M = rng.standard_normal((D, D))
+    A = M @ M.T + np.eye(D)
+    if not symmetric:
+        A = A + (M - M.T)
+    return sign * A
+
+
+@st.composite
+def pair_law_runs(draw):
+    """Random walks (pair forms rise and fall), rigid translations (every
+    step exactly 0, -0.0 when A < 0) and walks with a nan or inf token, under
+    a random A whose symmetric part is definite."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    N, L, D = draw(st.integers(2, 30)), draw(st.integers(2, 7)), draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(["walk", "rigid", "nan", "inf"]))
+    if kind == "rigid":
+        states = np.round(8 * rng.standard_normal((1, L, D))) / 8 + np.arange(N)[:, None, None] / 4
+    else:
+        states = rng.standard_normal((1, L, D)) + np.cumsum(10.0**draw(st.integers(-6, 0)) * rng.standard_normal((N, L, D)), axis=0)
+    if kind in ("nan", "inf"):
+        states[draw(st.integers(0, N - 1)), draw(st.integers(0, L - 1)), 0] = np.nan if kind == "nan" else np.inf
+    A = _random_definite(rng, D, draw(st.sampled_from([1.0, -1.0])), draw(st.booleans()))
+    return make_traj(np.arange(float(N)), states), A
+
+
+@settings(max_examples=80, deadline=None)
+@given(run=pair_law_runs(), samples=st.sampled_from([1, 2, 3]))
+def test_monotonicity_result_does_not_depend_on_the_block_size(run, samples):
+    # blocks of one sample (one step each), of a few samples, and one block: the margin's bytes (-0.0
+    # and nan included) and its location are those of the whole-series oracle of the same formula
+    traj, A = run
+    facts = RunFacts.of(np.eye(A.shape[0]), A)
+    want = _monotonicity_with_direction(traj, A, 1e-6)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analyze, "BLOCK_ENTRIES", _block_entries(traj, samples))
+        blocked = check_distance_monotonicity(traj, facts, 1e-6)
+    whole = check_distance_monotonicity(traj, facts, 1e-6)
+    for got in (blocked, whole):
+        assert (got.name, got.passed, got.location) == (want.name, want.passed, want.location)
+        assert np.float64(got.worst_margin).tobytes() == np.float64(want.worst_margin).tobytes()
+
+
+def pair_law_rounding_bound(traj, A):
+    """How far a margin may move between the two formulas. Both take the same
+    pair differences d. A form of n products rounds within about n eps of
+    |d|^T M |d|, M = (|A| + |A^T|)/2: quad_form takes D^2 products, and
+    d.(d sym(A)) sym's halving, then D and D products. A step adds one
+    subtraction. So each step, and the worst of them, moves by at most
+    2 (D^2 + 2D + 4) eps times the run's largest |d|^T M |d|."""
+    D = A.shape[1]
+    M = 0.5 * (np.abs(A) + np.abs(A.T))
+    iu = np.triu_indices(traj.states.shape[1], 1)
+    d = np.abs(traj.states[:, iu[0]] - traj.states[:, iu[1]])
+    return 2 * (D * D + 2 * D + 4) * np.finfo(float).eps * float(np.einsum("spd,de,spe->sp", d, M, d).max())
+
+
+@settings(max_examples=80, deadline=None)
+@given(run=pair_law_runs(), tol=st.sampled_from([0.0, 1e-12, 1e-6]))
+def test_monotonicity_within_rounding_of_the_quad_form_oracle(run, tol):
+    # the per-sample quad_form oracle (the pair law's formula before it shared the metrics' walk):
+    # the worst margin agrees within pair_law_rounding_bound, and so does passed wherever the margin
+    # clears -tol by more than the bound; a nan token fails both with a nan margin. (An inf token
+    # makes inf - inf in an order each formula picks, so those runs are left to the bitwise test.)
+    traj, A = run
+    assume(not np.isinf(traj.states).any())
+    got = check_distance_monotonicity(traj, RunFacts.of(np.eye(A.shape[0]), A), tol)
+    want = _monotonicity_with_direction(traj, A, tol, rows=quad_form_rows)
+    assert got.name == want.name
+    if np.isnan(traj.states).any():
+        assert np.isnan(got.worst_margin) and not got.passed and not want.passed
+        return
+    bound = pair_law_rounding_bound(traj, A)
+    assert abs(got.worst_margin - want.worst_margin) <= bound, (got, want, bound)
+    if abs(want.worst_margin + tol) > bound:
+        assert got.passed == want.passed
 
 
 def test_monotonicity_memory_does_not_grow_with_samples():
@@ -513,6 +616,26 @@ def test_hull_containment_matches_per_query_loop(monkeypatch):
             assert abs(res.worst_margin - want.worst_margin) <= 1e-9 * tol
 
 
+@pytest.mark.parametrize("entries", [None, 9], ids=["one_block", "one_sample_blocks"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus_inf"])
+def test_hull_containment_fails_on_non_finite_token(bad, entries, monkeypatch):
+    # x_l(t) = e^t x_l(0) stays in the rescaled hull, but for one token pushed out at t = 0.2 (a finite
+    # failing margin) and a non-finite token at t = 0.6: that query is not solved, its nan margin is
+    # the worst in whichever block it sits, and no warning is raised
+    times = np.linspace(0.0, 1.0, 6)
+    states = np.exp(times)[:, None, None] * np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
+    states[1, 2] += 0.1
+    if entries is not None:
+        monkeypatch.setattr(analyze, "BLOCK_ENTRIES", entries)  # one sample of 3 queries x 3 points
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        finite = check_hull_containment(make_traj(times, states), np.eye(2), 1.0, tol=1e-4)
+        states[3, 1, 0] = bad
+        res = check_hull_containment(make_traj(times, states), np.eye(2), 1.0, tol=1e-4)
+    assert not finite.passed and np.isfinite(finite.worst_margin) and finite.location == times[1]
+    assert not res.passed and np.isnan(res.worst_margin) and res.location == times[3]
+
+
 def test_hull_containment_hypothesis_error():
     # V is not lam I: the unmet hypothesis comes back as a skip record with the reason
     traj = make_traj([0.0], np.zeros((1, 2, 2)))
@@ -549,6 +672,28 @@ def test_classify_regime_frozen_and_blowup():
     assert classify_regime(traj) is Regime.DIVERGED
     small = np.array([np.ones((2, 2)), 1e-9 * np.ones((2, 2))])
     assert classify_regime(make_traj([0.0, 1.0], small)) is Regime.CONVERGED
+
+
+def _endpoints_traj(start, end, terminated=Termination.HORIZON_REACHED):
+    """Two samples of two 1-D tokens, each of norm start, then end."""
+    return make_traj([0.0, 1.0], [[[start], [-start]], [[end], [-end]]], terminated=terminated)
+
+
+@pytest.mark.parametrize("ratio", [analyze.CONVERGED_RATIO, analyze.DIVERGED_RATIO], ids=["converged", "diverged"])
+def test_classify_regime_thresholds_are_strict(ratio):
+    # an end mean norm of exactly ratio times the start meets neither strict threshold
+    traj = _endpoints_traj(1.0, ratio)
+    assert analyze.endpoint_mean_norms(traj) == (1.0, ratio)
+    assert classify_regime(traj) is Regime.UNDECIDED
+    assert classify_regime(_endpoints_traj(1.0, np.nextafter(ratio, 0.0 if ratio < 1 else np.inf))) is not Regime.UNDECIDED
+
+
+def test_classify_regime_zero_start_has_no_ratio():
+    # a start at the zero state has no norm ratio: undecided whether it stays there or moves,
+    # diverged only when the run blew up
+    assert classify_regime(_endpoints_traj(0.0, 0.0)) is Regime.UNDECIDED
+    assert classify_regime(_endpoints_traj(0.0, 0.027)) is Regime.UNDECIDED
+    assert classify_regime(_endpoints_traj(0.0, 1e9, terminated=Termination.BLOW_UP)) is Regime.DIVERGED
 
 
 def test_positive_eigenpair_non_symmetric_real_dominant():

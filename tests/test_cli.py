@@ -1011,6 +1011,21 @@ def test_sweep_zero_start_has_no_norm_ratio(tmp_path, tokens):
     assert [r["regime"] for r in rows] == ["undecided", "undecided"]
 
 
+@pytest.mark.parametrize("posenc", [None, {"kind": "sinusoidal"}], ids=["vanilla", "sinusoidal"])
+def test_simulate_zero_start_is_undecided(tmp_path, capsys, posenc):
+    # three tokens at zero: the vanilla field keeps them there, the sinusoidal one moves them (mean
+    # norm 0 -> 0.027); with no norm ratio neither run has a regime
+    cfg = simulate_cfg(tokens={"kind": "random", "L": 3, "seed": 2, "scale": 0.0}, integrator={"h": 0.01, "T": 0.05})
+    if posenc is not None:
+        cfg["posenc"] = posenc
+    code, out = run_cli(tmp_path, cfg)
+    assert code == 0
+    assert json.loads(capsys.readouterr().out.splitlines()[-1])["regime"] == "undecided"
+    with open(out / "metrics.csv") as fh:
+        norms = [float(r["mean_norm"]) for r in csv.DictReader(fh)]
+    assert norms[0] == 0.0 and (norms[-1] > 0.02 if posenc else norms[-1] == 0.0)
+
+
 def test_sweep_rows_independent_of_window(tmp_path):
     sweep = {"scenario": "convergence", "D": 2, "seed_start": 0, "seed_count": 4, "horizon": 10.0}
     cfg = {"schema_version": 1, "mode": "sweep", "sweep": sweep}
