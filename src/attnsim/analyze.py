@@ -17,7 +17,7 @@ import numpy as np
 from . import quadspace
 from .dynamics import _attention_average, _check_state
 from .errors import ConfigError, DomainError, HypothesisError, SingularMatrixError
-from .integrate import Termination, Trajectory
+from .integrate import Termination, Trajectory, region_step
 from .params import ModelParams, derive_W_A
 
 CONVERGED_RATIO = 1e-3
@@ -167,6 +167,7 @@ def check_distance_monotonicity(traj: Trajectory, facts: RunFacts, tol: float) -
     worst = []
     for first, rows in _pair_forms(traj.states, quadspace.sym(facts.A), overlap=1):
         margins = sign * np.diff(sign * rows, axis=0)  # steps of sign * q_A, signed back: a zero step keeps its sign
+        margins[np.isinf(margins)] = np.nan  # a step into or out of an inf form fails, as a nan step does
         if margins.size:
             k, p = np.unravel_index(np.argmin(margins), margins.shape)
             worst.append((float(margins[k, p]), float(traj.times[first + k + 1])))
@@ -297,8 +298,10 @@ def check_hull_containment(traj: Trajectory, V, lam: float, tol: float) -> Check
 def stationarity_residual(params: ModelParams, X) -> float:
     """max_l || sum_j softmax_j(x_l^T W x_.) x_j ||, by the vanilla field's
     kernel: zero exactly at the all-zero stationary state and, unlike the
-    weights e^{x_l^T W x_j}, unable to underflow to a false zero far from it."""
+    weights e^{x_l^T W x_j}, unable to underflow to a false zero far from it. nan on a non-finite X."""
     X = _check_state(params, X)
+    if not np.isfinite(X).all():
+        return math.nan
     return float(np.linalg.norm(_attention_average(X.dot(params.W), X, X), axis=1).max())
 
 
@@ -326,6 +329,34 @@ def check_derivative_decay(traj: Trajectory, tol: float) -> CheckResult:
 def endpoint_mean_norms(traj: Trajectory) -> tuple[float, float]:
     """Mean token norm of the initial and of the final state."""
     return float(np.linalg.norm(traj.initial, axis=1).mean()), float(np.linalg.norm(traj.final, axis=1).mean())
+
+
+def sweep_schedule(V, h_cap: float, t_max: float, horizon: float | None = None) -> tuple[float, float, int, np.ndarray]:
+    """A sweep run's step h, horizon T, record stride (about 512 samples) and
+    its mean mode's rates, the real parts of the eigenvalues of V^T. T is
+    horizon, or else 9 / min |rate| in [10, t_max]; h = T / ceil(T / region_step(V, h_cap)),
+    the largest step within region_step that ends the run at T."""
+    rates = np.linalg.eigvals(np.asarray(V, dtype=float).T).real
+    T = horizon if horizon is not None else float(np.clip(9.0 / max(float(np.abs(rates).min()), 1e-9), 10.0, t_max))
+    h = T / math.ceil(T / region_step(V, cap=h_cap))
+    return h, T, max(1, int(T / h / 512)), rates
+
+
+def sweep_row(traj: Trajectory, W, A, rates) -> dict:
+    """A sweep run's seeds.csv entries but the seed: the positive-eigenvalue
+    counts of sym(W) and sym(A), the regime, the final / initial mean-norm
+    ratio (nan from a zero start), the termination, T, h and the fastest rate."""
+    start, end = endpoint_mean_norms(traj)
+    return {
+        "pos_eigs_Wsym": quadspace.count_positive_eigs(W),
+        "pos_eigs_Asym": quadspace.count_positive_eigs(A),
+        "regime": classify_regime(traj).value,
+        "mean_norm_ratio": end / start if start > 0 else float("nan"),
+        "terminated": traj.terminated.value,
+        "T": traj.config.T,
+        "h": traj.config.h,
+        "max_re_eig_V": float(rates.max()),
+    }
 
 
 def classify_regime(traj: Trajectory) -> Regime:

@@ -24,11 +24,11 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from . import analyze, quadspace
+from . import analyze
 from .analyze import run_checks  # by name: perfbench's `cli.run_checks` span wraps it here
 from .dynamics import rhs_for, rhs_vanilla, sinusoidal_encoding
 from .errors import AttnSimError, ConfigError
-from .integrate import IntegratorConfig, integrate, region_step, stable_step  # stable_step unused: perfbench's span wraps `cli.stable_step`
+from .integrate import IntegratorConfig, integrate, stable_step  # stable_step unused: perfbench's span wraps `cli.stable_step`
 from .params import (
     FLOAT_FORMAT,
     LambdaKind,
@@ -395,11 +395,10 @@ def run_simulate(cfg: dict, out_dir: str, jobs: int = 1) -> int:
     them here. jobs, which only sweeps read, does not change this."""
     _, X0, icfg, rhs, _ = _prepare_run(cfg)
     L, D = X0.shape
-    samples = 1 + -(-icfg.n_steps // icfg.record_stride)  # t = 0, every stride-th step and the last
-    block = min(analyze.metrics_block_samples(L, D), samples)
+    block = min(analyze.metrics_block_samples(L, D), icfg.n_samples)
     paths = [os.path.join(out_dir, name) for name in ("trajectory.csv", "metrics.csv")]
     partial = [path + ".partial" for path in paths]  # renamed on success: a failed run leaves no CSV
-    if hasattr(os, "fork") and block < samples:  # a one-block run writes its rows once, at the end: nothing to overlap
+    if hasattr(os, "fork") and block < icfg.n_samples:  # a one-block run writes its rows once, at the end: nothing to overlap
         rows = _rows_in_child(partial[0], L, D, block)
     else:
         rows = _rows_in_process(partial[0], D)
@@ -500,28 +499,9 @@ def _sweep_one(args):
     params = build_params({**plan.params, "seed": seed}, f"sweep: seed {seed}")
     W, A = derive_W_A(params)
     X0 = build_tokens({"seed": token_seed, **plan.tokens}, params.D, "sweep.tokens")
-
-    h = region_step(params.V, cap=plan.h_cap)
-    growth = np.linalg.eigvals(params.V.T).real  # the mean mode's rates
-    if plan.horizon is None:
-        rate = float(np.abs(growth).min())
-        T = float(np.clip(9.0 / max(rate, 1e-9), 10.0, plan.t_max))
-    else:
-        T = plan.horizon
-    icfg = IntegratorConfig(h=h, T=T, record_stride=max(1, int(T / h / 512)), **plan.integrator)
-    traj = integrate(lambda X: rhs_vanilla(params, X), X0, icfg)
-    start, end = analyze.endpoint_mean_norms(traj)
-    return {
-        "seed": seed,
-        "pos_eigs_Wsym": quadspace.count_positive_eigs(W),
-        "pos_eigs_Asym": quadspace.count_positive_eigs(A),
-        "regime": analyze.classify_regime(traj).value,
-        "mean_norm_ratio": end / start if start > 0 else float("nan"),
-        "terminated": traj.terminated.value,
-        "T": T,
-        "h": h,
-        "max_re_eig_V": float(growth.max()),
-    }
+    h, T, stride, rates = analyze.sweep_schedule(params.V, plan.h_cap, plan.t_max, plan.horizon)
+    traj = integrate(lambda X: rhs_vanilla(params, X), X0, IntegratorConfig(h=h, T=T, record_stride=stride, **plan.integrator))
+    return {"seed": seed, **analyze.sweep_row(traj, W, A, rates)}
 
 
 def run_sweep(cfg: dict, out_dir: str, jobs: int) -> int:

@@ -41,6 +41,11 @@ class IntegratorConfig:
     def n_steps(self) -> int:
         return max(1, int(round(self.T / self.h)))
 
+    @property
+    def n_samples(self) -> int:
+        """Samples integrate records on a run that reaches T: t = 0, every stride-th step and the last."""
+        return 1 + -(-self.n_steps // self.record_stride)
+
 
 @dataclass(frozen=True)
 class Trajectory:

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -27,7 +28,7 @@ from attnsim.analyze import (
 )
 from attnsim.dynamics import rhs_vanilla
 from attnsim.errors import ConfigError, HypothesisError, SingularMatrixError
-from attnsim.integrate import IntegratorConfig, Termination, Trajectory, integrate, stable_step
+from attnsim.integrate import IntegratorConfig, Termination, Trajectory, integrate, region_step, stable_step
 from attnsim.params import (
     ModelParams,
     Scenario,
@@ -249,7 +250,7 @@ def _monotonicity_with_direction(traj, A, tol, rows=pair_form_rows):
     """check_distance_monotonicity over the whole series at once, as it was
     while each caller passed the direction: picked from the sign of sym(A),
     with the monitored series negated for a negative definite A and the
-    steps negated again for the non-increasing direction."""
+    steps negated again for the non-increasing direction; an inf step is nan."""
     non_decreasing = quadspace.classify_definiteness(A) is quadspace.Definiteness.POSITIVE_DEFINITE
     name = "distance_monotonicity_" + ("non_decreasing" if non_decreasing else "non_increasing")
     series = np.array([rows(X, A) for X in traj.states])
@@ -257,6 +258,7 @@ def _monotonicity_with_direction(traj, A, tol, rows=pair_form_rows):
         series = -series
     steps = np.diff(series, axis=0)
     margins = steps if non_decreasing else -steps
+    margins[np.isinf(margins)] = np.nan
     k, p = np.unravel_index(np.argmin(margins), margins.shape)
     worst = float(margins[k, p])
     return CheckResult(name, worst >= -tol, worst, float(traj.times[k + 1]))
@@ -696,6 +698,51 @@ def test_classify_regime_zero_start_has_no_ratio():
     assert classify_regime(_endpoints_traj(0.0, 1e9, terminated=Termination.BLOW_UP)) is Regime.DIVERGED
 
 
+@pytest.mark.parametrize("rate, t_max, want", [(2.0, 1500.0, 10.0), (0.5, 1500.0, 18.0), (1e-3, 1500.0, 1500.0), (1e-3, 200.0, 200.0)],
+                         ids=["clipped_at_10", "inside", "clipped_at_t_max", "clipped_at_given_t_max"])
+def test_sweep_schedule_horizon_from_the_slowest_rate(rate, t_max, want):
+    # V = diag(-rate, -4 rate): 9 over the slowest mean-mode rate, clipped to [10, t_max]
+    h, T, _, rates = analyze.sweep_schedule(np.diag([-rate, -4.0 * rate]), 5e-2, t_max)
+    assert T == want
+    assert sorted(rates.tolist()) == [-4.0 * rate, -rate]
+
+
+@pytest.mark.parametrize("horizon", [1.0, 2.34, 0.01])
+def test_sweep_schedule_ends_a_given_horizon_in_whole_steps(horizon):
+    # a stiff mode (-44.9) sets region_step below the cap; the step is the largest T / n within it,
+    # and a horizon shorter than region_step is one step
+    V = np.array([[-44.9, 0.0], [1.0, -0.2]])
+    h, T, stride, _ = analyze.sweep_schedule(V, 5e-2, 1500.0, horizon)
+    steps = math.ceil(horizon / region_step(V, cap=5e-2))
+    assert T == horizon and h == horizon / steps and h <= region_step(V, cap=5e-2) < 5e-2
+    assert IntegratorConfig(h=h, T=T, record_stride=stride).n_steps == steps
+    assert abs(steps * h - T) <= 2 * np.finfo(float).eps * T
+
+
+@pytest.mark.parametrize("horizon", [0.5, 25.6, 30.0, 60.0, 900.0, 1500.0])
+def test_sweep_schedule_stride_keeps_about_512_samples(horizon):
+    # h about 0.05, the cap: 10 to 30,000 steps; every step is recorded below 1024 steps, and past
+    # that a stride >= 2 keeps 512 to 768 samples after t = 0
+    h, T, stride, _ = analyze.sweep_schedule(-0.01 * np.eye(2), 5e-2, 1500.0, horizon)
+    config = IntegratorConfig(h=h, T=T, record_stride=stride)
+    recorded = config.n_samples - 1
+    if config.n_steps < 1024:
+        assert stride == 1 and recorded == config.n_steps
+    else:
+        assert stride >= 2 and 512 <= recorded <= 768
+
+
+def test_sweep_row_reads_the_run():
+    # a zero start has no mean-norm ratio: nan, and undecided; a run to 5e-4 of its start converged
+    W, A, rates = np.diag([1.0, -1.0]), -np.eye(2), np.array([-0.5, 0.25])
+    zero = analyze.sweep_row(_endpoints_traj(0.0, 0.0), W, A, rates)
+    assert np.isnan(zero["mean_norm_ratio"]) and zero["regime"] == "undecided"
+    traj = _endpoints_traj(2.0, 1e-3)
+    row = analyze.sweep_row(traj, W, A, rates)
+    assert row == {"pos_eigs_Wsym": 1, "pos_eigs_Asym": 0, "regime": "converged", "mean_norm_ratio": 5e-4,
+                   "terminated": "horizon_reached", "T": traj.config.T, "h": traj.config.h, "max_re_eig_V": 0.25}
+
+
 def test_positive_eigenpair_non_symmetric_real_dominant():
     V = np.array([[3.0, 1.0], [0.0, 1.0]])  # eigenvalues 3 and 1; (1, 0) belongs to 3
     lam, v = positive_eigenpair(V)
@@ -791,6 +838,28 @@ def test_check_stationarity_on_converged_run():
     assert check_stationarity(traj, p, tol=1e-3).passed
     assert check_derivative_decay(traj, tol=1e-3).passed
     assert classify_regime(traj) is Regime.CONVERGED
+
+
+@pytest.mark.parametrize("D", [1, 2])
+def test_monotonicity_fails_a_step_into_an_inf_form(D):
+    # two tokens at distances 1, 1.5 and then inf, A = I: at D = 1 the form steps to +inf, a growth
+    # that read as a pass with margin 1.25; at D = 2, inf * 0 makes it nan. Both fail with a nan margin
+    states = np.zeros((3, 2, D))
+    states[:, 1, 0] = [1.0, 1.5, np.inf]
+    res = check_distance_monotonicity(make_traj([0.0, 0.1, 0.2], states), RunFacts.of(np.eye(D), np.eye(D)), 1e-6)
+    assert not res.passed and np.isnan(res.worst_margin) and res.location == 0.2
+
+
+def test_run_checks_fails_stationarity_on_an_inf_final_state():
+    # a collapse-regime run (W = I, V = -I) whose last sample holds an inf: the residual, which warned
+    # twice and then raised ContractError out of run_checks, is nan, and its row fails
+    p = params_from_w_and_v(np.eye(2), -np.eye(2))
+    states = [[[1.0, 0.0], [0.0, 1.0]], [[0.5, 0.0], [0.0, 0.5]], [[np.inf, 0.0], [0.0, 0.2]]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = analyze.run_checks(make_traj([0.0, 0.1, 0.2], states), p)
+    (row,) = [c for c in report.checks if c.name == "stationarity_residual"]
+    assert not row.passed and np.isnan(row.worst_margin) and not report.all_passed
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import os
 import signal
 import subprocess
@@ -1047,9 +1048,22 @@ def test_sweep_steps_from_rk4_region(tmp_path):
         with open(out / "seeds.csv") as fh:
             (row,) = csv.DictReader(fh)
         V = build_scenario(ScenarioSpec(Scenario(scenario), 4, 1)).V
-        assert float(row["h"]) == region_step(V, cap=5e-2)
+        assert float(row["h"]) == 1.0 / math.ceil(1.0 / region_step(V, cap=5e-2))  # the horizon in whole steps
         assert (float(row["h"]) < 5e-2) is stiff
         assert stable_step(V, cap=5e-2) < 5e-2
+
+
+@pytest.mark.parametrize("horizon", [1.0, 2.34, "auto"])
+def test_sweep_runs_end_at_their_horizon(monkeypatch, horizon):
+    # seeds 1 and 15: a stiff decaying mode sets region_step below the cap; seeds 0 and 2: the cap
+    trajs = []
+    monkeypatch.setattr(cli, "integrate", lambda rhs, X0, icfg: trajs.append(integrate(rhs, X0, icfg)) or trajs[-1])
+    plan = build_sweep_plan({"scenario": "convergence", "D": 4, "seed_count": 1, "horizon": horizon})
+    for seed in (0, 1, 2, 15):
+        row = _sweep_one((plan, seed, 4))
+        V = build_scenario(ScenarioSpec(Scenario.CONVERGENCE, 4, seed)).V
+        assert row["h"] <= region_step(V, cap=5e-2) and row["terminated"] == "horizon_reached"
+        assert abs(trajs[-1].times[-1] - row["T"]) <= 2 * np.finfo(float).eps * row["T"]
 
 
 def test_sweep_records_mean_mode_growth_rate(tmp_path):

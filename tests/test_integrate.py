@@ -204,6 +204,16 @@ def test_record_stride_includes_endpoints():
     np.testing.assert_allclose(traj.times, [0.0, 0.3, 0.6, 0.9, 1.0])
 
 
+@given(st.floats(1e-3, 1.0), st.floats(0.0, 60.0), st.integers(1, 40))
+@settings(max_examples=300, deadline=None)
+def test_n_samples_counts_what_integrate_records(h, extra, stride):
+    # T from one step to about 60 steps past it, off the step grid; a run that reaches T
+    config = IntegratorConfig(h=h, T=h * (1.0 + extra), record_stride=stride)
+    traj = integrate(lambda X: np.zeros_like(X), np.zeros((1, 1)), config)
+    assert traj.terminated is Termination.HORIZON_REACHED
+    assert config.n_samples == len(traj.times)
+
+
 def test_step_size_convergence_on_reference_set():
     p = params_from_w_and_a(SHRINK_W, quadspace.sym(SHRINK_A))
     finals = {}

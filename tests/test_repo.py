@@ -44,6 +44,24 @@ def test_perfbench_trace_sites_resolve():
         assert callable(target), f"perfbench traces attnsim.{module}.{attribute}, which is missing"
 
 
+def _imported_modules(tree):
+    """Every module an attnsim source file's imports name, relative ones under attnsim."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["attnsim" if node.level else None, node.module]))
+            yield module
+            yield from (f"{module}.{alias.name}" for alias in node.names)
+
+
+def test_only_the_entry_points_import_the_cli():
+    # the library does not reach back into the CLI: the CLI parses, runs the library and writes
+    importers = {path.name for path in (ROOT / "src" / "attnsim").glob("*.py")
+                 if "attnsim.cli" in _imported_modules(ast.parse(path.read_text()))}
+    assert importers - {"cli.py"} == {"__main__.py"}
+
+
 def test_perfbench_setup_child_builds_shipped_configs():
     # perfbench's setup_s runs this child on every config it builds; run it
     # here (read from run.py, not imported) so that a renamed builder fails
